@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io, ndmap, recon, verify
 from .forward import SolverError, TimeGrid, assemble_blocks
-from .geometry import CurveSpec, GeometryError, make_curve, point_in_region
+from .geometry import CurveSpec, GeometryError, OnBoundaryError, make_curve, points_in_region
 from .ndmap import NoiseSpec
 from .recon import SamplingSpec
 
@@ -79,8 +79,8 @@ class RunConfig:
             cavity = make_curve(self.cavity, max(self.M_cavity, 64))
             omega = make_curve(self.omega, max(self.M_omega, 64))
             try:
-                inside = all(point_in_region(p, omega) for p in cavity.nodes)
-            except GeometryError as exc:
+                inside = points_in_region(cavity.nodes, omega).all()
+            except (GeometryError, OnBoundaryError) as exc:
                 raise ConfigError(str(exc)) from exc
             if not inside:
                 raise ConfigError("cavity must lie strictly inside the conductor")
@@ -268,18 +268,13 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
     print(f"[simulate] assembled lag blocks ({time.time()-t0:.1f}s)")
     timings = {}
 
-    stages = [("lambda_0", lambda: ndmap.assemble_lambda(setup, False))]
-    if cfg.cavity is not None:
-        stages += [
-            ("lambda_D", lambda: ndmap.assemble_lambda(setup, True)),
-            ("N", lambda: ndmap.assemble_N(setup)),
-        ]
-    else:
-        stages += [
-            ("lambda_D", lambda: ndmap.assemble_lambda(setup, False)),
-            ("N", lambda: ndmap.assemble_N(setup)),
-        ]
     ops = {}
+    stages = [
+        ("lambda_0", lambda: ndmap.assemble_lambda(setup, False)),
+        # without a cavity the measured map is the cavity-free one
+        ("lambda_D", lambda: ndmap.assemble_lambda(setup, True) if cfg.cavity else ops["lambda_0"]),
+        ("N", lambda: ndmap.assemble_N(setup)),
+    ]
     for name, build in stages:
         ts = time.time()
         ops[name] = build()

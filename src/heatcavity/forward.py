@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .geometry import TOL_GEOM, BoundaryCurve, point_in_region
+from .geometry import TOL_GEOM, BoundaryCurve, points_in_region
 from .kernels import (
     dnu_gamma,
     dnu_gamma_time_integral,
@@ -206,9 +206,8 @@ def assemble_blocks(curves, grid: TimeGrid) -> RetardedBlocks:
         raise ValueError("region has one boundary curve or (outer, cavity)")
     if len(curves) == 2:
         outer, cavity = curves
-        for p in cavity.nodes:
-            if not point_in_region(p, outer):
-                raise ValueError("cavity curve is not inside the outer curve")
+        if not points_in_region(cavity.nodes, outer).all():
+            raise ValueError("cavity curve is not inside the outer curve")
         d = outer.nodes[:, None, :] - cavity.nodes[None, :, :]
         gap = np.sqrt((d**2).sum(-1)).min()
         if gap <= 10 * TOL_GEOM:
@@ -308,14 +307,15 @@ def solve_neumann(region: RetardedBlocks, flux) -> LayerDensity:
     if squeeze:
         fvals = fvals[:, :, None]
     nt = region.grid.Nt
-    lu = region.stepping_lu()
+    lu, piv = region.stepping_lu()
+    piv = piv.copy()  # getrs shifts pivots in place while it runs: threads must not share them
     adj = region.adjoint
     rho = np.zeros_like(fvals)
     for k in range(nt):
         rhs = fvals[:, k, :].copy()
         for lag in range(1, k + 1):
             rhs -= adj[lag] @ rho[:, k - lag, :]
-        rho[:, k, :] = lu_solve(lu, rhs)
+        rho[:, k, :] = lu_solve((lu, piv), rhs)
     if squeeze:
         rho = rho[:, :, 0]
     return LayerDensity(region, rho)
@@ -536,9 +536,9 @@ def green_probe_traces(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not 0.0 < s <= grid.T:
         raise ValueError(f"probe time s={s} outside (0, T]")
-    for p in points:
-        if not point_in_region(p, omega):
-            raise ValueError(f"probe point {tuple(p)} outside the conductor")
+    outside = ~points_in_region(points, omega)
+    if np.any(outside):
+        raise ValueError(f"probe point {tuple(points[np.argmax(outside)])} outside the conductor")
     if region is None:
         region = assemble_blocks(omega, grid)
     elif region.curves != (omega,):

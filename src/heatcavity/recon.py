@@ -25,13 +25,7 @@ from .forward import (
     assemble_blocks,
     green_probe_traces,
 )
-from .geometry import (
-    TOL_GEOM,
-    BoundaryCurve,
-    OnBoundaryError,
-    distance_to_curve,
-    point_in_region,
-)
+from .geometry import TOL_GEOM, BoundaryCurve, signed_distance
 
 #: Sum values at or below this are treated as "probe orthogonal to the
 #: retained span" and reported as an infinite indicator.
@@ -185,8 +179,8 @@ def sampling_points(omega: BoundaryCurve, spec: SamplingSpec) -> tuple[np.ndarra
     """Lattice points inside the conductor with the requested margin.
 
     The nx-by-ny lattice spans the bounding box of the outer boundary
-    nodes; points outside the conductor or closer to it than the margin
-    are dropped.  Returns the kept points and the margin used.
+    nodes; points outside the conductor, on it or closer to it than the
+    margin are dropped.  Returns the kept points and the margin used.
     """
     margin = spec.margin
     if margin is None:
@@ -195,16 +189,9 @@ def sampling_points(omega: BoundaryCurve, spec: SamplingSpec) -> tuple[np.ndarra
     hi = omega.nodes.max(axis=0)
     xs = np.linspace(lo[0], hi[0], spec.nx)
     ys = np.linspace(lo[1], hi[1], spec.ny)
-    pts = np.array([(x, y) for y in ys for x in xs])
-    kept = []
-    for p in pts:
-        try:
-            inside = point_in_region(p, omega)
-        except OnBoundaryError:
-            continue
-        if inside and distance_to_curve(omega.spec, p) >= margin:
-            kept.append(p)
-    return np.asarray(kept).reshape(-1, 2), margin
+    pts = np.stack(np.meshgrid(xs, ys), -1).reshape(-1, 2)
+    d = signed_distance(omega.spec, pts)
+    return pts[(d <= -TOL_GEOM) & (-d >= margin)], margin
 
 
 def slice_times(grid: TimeGrid, s_slices: int) -> np.ndarray:
@@ -233,9 +220,11 @@ def reconstruct(
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     pts, _ = sampling_points(omega, sampling)
-    if cavity is not None and len(pts):
-        dist = np.array([distance_to_curve(cavity.spec, p) for p in pts])
-        pts = pts[dist > TOL_GEOM]
+    inside = np.zeros(len(pts), dtype=bool)
+    if cavity is not None:
+        d = signed_distance(cavity.spec, pts)
+        clear = np.abs(d) > TOL_GEOM
+        pts, inside = pts[clear], d[clear] < 0
     svals = slice_times(grid, sampling.s_slices)
     points = [ProbePoint((float(p[0]), float(p[1])), float(s)) for s in svals for p in pts]
     if not points:
@@ -265,10 +254,7 @@ def reconstruct(
     vmax = values[finite].max() if np.any(finite) else 1.0
     normalized = np.where(finite, values / vmax, 1.0)
     mask = normalized >= threshold
-    if cavity is not None:
-        truth = np.array([point_in_region(np.asarray(p.y), cavity) for p in points])
-    else:
-        truth = np.zeros(len(points), dtype=bool)
+    truth = np.tile(inside, len(svals))
     return IndicatorGrid(points, values, normalized, mask, truth)
 
 

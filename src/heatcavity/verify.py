@@ -402,11 +402,6 @@ ALL_CHECKS = (
 )
 
 
-def run_all(ctx: VerifyContext | None = None) -> list[CheckReport]:
-    ctx = ctx or VerifyContext()
-    return [chk(ctx) for chk in ALL_CHECKS]
-
-
 def report_to_json(reports: list[CheckReport]) -> str:
     payload = {
         "suite": "operator-identity checks",

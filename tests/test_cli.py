@@ -108,6 +108,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="strictly inside"):
             parse_config("cavity_params=0,0,1.5\n")
 
+    def test_cavity_on_conductor_boundary_is_config_error(self):
+        with pytest.raises(ConfigError, match="on-boundary point"):
+            parse_config("cavity_params=0,0,1\n")
+
 
 class TestEffectiveTau:
     def test_auto_clean(self):
@@ -235,6 +239,20 @@ class TestDeterminism:
         )
         assert code == 0
         assert (out / "indicator.csv").read_bytes() == before
+
+    def test_threads_do_not_change_bits_across_chunks(self, tmp_path):
+        # 129 probe points fill three probe chunks, so worker threads solve
+        # concurrently on the shared lag-block factorization
+        cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("nx=9\nny=9", "nx=17\nny=17"))
+        out = tmp_path / "serial"
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        shutil.copytree(out, tmp_path / "threaded")
+        for name, threads in (("serial", "1"), ("threaded", "2")):
+            args = ["--config", cfg_path, "--out", str(tmp_path / name), "--threads", threads]
+            assert cli.main(["reconstruct", *args]) == 0
+        assert hio.read_kv(out / "summary")["points"] == "129"
+        serial = (out / "indicator.csv").read_bytes()
+        assert (tmp_path / "threaded" / "indicator.csv").read_bytes() == serial
 
     def test_noise_reproducible_and_seed_sensitive(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SMALL_CFG + "noise_level=0.01\n")

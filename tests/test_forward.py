@@ -1,5 +1,8 @@
 """Space-time boundary solver: causality, oracles, and probe traces."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -60,6 +63,22 @@ class TestSolveNeumann:
         assert np.abs(rho.values[:, :k0]).max() <= 1e-12 * scale
         trace = trace_on(rho, disk_region.curves[0])
         assert np.abs(trace.values[:, :k0]).max() <= 1e-12 * np.abs(trace.values).max()
+
+    def test_concurrent_solves_match_serial(self):
+        # every call shares the region's one stepping factorization
+        region = disk_region(24, 8, 0.5)
+        rng = np.random.default_rng(11)
+        fluxes = [rng.standard_normal((24, 8, 16)) for _ in range(32)]
+        serial = [solve_neumann(region, f).values for f in fluxes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                solves = pool.map(lambda f: solve_neumann(region, f).values, fluxes, timeout=60)
+                threaded = list(solves)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
     def test_boundary_field_input_equivalent(self, disk_region):
         curve = disk_region.curves[0]

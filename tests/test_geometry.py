@@ -12,6 +12,8 @@ from heatcavity.geometry import (
     distance_to_curve,
     make_curve,
     point_in_region,
+    points_in_region,
+    signed_distance,
     winding_number,
 )
 
@@ -19,6 +21,28 @@ CIRCLE = CurveSpec("circle", (0.0, 0.0, 1.0))
 ELLIPSE = CurveSpec("ellipse", (0.1, -0.2, 0.8, 0.5))
 KITE = CurveSpec("kite", (0.0, 0.0, 0.4))
 PEANUT = CurveSpec("peanut", (0.0, 0.0, 0.5))
+
+
+def scalar_distance_reference(spec: CurveSpec, y) -> float:
+    """One point at a time: the Newton search that signed_distance batches."""
+    y = np.asarray(y, dtype=float)
+    t = 2 * np.pi * np.arange(2048) / 2048
+    x, _, _ = _eval_curve(spec, t)
+    best = np.inf
+    for tk in t[np.argsort(np.sum((x - y) ** 2, axis=1))[:3]]:
+        for _ in range(8):
+            xk, vk, ak = _eval_curve(spec, np.array([tk]))
+            r = xk[0] - y
+            h = vk[0] @ vk[0] + r @ ak[0]
+            if h <= 0:
+                break
+            step = (r @ vk[0]) / h
+            tk -= step
+            if abs(step) < 1e-15:
+                break
+        xk, _, _ = _eval_curve(spec, np.array([tk]))
+        best = min(best, float(np.hypot(*(xk[0] - y))))
+    return best
 
 
 def arclength_oracle(spec: CurveSpec) -> float:
@@ -121,6 +145,41 @@ class TestMembership:
     def test_winding_number_values(self):
         assert winding_number(CIRCLE, (0.2, -0.3)) == 1
         assert winding_number(CIRCLE, (1.7, 0.4)) == 0
+
+
+class TestSignedDistance:
+    @pytest.mark.parametrize(
+        "spec,box",
+        [(KITE, ((-0.8, 0.6), (-0.7, 0.7))), (PEANUT, ((-0.6, 0.6), (-0.4, 0.4)))],
+    )
+    def test_sign_matches_winding_number(self, spec, box):
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(*box[0], 1500), rng.uniform(*box[1], 1500)])
+        d = signed_distance(spec, pts)
+        clear = np.abs(d) > 1e-6
+        assert clear.sum() > 1400 and 0 < (d[clear] < 0).sum() < clear.sum()
+        wind = np.array([winding_number(spec, p) == 1 for p in pts[clear]])
+        assert np.array_equal(d[clear] < 0, wind)
+
+    @pytest.mark.parametrize("spec", [ELLIPSE, KITE, PEANUT])
+    def test_distance_equals_scalar_reference(self, spec):
+        # 600 points span three batches; same arithmetic, so equal bits
+        pts = np.random.default_rng(5).uniform(-0.8, 0.6, size=(600, 2))
+        want = [scalar_distance_reference(spec, p) for p in pts]
+        assert np.array_equal(np.abs(signed_distance(spec, pts)), want)
+
+    def test_batch_matches_single_point_calls(self):
+        curve = make_curve(KITE, 32)
+        pts = np.random.default_rng(6).uniform(-0.8, 0.6, size=(300, 2))
+        pts = pts[np.abs(signed_distance(KITE, pts)) > 1e-6]
+        inside = points_in_region(pts, curve)
+        assert 0 < inside.sum() < len(pts)
+        assert np.array_equal(inside, [point_in_region(p, curve) for p in pts])
+
+    def test_batch_on_boundary_is_an_error(self):
+        curve = make_curve(CIRCLE, 16)
+        with pytest.raises(OnBoundaryError, match="0.999"):
+            points_in_region([(0.0, 0.0), (0.0, 1.0 - 1e-12), (3.0, 0.0)], curve)
 
 
 class TestDistance:

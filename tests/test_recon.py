@@ -5,7 +5,7 @@ import pytest
 
 from heatcavity import recon
 from heatcavity.forward import BoundaryField, TimeGrid, assemble_blocks
-from heatcavity.geometry import CurveSpec, make_curve
+from heatcavity.geometry import CurveSpec, OnBoundaryError, make_curve, point_in_region
 from heatcavity.ndmap import symmetrize
 from heatcavity.recon import (
     EigenSystem,
@@ -175,6 +175,15 @@ class TestSamplingGrid:
         omega = make_curve(UNIT_CIRCLE, 64)
         _, margin = sampling_points(omega, SamplingSpec(5, 5, 1, None))
         assert margin == pytest.approx(2.0 * omega.perimeter / 64)
+
+    def test_on_boundary_lattice_points_dropped(self):
+        # the 3x3 lattice over the circle's bounding box puts four points on
+        # the curve, well inside the TOL_GEOM band
+        omega = make_curve(UNIT_CIRCLE, 16)
+        with pytest.raises(OnBoundaryError):
+            point_in_region((1.0, 0.0), omega)
+        pts, _ = sampling_points(omega, SamplingSpec(3, 3, 1, 0.0))
+        assert pts.tolist() == [[0.0, 0.0]]
 
     def test_huge_margin_empties_grid(self):
         omega = make_curve(UNIT_CIRCLE, 32)
