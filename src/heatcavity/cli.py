@@ -249,6 +249,28 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha1(b"blob %d\0" % len(body) + body).hexdigest()
 
 
+#: Config keys that determine the operators ``simulate`` writes.
+_OPERATOR_KEYS = (
+    "omega_kind",
+    "omega_params",
+    "cavity_kind",
+    "cavity_params",
+    "M_omega",
+    "M_cavity",
+    "Nt",
+    "T",
+    "noise_level",
+    "noise_seed",
+)
+
+
+def _operator_hash(cfg: RunConfig) -> str:
+    """SHA-256 of the canonical config lines that ``simulate`` depends on."""
+    lines = serialize_config(cfg).splitlines(keepends=True)
+    body = "".join(ln for ln in lines if ln.split("=", 1)[0] in _OPERATOR_KEYS)
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
 def _build_problem(cfg: RunConfig) -> ndmap.ProblemSetup:
     omega = make_curve(cfg.omega, cfg.M_omega)
     cavity = make_curve(cfg.cavity, cfg.M_cavity) if cfg.cavity else None
@@ -294,7 +316,11 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
         )
         io.write_gram(_out_path(cfg, f"{name}.gram"), op.gram_domain)
 
-    meta = {"command": "simulate", "input_hash": config_hash(cfg)}
+    meta = {
+        "command": "simulate",
+        "input_hash": config_hash(cfg),
+        "operator_hash": _operator_hash(cfg),
+    }
     for line in serialize_config(cfg).strip().splitlines():
         k, v = line.split("=", 1)
         meta[f"config.{k}"] = v
@@ -322,6 +348,15 @@ def _load_operator(cfg: RunConfig, name: str):
         )
     if matrix.shape != (cfg.M_omega * cfg.Nt, cfg.M_omega * cfg.Nt):
         raise ConfigError(f"{mpath} has unexpected shape {matrix.shape}")
+    # operators copied without their meta carry no provenance to compare
+    meta_path = os.path.join(cfg.out_dir, "meta")
+    if os.path.exists(meta_path):
+        made_by = io.read_kv(meta_path).get("operator_hash")
+        if made_by != _operator_hash(cfg):
+            raise ConfigError(
+                f"{mpath} was simulated for another geometry, resolution or noise "
+                f"(operator_hash {made_by} in {meta_path}); run simulate with this config"
+            )
     return matrix, gram
 
 

@@ -129,6 +129,9 @@ class RetardedBlocks:
     single: np.ndarray   # (Nt, Mt, Mt)
     adjoint: np.ndarray  # (Nt, Mt, Mt)
     _lu: tuple | None = field(default=None, repr=False)
+    # trace_at_times window kernels keyed by (component, a, b); entries are
+    # read-only, and a racing thread can only store an identical kernel
+    _windows: dict = field(default_factory=dict, repr=False)
 
     @property
     def M_total(self) -> int:
@@ -367,12 +370,22 @@ def _offcurve_lag_blocks(region, points, normals=None):
     return out
 
 
+def _require_single_rhs(density: LayerDensity) -> None:
+    if density.values.ndim != 2:
+        raise ValueError(
+            f"density values have shape {density.values.shape}: a BoundaryField "
+            "holds one right-hand side, so pass an (M_total, Nt) density"
+        )
+
+
 def trace_on(density: LayerDensity, target: BoundaryCurve) -> BoundaryField:
     """Temperature trace of the layer potential at target nodes/cells.
 
     target may be a component of the source region (self terms handled by
     the assembly rules) or any curve with positive clearance from it.
+    density must hold one right-hand side, shape (M_total, Nt).
     """
+    _require_single_rhs(density)
     region = density.region
     comp = _find_component(region, target)
     if comp is not None:
@@ -386,7 +399,11 @@ def trace_on(density: LayerDensity, target: BoundaryCurve) -> BoundaryField:
 
 
 def normal_derivative_on(density: LayerDensity, target: BoundaryCurve) -> BoundaryField:
-    """Normal derivative of the potential on a curve disjoint from sources."""
+    """Normal derivative of the potential on a curve disjoint from sources.
+
+    density must hold one right-hand side, shape (M_total, Nt).
+    """
+    _require_single_rhs(density)
     region = density.region
     if _find_component(region, target) is not None:
         raise ValueError("normal_derivative_on requires a non-source target curve")
@@ -465,7 +482,8 @@ def trace_at_times(density: LayerDensity, component: int, times: np.ndarray) -> 
     """Trace on a source component at arbitrary (non-collocation) times.
 
     Self interactions go through the same spectral singular rule as
-    assembly, applied per retardation window.  Shape (M_comp, K) or
+    assembly, applied per retardation window.  Each window's kernel is
+    built once per region and reused by later calls.  Shape (M_comp, K) or
     (M_comp, K, R).
     """
     region = density.region
@@ -484,8 +502,12 @@ def trace_at_times(density: LayerDensity, component: int, times: np.ndarray) -> 
     for cell in range(region.grid.Nt):
         for kt in np.nonzero(b[:, cell] > a[:, cell])[0]:
             av, bv = a[kt, cell], b[kt, cell]
-            ker = gamma_time_integral(r2_safe, av, bv) * region.weights[None, :]
-            ker[:, rows] = _self_window_block(curve, av, bv)
+            ker = region._windows.get((component, av, bv))
+            if ker is None:
+                ker = gamma_time_integral(r2_safe, av, bv) * region.weights[None, :]
+                ker[:, rows] = _self_window_block(curve, av, bv)
+                ker.flags.writeable = False
+                region._windows[(component, av, bv)] = ker
             out[:, kt, :] += ker @ rho[:, cell, :]
     if density.values.ndim == 2:
         out = out[:, :, 0]

@@ -187,6 +187,13 @@ class TestPipelineArtifacts:
         assert meta["config.tau"] == "auto"
         assert float(meta["seconds.total"]) > 0.0
 
+    def test_meta_operator_hash_ignores_reconstruct_keys(self, pipeline):
+        meta = hio.read_kv(pipeline["out"] / "meta")
+        steer = SMALL_CFG.replace("threshold=0.2", "threshold=0.5").replace("nx=9", "nx=11")
+        assert meta["operator_hash"] == cli._operator_hash(parse_config(steer + "seed=3\n"))
+        moved = SMALL_CFG.replace("T=0.5", "T=0.6")
+        assert meta["operator_hash"] != cli._operator_hash(parse_config(moved))
+
     def test_operator_headers(self, pipeline):
         mat, head = hio.read_stop1(pipeline["out"] / "N.stop1")
         assert head["M"] == 16 and head["Nt"] == 8 and head["T"] == 0.5
@@ -254,6 +261,21 @@ class TestDeterminism:
         serial = (out / "indicator.csv").read_bytes()
         assert (tmp_path / "threaded" / "indicator.csv").read_bytes() == serial
 
+    def test_threads_do_not_change_bits_with_shared_window_cache(self, tmp_path):
+        # 258 probes in six chunks at two off-grid s values: worker threads
+        # fill the region's window-kernel cache concurrently
+        cfg_text = SMALL_CFG.replace("nx=9\nny=9", "nx=17\nny=17")
+        cfg_path = write_cfg(tmp_path, cfg_text.replace("s_slices=1", "s_slices=2"))
+        out = tmp_path / "serial"
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        shutil.copytree(out, tmp_path / "threaded")
+        for name, threads in (("serial", "1"), ("threaded", "2")):
+            args = ["--config", cfg_path, "--out", str(tmp_path / name), "--threads", threads]
+            assert cli.main(["reconstruct", *args]) == 0
+        assert hio.read_kv(out / "summary")["points"] == "258"
+        serial = (out / "indicator.csv").read_bytes()
+        assert (tmp_path / "threaded" / "indicator.csv").read_bytes() == serial
+
     def test_noise_reproducible_and_seed_sensitive(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SMALL_CFG + "noise_level=0.01\n")
         outs = {}
@@ -302,6 +324,38 @@ class TestExitCodes:
         )
         assert code == 1
         assert "was produced at" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("omega_kind=circle\nomega_params=0,0,1", "omega_kind=ellipse\nomega_params=0,0,1.2,0.9"),
+            ("cavity_params=0,0,0.35", "cavity_params=0.1,0,0.3"),
+            ("noise_level=0", "noise_level=0.01"),
+        ],
+    )
+    def test_operators_for_another_problem_exit_1(self, pipeline, tmp_path, capsys, old, new):
+        other = write_cfg(tmp_path, SMALL_CFG.replace(old, new), "other.cfg")
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        assert cli.main(["reconstruct", "--config", other, "--out", str(out)]) == 1
+        assert "simulated for another" in capsys.readouterr().err
+        assert cli.main(["spectrum", "--config", other, "--out", str(out)]) == 1
+
+    def test_noise_override_against_clean_operators_exits_1(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        args = ["--config", pipeline["cfg_path"], "--out", str(out), "--noise", "0.01"]
+        assert cli.main(["reconstruct", *args]) == 1
+        assert "simulated for another" in capsys.readouterr().err
+
+    def test_meta_without_operator_hash_exits_1(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        meta = hio.read_kv(out / "meta")
+        del meta["operator_hash"]
+        hio.write_kv(out / "meta", meta)
+        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
+        assert "simulated for another" in capsys.readouterr().err
 
     def test_no_cavity_data_has_no_spectrum_exits_2(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("cavity_kind=circle", "cavity_kind=none"))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heatcavity import oracles
+from heatcavity import forward, oracles
 from heatcavity.forward import (
     JUMP_COEFF,
     SELF_TERM_SCALE,
@@ -205,6 +205,14 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             normal_derivative_on(rho, disk_region.curves[0])
 
+    def test_stacked_density_rejected_by_name(self, disk_region):
+        rho = solve_neumann(disk_region, np.zeros((16, 8, 3)))
+        target = make_curve(CurveSpec("circle", (0.0, 0.0, 0.5)), 6)
+        with pytest.raises(ValueError, match="one right-hand side"):
+            trace_on(rho, disk_region.curves[0])
+        with pytest.raises(ValueError, match="one right-hand side"):
+            normal_derivative_on(rho, target)
+
 
 class TestGreenProbe:
     def test_zero_after_probe_time(self):
@@ -289,6 +297,41 @@ class TestGreenProbe:
         a = green_probe_traces(pts, 0.3, omega, grid)
         b = green_probe_traces(pts, 0.3, omega, grid)
         assert np.array_equal(a, b)
+
+    def test_window_cache_matches_fresh_region(self):
+        # s = T/3 lies off the dt grid, so every trace goes through the
+        # per-window kernels that the region caches
+        omega = make_curve(UNIT_CIRCLE, 16)
+        grid = TimeGrid(0.5, 8)
+        s = grid.T / 3
+        pts = np.array([[0.2, 0.1], [-0.3, 0.25], [0.0, -0.4]])
+        warm = assemble_blocks(omega, grid)
+        green_probe_traces(pts[::-1], s, omega, grid, region=warm)
+        assert warm._windows
+        for pt in pts:
+            cached = green_probe_trace(pt, s, omega, grid, region=warm)
+            fresh = green_probe_trace(pt, s, omega, grid, region=assemble_blocks(omega, grid))
+            assert np.array_equal(cached.values, fresh.values)
+
+    def test_window_cache_hit_builds_no_kernel(self, monkeypatch):
+        omega = make_curve(UNIT_CIRCLE, 16)
+        grid = TimeGrid(0.5, 8)
+        s = grid.T / 3
+        pts = np.array([[0.2, 0.1], [-0.3, 0.25]])
+        region = assemble_blocks(omega, grid)
+        first = green_probe_traces(pts, s, omega, grid, region=region)
+        entries = len(region._windows)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gamma_time_integral(*args)
+
+        monkeypatch.setattr(forward, "gamma_time_integral", counting)
+        again = green_probe_traces(pts, s, omega, grid, region=region)
+        assert len(region._windows) == entries > 0
+        assert calls == []
+        assert np.array_equal(first, again)
 
     def test_invalid_probe_inputs(self):
         omega = make_curve(UNIT_CIRCLE, 16)
