@@ -285,10 +285,10 @@ def _out_path(cfg: RunConfig, name: str):
 
 
 def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     setup = _build_problem(cfg)
-    print(f"[simulate] assembled lag blocks ({time.time()-t0:.1f}s)")
-    timings = {}
+    timings = {"blocks": time.perf_counter() - t0}
+    print(f"[simulate] assembled lag blocks ({timings['blocks']:.1f}s)")
 
     ops = {}
     stages = [
@@ -298,9 +298,9 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
         ("N", lambda: ndmap.assemble_N(setup)),
     ]
     for name, build in stages:
-        ts = time.time()
+        ts = time.perf_counter()
         ops[name] = build()
-        timings[name] = time.time() - ts
+        timings[name] = time.perf_counter() - ts
         print(f"[simulate] {name}: {ops[name].matrix.shape[0]} columns ({timings[name]:.1f}s)")
 
     if cfg.noise.level > 0:
@@ -309,12 +309,14 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
         )
         ops["N"] = ndmap.add_noise(ops["N"], NoiseSpec(cfg.noise.level, cfg.noise.seed + 1))
 
+    ts = time.perf_counter()
     for name in ("lambda_D", "lambda_0", "N"):
         op = ops[name]
         io.write_stop1(
             _out_path(cfg, f"{name}.stop1"), op.matrix, cfg.M_omega, cfg.Nt, cfg.T
         )
         io.write_gram(_out_path(cfg, f"{name}.gram"), op.gram_domain)
+    timings["write"] = time.perf_counter() - ts
 
     meta = {
         "command": "simulate",
@@ -326,9 +328,9 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
         meta[f"config.{k}"] = v
     for name, dt in timings.items():
         meta[f"seconds.{name}"] = io.format_float(dt)
-    meta["seconds.total"] = io.format_float(time.time() - t0)
+    meta["seconds.total"] = io.format_float(time.perf_counter() - t0)
     io.write_kv(_out_path(cfg, "meta"), meta)
-    print(f"[simulate] wrote operators to {cfg.out_dir} ({time.time()-t0:.1f}s)")
+    print(f"[simulate] wrote operators to {cfg.out_dir} ({timings['write']:.1f}s)")
     return EXIT_OK
 
 

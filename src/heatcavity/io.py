@@ -4,6 +4,14 @@ All numeric text uses 17 significant digits, which round-trips IEEE
 doubles exactly; reading back a written file therefore reproduces the
 original arrays bit for bit.
 
+The operator and gram writers format each distinct value of a block of
+rows once (one node's ``Nt`` rows for STOP1) and assemble the lines from
+those strings.  The Λ maps are lag operators whose rows repeat the same
+few lags, so most of a block is repeats; the bytes are the same as
+formatting every value on its own, because the same ``%.17g`` formats the
+same doubles.  Values are told apart by bit pattern, so ``-0.0`` keeps
+its sign.
+
 Formats:
   * STOP1 — dense operator matrix: ASCII header ``STOP1 <rows> <cols> <M>
     <Nt> <T>`` followed by one space-separated row per line.  The basis
@@ -29,6 +37,21 @@ class FormatError(ValueError):
     """Malformed artifact file."""
 
 
+def _write_rows(fh, matrix: np.ndarray, block_rows: int) -> None:
+    """Write each row of a 2-D array as one line of space-separated values.
+
+    Each block of ``block_rows`` rows formats its distinct bit patterns
+    once and indexes the lines together from those strings.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=float)
+    for start in range(0, matrix.shape[0], block_rows):
+        block = matrix[start : start + block_rows]
+        uniq, inv = np.unique(block.view(np.uint64), return_inverse=True)
+        words = np.array([FLOAT_FMT % v for v in uniq.view(float).tolist()], dtype=object)
+        lines = words[inv].reshape(block.shape).tolist()
+        fh.write("".join(" ".join(line) + "\n" for line in lines))
+
+
 def write_stop1(path, matrix: np.ndarray, M: int, Nt: int, T: float) -> None:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -36,9 +59,7 @@ def write_stop1(path, matrix: np.ndarray, M: int, Nt: int, T: float) -> None:
     rows, cols = matrix.shape
     with open(path, "w") as fh:
         fh.write(f"STOP1 {rows} {cols} {M} {Nt} {format_float(T)}\n")
-        for row in matrix:
-            fh.write(" ".join(format_float(v) for v in row))
-            fh.write("\n")
+        _write_rows(fh, matrix, max(int(Nt), 1))
 
 
 def read_stop1(path) -> tuple[np.ndarray, dict]:
@@ -56,9 +77,10 @@ def read_stop1(path) -> tuple[np.ndarray, dict]:
 
 def write_gram(path, gram: np.ndarray) -> None:
     gram = np.asarray(gram, dtype=float)
+    if gram.ndim != 1:
+        raise ValueError("a gram file stores one weight per line")
     with open(path, "w") as fh:
-        for w in gram:
-            fh.write(format_float(w) + "\n")
+        _write_rows(fh, gram.reshape(-1, 1), max(gram.size, 1))
 
 
 def read_gram(path) -> np.ndarray:

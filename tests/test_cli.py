@@ -187,6 +187,11 @@ class TestPipelineArtifacts:
         assert meta["config.tau"] == "auto"
         assert float(meta["seconds.total"]) > 0.0
 
+    def test_meta_stage_timings(self, pipeline):
+        meta = hio.read_kv(pipeline["out"] / "meta")
+        for stage in ("blocks", "write"):
+            assert float(meta[f"seconds.{stage}"]) >= 0.0
+
     def test_meta_operator_hash_ignores_reconstruct_keys(self, pipeline):
         meta = hio.read_kv(pipeline["out"] / "meta")
         steer = SMALL_CFG.replace("threshold=0.2", "threshold=0.5").replace("nx=9", "nx=11")
@@ -290,6 +295,17 @@ class TestDeterminism:
         out = str(tmp_path / "d")
         assert cli.main(["simulate", "--config", cfg2, "--out", out]) == 0
         assert (tmp_path / "d" / "N.stop1").read_bytes() != outs["a"]
+
+    def test_noisy_operators_match_per_value_rendering(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, SMALL_CFG + "noise_level=0.01\n")
+        out = tmp_path / "noisy"
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        for name in ("lambda_D", "lambda_0", "N"):
+            mat, head = hio.read_stop1(out / f"{name}.stop1")
+            expected = f"STOP1 {head['rows']} {head['cols']} 16 8 0.5\n" + "".join(
+                " ".join(hio.format_float(v) for v in row) + "\n" for row in mat
+            )
+            assert (out / f"{name}.stop1").read_text() == expected
 
     def test_noise_changes_operator(self, pipeline, tmp_path):
         out = str(tmp_path / "noisy")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heatcavity import io as hio
+from heatcavity.ndmap import _toeplitz_expand
 from heatcavity.recon import IndicatorGrid, ProbePoint
 
 TRICKY = np.array([0.1, 1.0 / 3.0, -1e308, 1e-300, 0.35, 0.0, -2.5e-17, 7.0])
@@ -50,6 +51,73 @@ class TestStop1:
         path.write_text("STOP1 2 2\n1 2\n3 4\n")
         with pytest.raises(hio.FormatError):
             hio.read_stop1(path)
+
+
+def stop1_reference(matrix, M, Nt, T) -> bytes:
+    """Reference rendering: every value formatted on its own."""
+    matrix = np.asarray(matrix, dtype=float)
+    rows, cols = matrix.shape
+    head = f"STOP1 {rows} {cols} {M} {Nt} {hio.format_float(T)}\n"
+    body = "".join(" ".join(hio.format_float(v) for v in row) + "\n" for row in matrix)
+    return (head + body).encode()
+
+
+_rng = np.random.default_rng(11)
+_SPECIALS = np.array(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 0.1, 7.0]
+)
+WRITER_CASES = {
+    # rows of one node repeat the same lags; 5 rows per node
+    "toeplitz": (_toeplitz_expand(_rng.standard_normal((3, 5, 4))), 5),
+    "dense": (_rng.standard_normal((12, 9)) * 10.0 ** _rng.integers(-20, 20, (12, 9)), 4),
+    "signed_zeros": (np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]), 2),
+    "specials": (np.tile(_SPECIALS, (4, 1)) * np.array([[1.0], [-1.0], [1.0], [0.5]]), 2),
+    "integers": (np.arange(-6, 6).reshape(4, 3), 2),
+    "fortran": (np.asfortranarray(_rng.standard_normal((6, 5))), 3),
+    "sliced": (_rng.standard_normal((9, 11))[::2, 1::3], 2),
+    "ragged_last_block": (_rng.standard_normal((7, 3)), 3),
+    "Nt_exceeds_rows": (_rng.standard_normal((3, 4)), 10),
+    "no_rows": (np.zeros((0, 3)), 2),
+    "no_columns": (np.zeros((3, 0)), 2),
+}
+
+
+class TestWriterMatchesPerValue:
+    """The block writer emits the bytes of formatting every value on its own."""
+
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_stop1_bytes(self, tmp_path, case):
+        matrix, nt = WRITER_CASES[case]
+        path = tmp_path / "op.stop1"
+        hio.write_stop1(path, matrix, M=2, Nt=nt, T=0.5)
+        assert path.read_bytes() == stop1_reference(matrix, 2, nt, 0.5)
+
+    def test_negative_zero_keeps_sign(self, tmp_path):
+        path = tmp_path / "z.stop1"
+        hio.write_stop1(path, np.array([[0.0, -0.0]]), M=1, Nt=1, T=1.0)
+        assert path.read_text().splitlines()[1] == "0 -0"
+
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            np.array([0.1, 2.0, 1.0 / 3.0, 1e-12, 2.0, 0.1]),
+            np.repeat(_rng.random(4) + 0.5, 6),
+            _SPECIALS,
+            np.arange(1, 5),
+            _rng.random(10)[::3],
+            np.zeros(0),
+        ],
+        ids=["mixed", "repeated", "specials", "integers", "sliced", "empty"],
+    )
+    def test_gram_bytes(self, tmp_path, gram):
+        path = tmp_path / "g.gram"
+        hio.write_gram(path, gram)
+        expected = "".join(hio.format_float(w) + "\n" for w in np.asarray(gram, dtype=float))
+        assert path.read_bytes() == expected.encode()
+
+    def test_gram_rejects_non_1d(self, tmp_path):
+        with pytest.raises(ValueError):
+            hio.write_gram(tmp_path / "g.gram", np.ones((2, 2)))
 
 
 class TestGram:
