@@ -15,6 +15,7 @@ import hashlib
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -284,10 +285,19 @@ def _out_path(cfg: RunConfig, name: str):
     return os.path.join(cfg.out_dir, name)
 
 
+@contextmanager
+def _timed(timings: dict, stage: str):
+    """Add the ``perf_counter`` seconds of the enclosed block to ``timings[stage]``."""
+    start = time.perf_counter()
+    yield
+    timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - start
+
+
 def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
     t0 = time.perf_counter()
-    setup = _build_problem(cfg)
-    timings = {"blocks": time.perf_counter() - t0}
+    timings: dict[str, float] = {}
+    with _timed(timings, "blocks"):
+        setup = _build_problem(cfg)
     print(f"[simulate] assembled lag blocks ({timings['blocks']:.1f}s)")
 
     ops = {}
@@ -298,9 +308,8 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
         ("N", lambda: ndmap.assemble_N(setup)),
     ]
     for name, build in stages:
-        ts = time.perf_counter()
-        ops[name] = build()
-        timings[name] = time.perf_counter() - ts
+        with _timed(timings, name):
+            ops[name] = build()
         print(f"[simulate] {name}: {ops[name].matrix.shape[0]} columns ({timings[name]:.1f}s)")
 
     if cfg.noise.level > 0:
@@ -309,14 +318,13 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
         )
         ops["N"] = ndmap.add_noise(ops["N"], NoiseSpec(cfg.noise.level, cfg.noise.seed + 1))
 
-    ts = time.perf_counter()
-    for name in ("lambda_D", "lambda_0", "N"):
-        op = ops[name]
-        io.write_stop1(
-            _out_path(cfg, f"{name}.stop1"), op.matrix, cfg.M_omega, cfg.Nt, cfg.T
-        )
-        io.write_gram(_out_path(cfg, f"{name}.gram"), op.gram_domain)
-    timings["write"] = time.perf_counter() - ts
+    with _timed(timings, "write"):
+        for name in ("lambda_D", "lambda_0", "N"):
+            op = ops[name]
+            io.write_stop1(
+                _out_path(cfg, f"{name}.stop1"), op.matrix, cfg.M_omega, cfg.Nt, cfg.T
+            )
+            io.write_gram(_out_path(cfg, f"{name}.gram"), op.gram_domain)
 
     meta = {
         "command": "simulate",
@@ -335,45 +343,56 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
 
 
 def _load_operator(cfg: RunConfig, name: str):
+    """Read an operator and its gram, refusing files made for another problem.
+
+    The header and the provenance hash are checked before the body is parsed.
+    """
     import os
 
     mpath = os.path.join(cfg.out_dir, f"{name}.stop1")
     gpath = os.path.join(cfg.out_dir, f"{name}.gram")
     if not os.path.exists(mpath) or not os.path.exists(gpath):
         raise ConfigError(f"missing operator files {mpath} / {gpath}; run simulate first")
-    matrix, head = io.read_stop1(mpath)
-    gram = io.read_gram(gpath)
-    if (head["M"], head["Nt"]) != (cfg.M_omega, cfg.Nt) or head["T"] != cfg.T:
-        raise ConfigError(
-            f"{mpath} was produced at (M={head['M']}, Nt={head['Nt']}, T={head['T']}), "
-            f"config wants (M={cfg.M_omega}, Nt={cfg.Nt}, T={cfg.T})"
-        )
-    if matrix.shape != (cfg.M_omega * cfg.Nt, cfg.M_omega * cfg.Nt):
-        raise ConfigError(f"{mpath} has unexpected shape {matrix.shape}")
-    # operators copied without their meta carry no provenance to compare
-    meta_path = os.path.join(cfg.out_dir, "meta")
-    if os.path.exists(meta_path):
-        made_by = io.read_kv(meta_path).get("operator_hash")
-        if made_by != _operator_hash(cfg):
+    try:
+        head = io.read_stop1_header(mpath)
+        if (head["M"], head["Nt"]) != (cfg.M_omega, cfg.Nt) or head["T"] != cfg.T:
             raise ConfigError(
-                f"{mpath} was simulated for another geometry, resolution or noise "
-                f"(operator_hash {made_by} in {meta_path}); run simulate with this config"
+                f"{mpath} was produced at (M={head['M']}, Nt={head['Nt']}, T={head['T']}), "
+                f"config wants (M={cfg.M_omega}, Nt={cfg.Nt}, T={cfg.T})"
             )
+        n = cfg.M_omega * cfg.Nt
+        if (head["rows"], head["cols"]) != (n, n):
+            raise ConfigError(f"{mpath} has unexpected shape ({head['rows']}, {head['cols']})")
+        # operators copied without their meta carry no provenance to compare
+        meta_path = os.path.join(cfg.out_dir, "meta")
+        if os.path.exists(meta_path):
+            made_by = io.read_kv(meta_path).get("operator_hash")
+            if made_by != _operator_hash(cfg):
+                raise ConfigError(
+                    f"{mpath} was simulated for another geometry, resolution or noise "
+                    f"(operator_hash {made_by} in {meta_path}); run simulate with this config"
+                )
+        matrix, _ = io.read_stop1(mpath)
+        gram = io.read_gram(gpath)
+    except io.FormatError as exc:
+        raise ConfigError(str(exc)) from exc
     return matrix, gram
 
 
-def _spectral_data(cfg: RunConfig):
-    nmat, gram = _load_operator(cfg, "N")
-    omega = make_curve(cfg.omega, cfg.M_omega)
-    grid = TimeGrid(cfg.T, cfg.Nt)
-    op = ndmap.SpaceTimeOperator(nmat, (omega, grid), (omega, grid), gram, gram)
-    _, S = ndmap.symmetrize(op)
-    eig = recon.eigendecompose(S, gram, cfg.effective_tau)
+def _spectral_data(cfg: RunConfig, timings: dict):
+    with _timed(timings, "read"):
+        nmat, gram = _load_operator(cfg, "N")
+    with _timed(timings, "eigh"):
+        omega = make_curve(cfg.omega, cfg.M_omega)
+        grid = TimeGrid(cfg.T, cfg.Nt)
+        op = ndmap.SpaceTimeOperator(nmat, (omega, grid), (omega, grid), gram, gram)
+        _, S = ndmap.symmetrize(op)
+        eig = recon.eigendecompose(S, gram, cfg.effective_tau)
     return omega, grid, eig
 
 
 def cmd_spectrum(cfg: RunConfig, threads: int = 1) -> int:
-    _, _, eig = _spectral_data(cfg)
+    _, _, eig = _spectral_data(cfg, {})
     io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
     print(
         f"[spectrum] lambda_1={eig.lambdas[0]:.6e}  retained n*={eig.retained} "
@@ -383,29 +402,32 @@ def cmd_spectrum(cfg: RunConfig, threads: int = 1) -> int:
 
 
 def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
-    t0 = time.time()
-    omega, grid, eig = _spectral_data(cfg)
-    io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
-    region = assemble_blocks(omega, grid)
-    cavity = make_curve(cfg.cavity, cfg.M_cavity) if cfg.cavity else None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    t0 = time.perf_counter()
+    timings: dict[str, float] = {}
+    omega, grid, eig = _spectral_data(cfg, timings)
+    with _timed(timings, "write"):
+        io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
+    with _timed(timings, "probes"):
+        region = assemble_blocks(omega, grid)
+        cavity = make_curve(cfg.cavity, cfg.M_cavity) if cfg.cavity else None
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                grid_out = recon.reconstruct(
+                    eig,
+                    omega,
+                    grid,
+                    cfg.sampling,
+                    cfg.threshold,
+                    cavity=cavity,
+                    region=region,
+                    chunk_map=pool.map,
+                )
+        else:
             grid_out = recon.reconstruct(
-                eig,
-                omega,
-                grid,
-                cfg.sampling,
-                cfg.threshold,
-                cavity=cavity,
-                region=region,
-                chunk_map=pool.map,
+                eig, omega, grid, cfg.sampling, cfg.threshold, cavity=cavity, region=region
             )
-    else:
-        grid_out = recon.reconstruct(
-            eig, omega, grid, cfg.sampling, cfg.threshold, cavity=cavity, region=region
-        )
-    io.write_indicator_csv(_out_path(cfg, "indicator.csv"), grid_out)
+    with _timed(timings, "write"):
+        io.write_indicator_csv(_out_path(cfg, "indicator.csv"), grid_out)
 
     summary = {
         "command": "reconstruct",
@@ -418,11 +440,15 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
     }
     if cavity is not None:
         summary["jaccard"] = io.format_float(recon.jaccard(grid_out.mask, grid_out.truth))
+    for name in ("read", "eigh", "probes", "write"):
+        summary[f"seconds.{name}"] = io.format_float(timings[name])
+    total = time.perf_counter() - t0
+    summary["seconds.total"] = io.format_float(total)
     io.write_kv(_out_path(cfg, "summary"), summary)
     print(
         f"[reconstruct] {len(grid_out)} probes, n*={eig.retained}"
         + (f", jaccard={summary['jaccard']}" if "jaccard" in summary else "")
-        + f" ({time.time()-t0:.1f}s)"
+        + f" ({total:.1f}s)"
     )
     return EXIT_OK
 
@@ -431,11 +457,11 @@ def cmd_verify(cfg: RunConfig, threads: int = 1) -> int:
     ctx = verify.VerifyContext()
     reports = []
     for chk in verify.ALL_CHECKS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = chk(ctx)
         reports.append(rep)
         status = "pass" if rep.passed else "FAIL"
-        print(f"[verify] {rep.name}: {status} ({time.time()-t0:.1f}s)")
+        print(f"[verify] {rep.name}: {status} ({time.perf_counter()-t0:.1f}s)")
     text = verify.report_to_json(reports)
     with open(_out_path(cfg, "verify.json"), "w") as fh:
         fh.write(text + "\n")

@@ -12,6 +12,13 @@ formatting every value on its own, because the same ``%.17g`` formats the
 same doubles.  Values are told apart by bit pattern, so ``-0.0`` keeps
 its sign.
 
+STOP1 bodies of ``PARALLEL_MIN_VALUES`` entries or more are formatted and
+parsed in a pool of forked processes, one per usable CPU.  The work is
+split by the matrix (one task per node block) or by the file (one task
+per line-aligned range of about ``RANGE_BYTES``), never by the worker
+count, and results are taken in order, so the bytes written and the
+arrays read do not depend on how many CPUs ran them.
+
 Formats:
   * STOP1 — dense operator matrix: ASCII header ``STOP1 <rows> <cols> <M>
     <Nt> <T>`` followed by one space-separated row per line.  The basis
@@ -24,9 +31,20 @@ Formats:
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
+from io import BytesIO
+
 import numpy as np
 
 FLOAT_FMT = "%.17g"
+
+#: Matrices with fewer entries are formatted and parsed in this process.
+PARALLEL_MIN_VALUES = 1 << 18
+
+#: Nominal size of one parse task; each range ends at the next line end.
+RANGE_BYTES = 1 << 20
 
 
 def format_float(x: float) -> str:
@@ -37,19 +55,46 @@ class FormatError(ValueError):
     """Malformed artifact file."""
 
 
-def _write_rows(fh, matrix: np.ndarray, block_rows: int) -> None:
-    """Write each row of a 2-D array as one line of space-separated values.
+@contextmanager
+def _task_map(tasks: int, values: int):
+    """Yield an in-order ``map`` for ``tasks`` independent tasks.
 
-    Each block of ``block_rows`` rows formats its distinct bit patterns
-    once and indexes the lines together from those strings.
+    Large jobs of more than one task go to a fork-based pool with one worker
+    per usable CPU; everything else runs on the builtin ``map`` in this
+    process.  So does a job on a host with one CPU or no ``fork``, and one
+    started while other Python threads run, since a forked child could
+    inherit a lock one of them holds.  Forked workers start in milliseconds
+    without importing anything again.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, tasks)
+    if values >= PARALLEL_MIN_VALUES and workers >= 2 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                yield pool.imap
+            return
+    yield map
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """Lines of one block of rows; each distinct bit pattern is formatted once."""
+    uniq, inv = np.unique(block.view(np.uint64), return_inverse=True)
+    text = ((FLOAT_FMT + "\n") * uniq.size) % tuple(uniq.view(float).tolist())
+    words = np.array(text.split("\n")[:-1], dtype=object)
+    lines = words[inv].reshape(block.shape).tolist()
+    return "".join(" ".join(line) + "\n" for line in lines).encode()
+
+
+def _write_rows(fh, matrix: np.ndarray, block_rows: int) -> None:
+    """Write each row of a 2-D array as one line of space-separated values."""
     matrix = np.ascontiguousarray(matrix, dtype=float)
-    for start in range(0, matrix.shape[0], block_rows):
-        block = matrix[start : start + block_rows]
-        uniq, inv = np.unique(block.view(np.uint64), return_inverse=True)
-        words = np.array([FLOAT_FMT % v for v in uniq.view(float).tolist()], dtype=object)
-        lines = words[inv].reshape(block.shape).tolist()
-        fh.write("".join(" ".join(line) + "\n" for line in lines))
+    starts = range(0, matrix.shape[0], block_rows)
+    blocks = (matrix[start : start + block_rows] for start in starts)
+    with _task_map(len(starts), matrix.size) as task_map:
+        for text in task_map(_format_block, blocks):
+            fh.write(text)
 
 
 def write_stop1(path, matrix: np.ndarray, M: int, Nt: int, T: float) -> None:
@@ -57,29 +102,78 @@ def write_stop1(path, matrix: np.ndarray, M: int, Nt: int, T: float) -> None:
     if matrix.ndim != 2:
         raise ValueError("STOP1 stores 2-D matrices")
     rows, cols = matrix.shape
-    with open(path, "w") as fh:
-        fh.write(f"STOP1 {rows} {cols} {M} {Nt} {format_float(T)}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"STOP1 {rows} {cols} {M} {Nt} {format_float(T)}\n".encode())
         _write_rows(fh, matrix, max(int(Nt), 1))
 
 
-def read_stop1(path) -> tuple[np.ndarray, dict]:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 6 or header[0] != "STOP1":
-            raise FormatError(f"{path}: not a STOP1 header")
+def _read_header(fh, path) -> dict:
+    header = fh.readline().split()
+    if len(header) != 6 or header[0] != b"STOP1":
+        raise FormatError(f"{path}: not a STOP1 header")
+    try:
         rows, cols, m, nt = (int(v) for v in header[1:5])
         horizon = float(header[5])
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (rows, cols):
-        raise FormatError(f"{path}: expected {rows}x{cols} entries, found {data.shape}")
-    return data, {"rows": rows, "cols": cols, "M": m, "Nt": nt, "T": horizon}
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a STOP1 header") from exc
+    return {"rows": rows, "cols": cols, "M": m, "Nt": nt, "T": horizon}
+
+
+def read_stop1_header(path) -> dict:
+    """The STOP1 header fields, without reading the body."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
+def _parse_range(span: tuple) -> np.ndarray:
+    """Parse the lines in bytes ``[start, stop)`` of a file as a 2-D array."""
+    path, start, stop = span
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        lines = BytesIO(fh.read(stop - start))
+    try:
+        return np.loadtxt(lines, ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed line in bytes {start}-{stop}: {exc}") from exc
+
+
+def read_stop1(path) -> tuple[np.ndarray, dict]:
+    with open(path, "rb") as fh:
+        head = _read_header(fh, path)
+        bounds = [fh.tell()]
+        end = fh.seek(0, os.SEEK_END)
+        while bounds[-1] < end:
+            fh.seek(min(bounds[-1] + RANGE_BYTES, end) - 1)
+            fh.readline()
+            bounds.append(fh.tell())
+    rows, cols = head["rows"], head["cols"]
+    expected = f"{path}: expected {rows}x{cols} entries"
+    # every entry takes a digit and a separator; refuse before allocating
+    if rows < 0 or cols < 0 or 2 * rows * cols > end - bounds[0]:
+        raise FormatError(f"{expected}, found {end - bounds[0]} bytes of rows")
+    data = np.empty((rows, cols))
+    filled = 0
+    spans = [(path, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    with _task_map(len(spans), rows * cols) as task_map:
+        for part in task_map(_parse_range, spans):
+            if part.size == 0:
+                continue
+            if part.shape[1] != cols:
+                raise FormatError(f"{expected}, found a row of {part.shape[1]} values")
+            if filled + len(part) > rows:
+                raise FormatError(f"{expected}, found more than {rows} rows")
+            data[filled : filled + len(part)] = part
+            filled += len(part)
+    if filled != rows:
+        raise FormatError(f"{expected}, found {filled} rows")
+    return data, head
 
 
 def write_gram(path, gram: np.ndarray) -> None:
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 1:
         raise ValueError("a gram file stores one weight per line")
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         _write_rows(fh, gram.reshape(-1, 1), max(gram.size, 1))
 
 

@@ -7,13 +7,25 @@ acceptance suite reuse one computation.
 
 from __future__ import annotations
 
+import os
 import time
+from pathlib import Path
 
 import pytest
 
+import heatcavity
 from heatcavity import ndmap, verify
 from heatcavity.forward import TimeGrid, assemble_blocks
 from heatcavity.geometry import CurveSpec, make_curve
+
+
+@pytest.fixture(scope="session", autouse=True)
+def cli_subprocess_path():
+    """Let ``python -m heatcavity.cli`` subprocesses import the package under test."""
+    src = str(Path(heatcavity.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

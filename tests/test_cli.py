@@ -192,6 +192,11 @@ class TestPipelineArtifacts:
         for stage in ("blocks", "write"):
             assert float(meta[f"seconds.{stage}"]) >= 0.0
 
+    def test_summary_stage_timings(self, pipeline):
+        summary = hio.read_kv(pipeline["out"] / "summary")
+        for stage in ("read", "eigh", "probes", "write", "total"):
+            assert float(summary[f"seconds.{stage}"]) >= 0.0
+
     def test_meta_operator_hash_ignores_reconstruct_keys(self, pipeline):
         meta = hio.read_kv(pipeline["out"] / "meta")
         steer = SMALL_CFG.replace("threshold=0.2", "threshold=0.5").replace("nx=9", "nx=11")
@@ -372,6 +377,33 @@ class TestExitCodes:
         hio.write_kv(out / "meta", meta)
         assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
         assert "simulated for another" in capsys.readouterr().err
+
+    def test_truncated_operator_exits_1_naming_the_file(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        body = (out / "N.stop1").read_bytes()
+        (out / "N.stop1").write_bytes(body[: len(body) // 2])
+        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "N.stop1" in err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("Nt=8", "Nt=16", "was produced at"),
+            ("cavity_params=0,0,0.35", "cavity_params=0.1,0,0.3", "simulated for another"),
+        ],
+    )
+    def test_mismatch_refused_before_parsing(
+        self, pipeline, tmp_path, capsys, monkeypatch, old, new, message
+    ):
+        def parse(path):
+            raise AssertionError(f"{path} parsed before the checks")
+
+        monkeypatch.setattr(hio, "read_stop1", parse)
+        other = write_cfg(tmp_path, SMALL_CFG.replace(old, new), "other.cfg")
+        assert cli.main(["reconstruct", "--config", other, "--out", str(pipeline["out"])]) == 1
+        assert message in capsys.readouterr().err
 
     def test_no_cavity_data_has_no_spectrum_exits_2(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("cavity_kind=circle", "cavity_kind=none"))

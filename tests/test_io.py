@@ -1,5 +1,7 @@
 """Artifact formats: bit-exact round trips and malformed-input rejection."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,113 @@ class TestStop1:
         with pytest.raises(hio.FormatError):
             hio.read_stop1(path)
 
+    @pytest.mark.parametrize("size", ["100000 100000", "-2 2"], ids=["huge", "negative"])
+    def test_rejects_header_the_body_cannot_hold(self, tmp_path, size):
+        path = tmp_path / "big.stop1"
+        path.write_text(f"STOP1 {size} 1 2 0.5\n1 2\n3 4\n")
+        with pytest.raises(hio.FormatError, match="bytes of rows"):
+            hio.read_stop1(path)
+
+    def test_rejects_extra_rows(self, tmp_path):
+        path = tmp_path / "long.stop1"
+        path.write_text("STOP1 1 2 1 1 0.5\n1 2\n3 4\n")
+        with pytest.raises(hio.FormatError, match="more than 1 rows"):
+            hio.read_stop1(path)
+
+    @pytest.mark.parametrize("range_bytes", [1 << 20, 1], ids=["one_range", "range_per_line"])
+    @pytest.mark.parametrize(
+        "body, width",
+        [("1 2\n3 4\n5 6 7\n8 9 10\n", 2), ("1 2 3\n4 5 6\n7 8\n9 10\n", 3)],
+        ids=["wider", "narrower"],
+    )
+    def test_ragged_rows_name_the_file(self, tmp_path, monkeypatch, range_bytes, body, width):
+        # one byte per range puts every width change on a range boundary
+        monkeypatch.setattr(hio, "RANGE_BYTES", range_bytes)
+        path = tmp_path / "ragged.stop1"
+        path.write_text(f"STOP1 4 {width} 2 2 0.5\n" + body)
+        with pytest.raises(hio.FormatError, match="ragged.stop1"):
+            hio.read_stop1(path)
+
+    def test_rejects_non_numeric_entry(self, tmp_path):
+        path = tmp_path / "word.stop1"
+        path.write_text("STOP1 2 2 1 2 0.5\n1 2\n3 x\n")
+        with pytest.raises(hio.FormatError, match="word.stop1"):
+            hio.read_stop1(path)
+
+    def test_header_alone(self, tmp_path):
+        path = tmp_path / "op.stop1"
+        hio.write_stop1(path, np.ones((4, 6)), M=2, Nt=2, T=0.25)
+        assert hio.read_stop1_header(path) == {"rows": 4, "cols": 6, "M": 2, "Nt": 2, "T": 0.25}
+
+    def test_many_ranges_round_trip_bitwise(self, tmp_path, monkeypatch):
+        matrix, nt = WRITER_CASES["specials"]
+        path = tmp_path / "op.stop1"
+        hio.write_stop1(path, matrix, M=2, Nt=nt, T=0.5)
+        monkeypatch.setattr(hio, "RANGE_BYTES", 7)
+        back, _ = hio.read_stop1(path)
+        assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
+
+
+class _PoolSpy:
+    """Counts fork-pool start-ups by wrapping ``multiprocessing.get_context``."""
+
+    def __init__(self, monkeypatch, cpus):
+        import multiprocessing
+
+        self.starts = 0
+        real = multiprocessing.get_context
+
+        def spy(method=None):
+            self.starts += 1
+            return real(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        monkeypatch.setattr(hio.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestWorkerCount:
+    """STOP1 bytes and parsed arrays do not depend on how many CPUs ran them."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_lag_operator_bytes_and_read_back(self, tmp_path, monkeypatch, cpus):
+        matrix, nt = WRITER_CASES["lag_many_blocks"]
+        assert matrix.size >= hio.PARALLEL_MIN_VALUES
+        spy = _PoolSpy(monkeypatch, cpus)
+        path = tmp_path / "op.stop1"
+        hio.write_stop1(path, matrix, M=16, Nt=nt, T=0.5)
+        assert path.read_bytes() == stop1_reference(matrix, 16, nt, 0.5)
+        assert path.stat().st_size > 2 * hio.RANGE_BYTES
+        back, _ = hio.read_stop1(path)
+        assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
+        assert spy.starts == (2 if cpus == 2 else 0)
+
+    def test_single_block_write_and_small_read_start_no_process(self, tmp_path, monkeypatch):
+        spy = _PoolSpy(monkeypatch, 2)
+        big_block = _rng.standard_normal((8, hio.PARALLEL_MIN_VALUES // 8 + 1))
+        hio.write_stop1(tmp_path / "one.stop1", big_block, M=1, Nt=8, T=0.5)
+        small, nt = WRITER_CASES["toeplitz"]
+        hio.write_stop1(tmp_path / "small.stop1", small, M=3, Nt=nt, T=0.5)
+        back, _ = hio.read_stop1(tmp_path / "small.stop1")
+        assert np.array_equal(back, small)
+        hio.write_gram(tmp_path / "g.gram", np.ones(hio.PARALLEL_MIN_VALUES))
+        assert spy.starts == 0
+
+    def test_no_fork_while_other_threads_run(self, tmp_path, monkeypatch):
+        spy = _PoolSpy(monkeypatch, 2)
+        matrix, nt = WRITER_CASES["lag_many_blocks"]
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            hio.write_stop1(tmp_path / "op.stop1", matrix, M=16, Nt=nt, T=0.5)
+            back, _ = hio.read_stop1(tmp_path / "op.stop1")
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert spy.starts == 0
+        assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
+
 
 def stop1_reference(matrix, M, Nt, T) -> bytes:
     """Reference rendering: every value formatted on its own."""
@@ -79,6 +188,8 @@ WRITER_CASES = {
     "Nt_exceeds_rows": (_rng.standard_normal((3, 4)), 10),
     "no_rows": (np.zeros((0, 3)), 2),
     "no_columns": (np.zeros((3, 0)), 2),
+    # 16 node blocks of 32 rows, large enough for the process pool
+    "lag_many_blocks": (_toeplitz_expand(_rng.standard_normal((16, 32, 16))), 32),
 }
 
 
