@@ -293,6 +293,15 @@ def _timed(timings: dict, stage: str):
     timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - start
 
 
+def _peak_rss_mb() -> str:
+    """Peak resident set size of this process and its reaped children, in MB."""
+    import resource
+
+    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    kib = max(resource.getrusage(w).ru_maxrss for w in who)  # KiB on Linux
+    return f"{kib / 1024:.1f}"
+
+
 def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
@@ -321,10 +330,11 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
     with _timed(timings, "write"):
         for name in ("lambda_D", "lambda_0", "N"):
             op = ops[name]
-            io.write_stop1(
-                _out_path(cfg, f"{name}.stop1"), op.matrix, cfg.M_omega, cfg.Nt, cfg.T
-            )
-            io.write_gram(_out_path(cfg, f"{name}.gram"), op.gram_domain)
+            with _timed(timings, f"write.{name}"):
+                io.write_stop1(
+                    _out_path(cfg, f"{name}.stop1"), op.matrix, cfg.M_omega, cfg.Nt, cfg.T
+                )
+                io.write_gram(_out_path(cfg, f"{name}.gram"), op.gram_domain)
 
     meta = {
         "command": "simulate",
@@ -337,6 +347,7 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
     for name, dt in timings.items():
         meta[f"seconds.{name}"] = io.format_float(dt)
     meta["seconds.total"] = io.format_float(time.perf_counter() - t0)
+    meta["peak_rss_mb"] = _peak_rss_mb()
     io.write_kv(_out_path(cfg, "meta"), meta)
     print(f"[simulate] wrote operators to {cfg.out_dir} ({timings['write']:.1f}s)")
     return EXIT_OK
@@ -436,6 +447,7 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
         "tau_effective": io.format_float(cfg.effective_tau),
         "threshold": io.format_float(cfg.threshold),
         "points": len(grid_out),
+        "inf_probes": int(np.sum(np.isinf(grid_out.values))),
         "mask_size": int(np.sum(grid_out.mask)),
     }
     if cavity is not None:
@@ -444,6 +456,7 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
         summary[f"seconds.{name}"] = io.format_float(timings[name])
     total = time.perf_counter() - t0
     summary["seconds.total"] = io.format_float(total)
+    summary["peak_rss_mb"] = _peak_rss_mb()
     io.write_kv(_out_path(cfg, "summary"), summary)
     print(
         f"[reconstruct] {len(grid_out)} probes, n*={eig.retained}"

@@ -4,13 +4,15 @@ All numeric text uses 17 significant digits, which round-trips IEEE
 doubles exactly; reading back a written file therefore reproduces the
 original arrays bit for bit.
 
-The operator and gram writers format each distinct value of a block of
-rows once (one node's ``Nt`` rows for STOP1) and assemble the lines from
-those strings.  The Λ maps are lag operators whose rows repeat the same
-few lags, so most of a block is repeats; the bytes are the same as
-formatting every value on its own, because the same ``%.17g`` formats the
-same doubles.  Values are told apart by bit pattern, so ``-0.0`` keeps
-its sign.
+The operator and gram writers format a block of rows at a time (one
+node's ``Nt`` rows for STOP1) with a numpy kernel that produces the bytes
+of ``%.17g`` for a whole array (see ``_fill_records``); values it cannot
+prove exact, such as nan, infinities, subnormals and decimal ties, go
+through ``%.17g`` itself, so the bytes are those of formatting every value
+on its own.  A block in which at most half the values are distinct formats each
+distinct bit pattern once: the Λ maps are lag operators whose rows repeat
+the same few lags.  Telling values apart by bit pattern keeps the sign of
+``-0.0``.
 
 STOP1 bodies of ``PARALLEL_MIN_VALUES`` entries or more are formatted and
 parsed in a pool of forked processes, one per usable CPU.  The work is
@@ -31,10 +33,12 @@ Formats:
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from contextlib import contextmanager
 from io import BytesIO
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,18 +82,256 @@ def _task_map(tasks: int, values: int):
     yield map
 
 
+#: Magnitudes the kernel formats itself; others take the ``%`` fallback.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+#: Decimal exponents k = floor(log10|x|) the tables cover; the fast range
+#: and a one-step correction of k stay inside, and 10^(16-k) stays below
+#: 1e301, so Veltkamp's split of it cannot overflow.
+_K_LIM = 284
+#: Veltkamp's splitting constant for binary64, 2^27 + 1.
+_VELTKAMP = 134217729.0
+#: Scaled values whose fraction is this close to 1/2 take the fallback.
+_HALF_MARGIN = 2.0**-40
+#: Values formatted per kernel pass; keeps its temporaries in cache.
+_CHUNK = 8192
+
+#: Byte slots of one value's record.  Every character ``%.17g`` can emit
+#: has its own slot, and a slot a value does not use holds 0: the sign, the
+#: "0." and up to three zeros of "0.000ddd", the 17 digits with a slot for
+#: the point after each, "e", the exponent's sign, three exponent digits and
+#: the separator.  Digits 1-16 and their point slots fill the 8-byte words
+#: 1-4, four digits to a word.
+_SIGN, _LEAD, _ZEROS, _DIGITS, _EXP, _SEP = 0, 1, 3, 6, 40, 45
+_WIDTH = 48
+
+
+class _FormatTables(NamedTuple):
+    pow_hi: np.ndarray  # 10^(16-k) = pow_hi + pow_lo, by k + _K_LIM
+    pow_lo: np.ndarray
+    pow_hi_hi: np.ndarray  # Veltkamp halves of pow_hi
+    pow_hi_lo: np.ndarray
+    templates: np.ndarray  # records by (k + _K_LIM) * 18 + significant digits
+    quads: np.ndarray  # ASCII of 0000..9999 in the even bytes of a word, 255 in the odd
+    quad_last: np.ndarray  # (4, 10000): last nonzero digit of group i, 1-based
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = hi + lo exactly, each half of at most 26 bits."""
+    t = a * _VELTKAMP
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _format_tables() -> _FormatTables:
+    """The kernel's lookup tables, built once per process on first use.
+
+    Each power 10^q is split into two doubles from exact integers: Python's
+    int-to-float and int/int conversions round correctly.
+    """
+    ks = np.arange(-_K_LIM, _K_LIM + 1)
+    hi, lo = [], []
+    for q in (16 - ks).tolist():
+        if q >= 0:
+            h = float(10**q)
+            hi.append(h)
+            lo.append(float(10**q - int(h)))
+        else:
+            d = 10**-q
+            h = 1 / d
+            num, den = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((den - num * d) / (den * d))
+    pow_hi = np.array(hi)
+
+    # %.17g writes k in fixed notation when -4 <= k < 17, else as d.ddde±XX
+    fixed = (ks >= -4) & (ks < 17)
+    below_one = fixed & (ks < 0)
+    exponent = ~fixed
+    digits_before_point = np.where(fixed, np.maximum(ks + 1, 0), 1)[:, None, None]
+    significant = np.arange(18)[None, :, None]
+    shown = np.maximum(significant, digits_before_point)
+    j = np.arange(17)
+    ek = np.abs(ks)
+
+    def per_k(chars: np.ndarray, used: np.ndarray) -> np.ndarray:
+        return np.where(used, chars, 0)[:, None]
+
+    tpl = np.zeros((ks.size, 18, _WIDTH), np.uint8)
+    tpl[:, :, _LEAD] = per_k(ord("0"), below_one)
+    tpl[:, :, _LEAD + 1] = per_k(ord("."), below_one)
+    zeros = below_one[:, None] & (j[:3] < -ks[:, None] - 1)
+    tpl[:, :, _ZEROS : _ZEROS + 3] = np.where(zeros, ord("0"), 0)[:, None, :]
+    tpl[:, :, _DIGITS : _DIGITS + 34 : 2] = np.where(j < shown, 255, 0)
+    point = (j + 1 == digits_before_point) & (shown > digits_before_point)
+    tpl[:, :, _DIGITS + 1 : _DIGITS + 34 : 2] = np.where(point, ord("."), 0)
+    tpl[:, :, _EXP] = per_k(ord("e"), exponent)
+    tpl[:, :, _EXP + 1] = per_k(np.where(ks < 0, ord("-"), ord("+")), exponent)
+    tpl[:, :, _EXP + 2] = per_k(48 + ek // 100, exponent & (ek >= 100))
+    tpl[:, :, _EXP + 3] = per_k(48 + ek // 10 % 10, exponent)
+    tpl[:, :, _EXP + 4] = per_k(48 + ek % 10, exponent)
+
+    group = np.arange(10000)
+    ascii4 = np.stack([48 + group // p % 10 for p in (1000, 100, 10, 1)], axis=1)
+    quads = np.full((10000, 8), 255, np.uint8)
+    quads[:, ::2] = ascii4
+    nonzero = ascii4 != 48
+    last = np.where(group > 0, 4 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    quad_last = np.stack([np.where(last > 0, last + 4 * i, 0) for i in range(4)])
+    return _FormatTables(
+        pow_hi,
+        np.array(lo),
+        *_split(pow_hi),
+        tpl.reshape(-1, _WIDTH),
+        quads.view(np.uint64)[:, 0],
+        quad_last.astype(np.uint8),
+    )
+
+
+def _scaled(a: np.ndarray, kid: np.ndarray, tab: _FormatTables):
+    """Integer and fractional part of a * 10^(16-k), k = kid - _K_LIM."""
+    p_hi = tab.pow_hi.take(kid)
+    p_hh = tab.pow_hi_hi.take(kid)
+    p_hl = tab.pow_hi_lo.take(kid)
+    prod = a * p_hi
+    a_hi, a_lo = _split(a)
+    err = ((a_hi * p_hh - prod) + a_hi * p_hl + a_lo * p_hh) + a_lo * p_hl
+    rest = err + a * tab.pow_lo.take(kid)
+    whole = np.floor(rest)
+    return prod.astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _fill_records(x: np.ndarray, out: np.ndarray, tab: _FormatTables) -> None:
+    """Write the ``%.17g`` record of each value of ``x`` into ``out``.
+
+    For |x| in ``[_FAST_MIN, _FAST_MAX)`` let k = floor(log10|x|), taken from
+    ``np.log10`` and corrected by one step when the truncated scaled value
+    below falls outside [10^16, 10^17).  The 17 significant digits are
+    D = round-half-even(P) for P = |x|·10^q, q = 16 - k.  The product is
+    formed in double-double arithmetic:
+
+    * 10^q = T_hi + T_lo + d with T_hi, T_lo rounded from exact integers,
+      so |d| <= 2^-53 |T_lo| <= 2^-106 T_hi;
+    * |x|·T_hi = p + e exactly (Dekker's two-product on Veltkamp halves;
+      every partial product lies within 2^-54..2^4 of P, so none over- or
+      underflows in this range);
+    * r = fl(e + fl(|x|·T_lo)).
+
+    The three roundings give |P - (p + r)| <= (2^-106 + 2^-106 + 2^-105)·P
+    (1 + 2^-52) < 2^-103 P, which is below 2^-46 once P < 2^57 (it is below
+    10^17 + 1 when k is right).  p >= 2^53 is then an integer, so with
+    f = r - floor(r), computed with an error of at most 2^-53,
+    D = p + floor(r) + [f > 1/2].  Where |f - 1/2| > 2^-40, more than 30
+    times the error, the exact P lies on the same side of the half-integer
+    and D is the correctly rounded value.  Nearer than that, among them the
+    exact ties such as 1e15 + 0.25, and for nan, infinities, subnormals and
+    magnitudes outside the range, the record is written from
+    ``FLOAT_FMT % v``.  D = 10^17 carries into k.
+
+    The digits come from scalar-divisor integer arithmetic and a table of
+    four-digit groups; the layout, including trailing-zero removal, comes
+    from a template per (k, significant digits).
+    """
+    n = x.size
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    a[~fast] = 1.0
+    kid = np.floor(np.log10(a)).astype(np.intp) + _K_LIM
+    D, frac = _scaled(a, kid, tab)
+    step = (D < 10**16).astype(np.intp) - (D >= 10**17)
+    fix = np.flatnonzero(step)
+    if fix.size:
+        kid[fix] -= step[fix]
+        D[fix], frac[fix] = _scaled(a[fix], kid[fix], tab)
+    D += frac > 0.5
+    carry = D == 10**17
+    D[carry] = 10**16
+    kid += carry
+    zero = x == 0
+    D[zero] = 0
+    kid[zero] = _K_LIM  # k = 0, shown as "0"
+    exact = fast & (np.abs(frac - 0.5) > _HALF_MARGIN) & (D >= 10**16) & (D < 10**17)
+    slow = np.flatnonzero(~(exact | zero))
+
+    lead = D // 10**16
+    rest = D - lead * 10**16
+    upper = rest // 10**8
+    groups = []  # digits 1-4, 5-8, 9-12 and 13-16
+    for eight in (upper, rest - upper * 10**8):
+        eight = eight.astype(np.uint32)
+        high = eight // 10**4
+        groups += [high, eight - high * 10**4]
+    # position of the last nonzero digit after the lead
+    last = [tab.quad_last[i].take(group) for i, group in enumerate(groups)]
+    last = np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], last[3]))
+
+    cls = kid * 18
+    cls += last
+    cls += 1
+    # every class is in range; "clip" lets take write into out unbuffered
+    tab.templates.take(cls, axis=0, out=out, mode="clip")
+    out[:, _DIGITS] &= (lead + 48).astype(np.uint8)
+    words = out.view(np.uint64)
+    for col, group in enumerate(groups, start=1):
+        words[:, col] &= tab.quads.take(group)
+    out[:, _SIGN] = np.signbit(x) * np.uint8(ord("-"))
+    if slow.size:
+        text = b"".join((FLOAT_FMT % v).encode().ljust(_SEP, b"\0") for v in x[slow].tolist())
+        out[slow, :_SEP] = np.frombuffer(text, np.uint8).reshape(-1, _SEP)
+
+
+def _records(values: np.ndarray) -> np.ndarray:
+    """``(n, _WIDTH)`` records of a 1-D float array; the separator slot is unset."""
+    tab = _format_tables()
+    out = np.empty((values.size, _WIDTH), np.uint8)
+    for start in range(0, values.size, _CHUNK):
+        stop = start + _CHUNK
+        _fill_records(values[start:stop], out[start:stop], tab)
+    return out
+
+
 def _format_block(block: np.ndarray) -> bytes:
-    """Lines of one block of rows; each distinct bit pattern is formatted once."""
-    uniq, inv = np.unique(block.view(np.uint64), return_inverse=True)
-    text = ((FLOAT_FMT + "\n") * uniq.size) % tuple(uniq.view(float).tolist())
-    words = np.array(text.split("\n")[:-1], dtype=object)
-    lines = words[inv].reshape(block.shape).tolist()
-    return "".join(" ".join(line) + "\n" for line in lines).encode()
+    """Lines of one C-contiguous block of rows, byte for byte ``FLOAT_FMT``.
+
+    When at most half of the block's bit patterns are distinct, each is
+    formatted once and its record repeated.  Records are made and packed a
+    chunk at a time in one reused buffer, which stays in cache.
+    """
+    rows, cols = block.shape
+    if block.size == 0:
+        return b"\n" * rows
+    tab = _format_tables()
+    values = block.ravel()
+    bits = values.view(np.uint64)
+    ordered = np.sort(bits)
+    first = np.empty(bits.size, bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first] if 2 * np.count_nonzero(first) <= bits.size else None
+    if distinct is not None:
+        known = _records(distinct.view(float))
+    buf = bytearray(_CHUNK * _WIDTH)
+    chunk = np.frombuffer(buf, np.uint8).reshape(_CHUNK, _WIDTH)
+    parts = []
+    for start in range(0, bits.size, _CHUNK):
+        stop = min(start + _CHUNK, bits.size)
+        out = chunk[: stop - start]
+        if distinct is None:
+            _fill_records(values[start:stop], out, tab)
+        else:
+            index = np.searchsorted(distinct, bits[start:stop])
+            known.take(index, axis=0, out=out, mode="clip")
+        out[:, _SEP] = ord(" ")
+        out[(cols - 1 - start) % cols :: cols, _SEP] = ord("\n")
+        chunk[stop - start :] = 0  # a short last chunk leaves no stale bytes
+        parts.append(buf.translate(None, b"\0"))
+    return b"".join(parts)
 
 
 def _write_rows(fh, matrix: np.ndarray, block_rows: int) -> None:
     """Write each row of a 2-D array as one line of space-separated values."""
     matrix = np.ascontiguousarray(matrix, dtype=float)
+    _format_tables()  # built here once, so forked workers inherit it
     starts = range(0, matrix.shape[0], block_rows)
     blocks = (matrix[start : start + block_rows] for start in starts)
     with _task_map(len(starts), matrix.size) as task_map:
@@ -140,17 +382,23 @@ def _parse_range(span: tuple) -> np.ndarray:
 def read_stop1(path) -> tuple[np.ndarray, dict]:
     with open(path, "rb") as fh:
         head = _read_header(fh, path)
+        rows, cols = head["rows"], head["cols"]
+        expected = f"{path}: expected {rows}x{cols} entries"
         bounds = [fh.tell()]
         end = fh.seek(0, os.SEEK_END)
+        # every entry takes a digit and a separator; refuse before allocating
+        if rows < 0 or cols < 0 or 2 * rows * cols > end - bounds[0]:
+            raise FormatError(f"{expected}, found {end - bounds[0]} bytes of rows")
+        if cols == 0:
+            # a row without entries is an empty line
+            fh.seek(bounds[0])
+            if fh.read(rows + 1) != b"\n" * rows:
+                raise FormatError(f"{expected}, found a body other than {rows} empty lines")
+            return np.empty((rows, 0)), head
         while bounds[-1] < end:
             fh.seek(min(bounds[-1] + RANGE_BYTES, end) - 1)
             fh.readline()
             bounds.append(fh.tell())
-    rows, cols = head["rows"], head["cols"]
-    expected = f"{path}: expected {rows}x{cols} entries"
-    # every entry takes a digit and a separator; refuse before allocating
-    if rows < 0 or cols < 0 or 2 * rows * cols > end - bounds[0]:
-        raise FormatError(f"{expected}, found {end - bounds[0]} bytes of rows")
     data = np.empty((rows, cols))
     filled = 0
     spans = [(path, start, stop) for start, stop in zip(bounds, bounds[1:])]

@@ -192,6 +192,22 @@ class TestPipelineArtifacts:
         for stage in ("blocks", "write"):
             assert float(meta[f"seconds.{stage}"]) >= 0.0
 
+    def test_meta_write_seconds_per_operator(self, pipeline):
+        meta = hio.read_kv(pipeline["out"] / "meta")
+        parts = [float(meta[f"seconds.write.{name}"]) for name in ("lambda_D", "lambda_0", "N")]
+        assert all(part >= 0.0 for part in parts)
+        assert sum(parts) <= float(meta["seconds.write"])
+
+    @pytest.mark.parametrize("record", ["meta", "summary"])
+    def test_peak_rss_recorded(self, pipeline, record):
+        # the pipeline runs in this process, which holds numpy and the operators
+        assert float(hio.read_kv(pipeline["out"] / record)["peak_rss_mb"]) > 10.0
+
+    def test_summary_counts_infinite_probes(self, pipeline):
+        table = hio.read_indicator_csv(pipeline["out"] / "indicator.csv")
+        summary = hio.read_kv(pipeline["out"] / "summary")
+        assert int(summary["inf_probes"]) == int(np.isinf(table["W"]).sum())
+
     def test_summary_stage_timings(self, pipeline):
         summary = hio.read_kv(pipeline["out"] / "summary")
         for stage in ("read", "eigh", "probes", "write", "total"):

@@ -1,5 +1,7 @@
 """Artifact formats: bit-exact round trips and malformed-input rejection."""
 
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -92,6 +94,20 @@ class TestStop1:
         hio.write_stop1(path, np.ones((4, 6)), M=2, Nt=2, T=0.25)
         assert hio.read_stop1_header(path) == {"rows": 4, "cols": 6, "M": 2, "Nt": 2, "T": 0.25}
 
+    def test_no_columns_round_trip(self, tmp_path):
+        path = tmp_path / "op.stop1"
+        hio.write_stop1(path, np.zeros((3, 0)), M=1, Nt=2, T=0.5)
+        back, header = hio.read_stop1(path)
+        assert back.shape == (3, 0)
+        assert (header["rows"], header["cols"]) == (3, 0)
+
+    @pytest.mark.parametrize("body", ["\n\n", "\n\n\n\n", "1\n\n\n", " \n\n\n"])
+    def test_no_columns_needs_exactly_rows_empty_lines(self, tmp_path, body):
+        path = tmp_path / "op.stop1"
+        path.write_text("STOP1 3 0 1 2 0.5\n" + body)
+        with pytest.raises(hio.FormatError, match="op.stop1"):
+            hio.read_stop1(path)
+
     def test_many_ranges_round_trip_bitwise(self, tmp_path, monkeypatch):
         matrix, nt = WRITER_CASES["specials"]
         path = tmp_path / "op.stop1"
@@ -175,6 +191,23 @@ _rng = np.random.default_rng(11)
 _SPECIALS = np.array(
     [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 0.1, 7.0]
 )
+
+
+def _with_ulps(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+
+
+_MAX = np.finfo(float).max
+#: Values at the edges of the vectorized formatter and of %g's layout.
+_EDGES = {
+    "powers of ten": _with_ulps([float(f"1e{k}") for k in range(-280, 281)]),
+    "notation boundaries": _with_ulps([1e-5, 9.9999999999999995e-5, 1e16, 1e17]),
+    "exact ties": np.array([1e15 + 0.25, 1e15 + 0.75, 2e15 + 0.25]),
+    "subnormals": np.array([5e-324, 1e-310, 2.2250738585072009e-308]),
+    "specials": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, _MAX, -_MAX]),
+}
+_EDGE_ROW = np.concatenate(list(_EDGES.values()))
 WRITER_CASES = {
     # rows of one node repeat the same lags; 5 rows per node
     "toeplitz": (_toeplitz_expand(_rng.standard_normal((3, 5, 4))), 5),
@@ -188,6 +221,8 @@ WRITER_CASES = {
     "Nt_exceeds_rows": (_rng.standard_normal((3, 4)), 10),
     "no_rows": (np.zeros((0, 3)), 2),
     "no_columns": (np.zeros((3, 0)), 2),
+    # a distinct block of the edges and their negatives, then a repeated one
+    "edges": (np.stack([_EDGE_ROW, -_EDGE_ROW, _EDGE_ROW, _EDGE_ROW]), 2),
     # 16 node blocks of 32 rows, large enough for the process pool
     "lag_many_blocks": (_toeplitz_expand(_rng.standard_normal((16, 32, 16))), 32),
 }
@@ -202,6 +237,30 @@ class TestWriterMatchesPerValue:
         path = tmp_path / "op.stop1"
         hio.write_stop1(path, matrix, M=2, Nt=nt, T=0.5)
         assert path.read_bytes() == stop1_reference(matrix, 2, nt, 0.5)
+
+    @pytest.mark.parametrize("case", ["dense", "toeplitz", "edges", "lag_many_blocks"])
+    def test_stop1_bytes_in_small_chunks(self, tmp_path, monkeypatch, case):
+        # chunks of 7 values cut rows and records at every offset
+        monkeypatch.setattr(hio, "_CHUNK", 7)
+        matrix, nt = WRITER_CASES[case]
+        path = tmp_path / "op.stop1"
+        hio.write_stop1(path, matrix, M=2, Nt=nt, T=0.5)
+        assert path.read_bytes() == stop1_reference(matrix, 2, nt, 0.5)
+
+    def test_exact_ties_round_half_even(self):
+        line = hio._format_block(_EDGES["exact ties"].reshape(1, -1))
+        assert line == b"1000000000000000.2 1000000000000000.8 2000000000000000.2\n"
+
+    def test_random_bit_patterns(self):
+        values = np.random.default_rng(20).integers(0, 2**64, 10**6, np.uint64).view(float)
+        matrix = values.reshape(1000, 1000)
+        expected = "".join(" ".join(hio.FLOAT_FMT % v for v in row) + "\n" for row in matrix.tolist())
+        assert hio._format_block(matrix) == expected.encode()
+
+    def test_tables_not_built_at_import(self):
+        code = "import heatcavity.cli as c; print(c.io._format_tables.cache_info().currsize)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "0"
 
     def test_negative_zero_keeps_sign(self, tmp_path):
         path = tmp_path / "z.stop1"
