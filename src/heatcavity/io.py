@@ -9,10 +9,10 @@ node's ``Nt`` rows for STOP1) with a numpy kernel that produces the bytes
 of ``%.17g`` for a whole array (see ``_fill_records``); values it cannot
 prove exact, such as nan, infinities, subnormals and decimal ties, go
 through ``%.17g`` itself, so the bytes are those of formatting every value
-on its own.  A block in which at most half the values are distinct formats each
-distinct bit pattern once: the Λ maps are lag operators whose rows repeat
-the same few lags.  Telling values apart by bit pattern keeps the sign of
-``-0.0``.
+on its own.  A block in which at most half the values are distinct
+formats each distinct bit pattern once: the Λ maps are lag operators whose
+rows repeat the same few lags.  Telling values apart by bit pattern keeps
+the sign of ``-0.0``.
 
 STOP1 bodies of ``PARALLEL_MIN_VALUES`` entries or more are formatted and
 parsed in a pool of forked processes, one per usable CPU.  The work is
@@ -213,8 +213,8 @@ def _fill_records(x: np.ndarray, out: np.ndarray, tab: _FormatTables) -> None:
     * 10^q = T_hi + T_lo + d with T_hi, T_lo rounded from exact integers,
       so |d| <= 2^-53 |T_lo| <= 2^-106 T_hi;
     * |x|·T_hi = p + e exactly (Dekker's two-product on Veltkamp halves;
-      every partial product lies within 2^-54..2^4 of P, so none over- or
-      underflows in this range);
+      every nonzero partial product lies between 2^-106 P and 2P, with P
+      below 10^18, so none over- or underflows);
     * r = fl(e + fl(|x|·T_lo)).
 
     The three roundings give |P - (p + r)| <= (2^-106 + 2^-106 + 2^-105)·P
@@ -280,22 +280,13 @@ def _fill_records(x: np.ndarray, out: np.ndarray, tab: _FormatTables) -> None:
         out[slow, :_SEP] = np.frombuffer(text, np.uint8).reshape(-1, _SEP)
 
 
-def _records(values: np.ndarray) -> np.ndarray:
-    """``(n, _WIDTH)`` records of a 1-D float array; the separator slot is unset."""
-    tab = _format_tables()
-    out = np.empty((values.size, _WIDTH), np.uint8)
-    for start in range(0, values.size, _CHUNK):
-        stop = start + _CHUNK
-        _fill_records(values[start:stop], out[start:stop], tab)
-    return out
-
-
 def _format_block(block: np.ndarray) -> bytes:
     """Lines of one C-contiguous block of rows, byte for byte ``FLOAT_FMT``.
 
     When at most half of the block's bit patterns are distinct, each is
-    formatted once and its record repeated.  Records are made and packed a
-    chunk at a time in one reused buffer, which stays in cache.
+    formatted once into a record as wide as the longest text plus the
+    separator, and those records are repeated.  Records are made and
+    packed a chunk at a time in one reused buffer, which stays in cache.
     """
     rows, cols = block.shape
     if block.size == 0:
@@ -308,10 +299,18 @@ def _format_block(block: np.ndarray) -> bytes:
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     distinct = ordered[first] if 2 * np.count_nonzero(first) <= bits.size else None
+    width, sep = _WIDTH, _SEP
     if distinct is not None:
-        known = _records(distinct.view(float))
-    buf = bytearray(_CHUNK * _WIDTH)
-    chunk = np.frombuffer(buf, np.uint8).reshape(_CHUNK, _WIDTH)
+        known = np.empty((distinct.size, _WIDTH), np.uint8)
+        _fill_records(distinct.view(float), known, tab)
+        known[:, _SEP] = ord("\n")
+        texts = known.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+        width = max(map(len, texts)) + 1
+        sep = width - 1
+        known = b"".join(text.ljust(width, b"\0") for text in texts)
+        known = np.frombuffer(known, np.uint8).reshape(-1, width)
+    buf = bytearray(_CHUNK * width)
+    chunk = np.frombuffer(buf, np.uint8).reshape(_CHUNK, width)
     parts = []
     for start in range(0, bits.size, _CHUNK):
         stop = min(start + _CHUNK, bits.size)
@@ -321,8 +320,8 @@ def _format_block(block: np.ndarray) -> bytes:
         else:
             index = np.searchsorted(distinct, bits[start:stop])
             known.take(index, axis=0, out=out, mode="clip")
-        out[:, _SEP] = ord(" ")
-        out[(cols - 1 - start) % cols :: cols, _SEP] = ord("\n")
+        out[:, sep] = ord(" ")
+        out[(cols - 1 - start) % cols :: cols, sep] = ord("\n")
         chunk[stop - start :] = 0  # a short last chunk leaves no stale bytes
         parts.append(buf.translate(None, b"\0"))
     return b"".join(parts)
