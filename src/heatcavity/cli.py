@@ -294,7 +294,7 @@ def _timed(timings: dict, stage: str):
 
 
 def _peak_rss_mb() -> str:
-    """Peak resident set size of this process and its reaped children, in MB."""
+    """Peak resident set size of this process and its reaped children, in MiB."""
     import resource
 
     who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)

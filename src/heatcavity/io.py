@@ -108,8 +108,6 @@ _WIDTH = 48
 class _FormatTables(NamedTuple):
     pow_hi: np.ndarray  # 10^(16-k) = pow_hi + pow_lo, by k + _K_LIM
     pow_lo: np.ndarray
-    pow_hi_hi: np.ndarray  # Veltkamp halves of pow_hi
-    pow_hi_lo: np.ndarray
     templates: np.ndarray  # records by (k + _K_LIM) * 18 + significant digits
     quads: np.ndarray  # ASCII of 0000..9999 in the even bytes of a word, 255 in the odd
     quad_last: np.ndarray  # (4, 10000): last nonzero digit of group i, 1-based
@@ -142,7 +140,6 @@ def _format_tables() -> _FormatTables:
             num, den = h.as_integer_ratio()
             hi.append(h)
             lo.append((den - num * d) / (den * d))
-    pow_hi = np.array(hi)
 
     # %.17g writes k in fixed notation when -4 <= k < 17, else as d.ddde±XX
     fixed = (ks >= -4) & (ks < 17)
@@ -179,9 +176,8 @@ def _format_tables() -> _FormatTables:
     last = np.where(group > 0, 4 - np.argmax(nonzero[:, ::-1], axis=1), 0)
     quad_last = np.stack([np.where(last > 0, last + 4 * i, 0) for i in range(4)])
     return _FormatTables(
-        pow_hi,
+        np.array(hi),
         np.array(lo),
-        *_split(pow_hi),
         tpl.reshape(-1, _WIDTH),
         quads.view(np.uint64)[:, 0],
         quad_last.astype(np.uint8),
@@ -191,8 +187,7 @@ def _format_tables() -> _FormatTables:
 def _scaled(a: np.ndarray, kid: np.ndarray, tab: _FormatTables):
     """Integer and fractional part of a * 10^(16-k), k = kid - _K_LIM."""
     p_hi = tab.pow_hi.take(kid)
-    p_hh = tab.pow_hi_hi.take(kid)
-    p_hl = tab.pow_hi_lo.take(kid)
+    p_hh, p_hl = _split(p_hi)
     prod = a * p_hi
     a_hi, a_lo = _split(a)
     err = ((a_hi * p_hh - prod) + a_hi * p_hl + a_lo * p_hh) + a_lo * p_hl
