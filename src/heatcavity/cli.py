@@ -472,9 +472,10 @@ def cmd_verify(cfg: RunConfig, threads: int = 1) -> int:
     for chk in verify.ALL_CHECKS:
         t0 = time.perf_counter()
         rep = chk(ctx)
+        rep.seconds = time.perf_counter() - t0
         reports.append(rep)
         status = "pass" if rep.passed else "FAIL"
-        print(f"[verify] {rep.name}: {status} ({time.perf_counter()-t0:.1f}s)")
+        print(f"[verify] {rep.name}: {status} ({rep.seconds:.1f}s)")
     text = verify.report_to_json(reports)
     with open(_out_path(cfg, "verify.json"), "w") as fh:
         fh.write(text + "\n")

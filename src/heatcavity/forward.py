@@ -23,11 +23,11 @@ from scipy.linalg import lu_factor, lu_solve
 from .geometry import TOL_GEOM, BoundaryCurve, points_in_region
 from .kernels import (
     dnu_gamma,
-    dnu_gamma_time_integral,
     e1_entire_part,
     gamma,
     gamma_time_integral,
     log_quadrature_weights,
+    window_integrals,
 )
 
 #: Collocation instant inside each time cell, as a fraction of dt.
@@ -164,6 +164,12 @@ def _lag_bounds(lag: int, dt: float) -> tuple[float, float]:
     return a, b
 
 
+def _lag_windows(grid: TimeGrid) -> list:
+    """Every lag's window as its own group for window_integrals.  The windows
+    telescope: lag l's lower end is the same float as lag l - 1's upper end."""
+    return [tuple([v] for v in _lag_bounds(lag, grid.dt)) for lag in range(grid.Nt)]
+
+
 def _self_half_block(curve: BoundaryCurve, b: float) -> np.ndarray:
     """Single-layer self matrix of one curve over retardations (0, b].
 
@@ -231,6 +237,7 @@ def assemble_blocks(curves, grid: TimeGrid) -> RetardedBlocks:
     np.fill_diagonal(r2_safe, 1.0)
 
     dt = grid.dt
+    windows = _lag_windows(grid)
     # spectral self blocks at the window endpoints (l + 1/2) dt, per curve
     halves = [
         [_self_half_block(c, (lag + COLLOCATION_OFFSET) * dt) for lag in range(grid.Nt)]
@@ -244,10 +251,14 @@ def assemble_blocks(curves, grid: TimeGrid) -> RetardedBlocks:
 
     single = np.empty((grid.Nt, mt, mt))
     adjoint = np.empty((grid.Nt, mt, mt))
-    for lag in range(grid.Nt):
-        a, b = _lag_bounds(lag, dt)
-        v = gamma_time_integral(r2_safe, a, b) * weights[None, :]
-        k = dnu_gamma_time_integral(r2_safe, dot_nu, a, b) * weights[None, :]
+    lags = zip(
+        range(grid.Nt),
+        window_integrals(r2_safe, windows),
+        window_integrals(r2_safe, windows, dot_nu),
+    )
+    for lag, v, k in lags:
+        v = v[:, 0, :] * weights[None, :]
+        k = k[:, 0, :] * weights[None, :]
         for ci, sl in enumerate(slices):
             if lag == 0:
                 v[sl, sl] = halves[ci][0]
@@ -356,17 +367,13 @@ def _offcurve_lag_blocks(region, points, normals=None):
     """
     dx = points[:, None, :] - region.nodes[None, :, :]
     r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    if normals is not None:
-        dot = dx[..., 0] * normals[:, None, 0] + dx[..., 1] * normals[:, None, 1]
+    dot = None if normals is None else (
+        dx[..., 0] * normals[:, None, 0] + dx[..., 1] * normals[:, None, 1]
+    )
     w = region.weights[None, :]
-    dt = region.grid.dt
     out = np.empty((region.grid.Nt,) + r2.shape)
-    for lag in range(region.grid.Nt):
-        a, b = _lag_bounds(lag, dt)
-        if normals is None:
-            out[lag] = gamma_time_integral(r2, a, b) * w
-        else:
-            out[lag] = dnu_gamma_time_integral(r2, dot, a, b) * w
+    for lag, ker in enumerate(window_integrals(r2, _lag_windows(region.grid), dot)):
+        out[lag] = ker[:, 0, :] * w
     return out
 
 
@@ -421,6 +428,16 @@ def _eval_windows(region: RetardedBlocks, times: np.ndarray):
     return a, b
 
 
+def _cell_windows(region: RetardedBlocks, times: np.ndarray):
+    """The density cells some evaluation time sees, each with the mask of
+    those times, and their windows as one group per cell for
+    window_integrals."""
+    a, b = _eval_windows(region, times)
+    live = b > a
+    cells = [(cell, live[:, cell]) for cell in range(region.grid.Nt) if live[:, cell].any()]
+    return cells, [(a[m, cell], b[m, cell]) for cell, m in cells]
+
+
 def potential_at(density: LayerDensity, points: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Potential u(points, times) away from the source curves.
 
@@ -433,17 +450,11 @@ def potential_at(density: LayerDensity, points: np.ndarray, times: np.ndarray) -
     dx = points[:, None, :] - region.nodes[None, :, :]
     r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
     w = region.weights
-    a, b = _eval_windows(region, times)
+    cells, windows = _cell_windows(region, times)
     rho = density.values if density.values.ndim == 3 else density.values[:, :, None]
     out = np.zeros((points.shape[0], times.shape[0], rho.shape[2]))
-    for cell in range(region.grid.Nt):
-        live = b[:, cell] > a[:, cell]
-        if not np.any(live):
-            continue
-        ker = gamma_time_integral(
-            r2[:, None, :], a[live, cell][None, :, None], b[live, cell][None, :, None]
-        ) * w[None, None, :]
-        out[:, live, :] += np.tensordot(ker, rho[:, cell, :], axes=(2, 0))
+    for (cell, live), ker in zip(cells, window_integrals(r2, windows)):
+        out[:, live, :] += np.tensordot(ker * w, rho[:, cell, :], axes=(2, 0))
     if density.values.ndim == 2:
         out = out[:, :, 0]
     return out
@@ -458,21 +469,14 @@ def gradient_at(density: LayerDensity, points: np.ndarray, times: np.ndarray) ->
     dx = points[:, None, :] - region.nodes[None, :, :]
     r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
     w = region.weights
-    a, b = _eval_windows(region, times)
+    cells, windows = _cell_windows(region, times)
     rho = density.values if density.values.ndim == 3 else density.values[:, :, None]
     out = np.zeros((points.shape[0], 2, times.shape[0], rho.shape[2]))
-    for cell in range(region.grid.Nt):
-        live = b[:, cell] > a[:, cell]
-        if not np.any(live):
-            continue
+    # both axes share each window's exponentials: d runs over dx's components
+    axes_dot = np.moveaxis(dx, -1, 0)
+    for (cell, live), kers in zip(cells, window_integrals(r2, windows, axes_dot)):
         for axis in range(2):
-            ker = dnu_gamma_time_integral(
-                r2[:, None, :],
-                dx[:, None, :, axis],
-                a[live, cell][None, :, None],
-                b[live, cell][None, :, None],
-            ) * w[None, None, :]
-            out[:, axis][:, live, :] += np.tensordot(ker, rho[:, cell, :], axes=(2, 0))
+            out[:, axis][:, live, :] += np.tensordot(kers[axis] * w, rho[:, cell, :], axes=(2, 0))
     if density.values.ndim == 2:
         out = out[:, :, :, 0]
     return out

@@ -14,12 +14,12 @@ formats each distinct bit pattern once: the Λ maps are lag operators whose
 rows repeat the same few lags.  Telling values apart by bit pattern keeps
 the sign of ``-0.0``.
 
-STOP1 bodies of ``PARALLEL_MIN_VALUES`` entries or more are formatted and
-parsed in a pool of forked processes, one per usable CPU.  The work is
-split by the matrix (one task per node block) or by the file (one task
+STOP1 bodies are formatted in this process.  Bodies of
+``PARALLEL_MIN_VALUES`` entries or more are parsed in a pool of forked
+processes, one per usable CPU.  The work is split by the file (one task
 per line-aligned range of about ``RANGE_BYTES``), never by the worker
-count, and results are taken in order, so the bytes written and the
-arrays read do not depend on how many CPUs ran them.
+count, and results are taken in order, so the arrays read do not depend
+on how many CPUs ran them.
 
 Formats:
   * STOP1 — dense operator matrix: ASCII header ``STOP1 <rows> <cols> <M>
@@ -44,7 +44,7 @@ import numpy as np
 
 FLOAT_FMT = "%.17g"
 
-#: Matrices with fewer entries are formatted and parsed in this process.
+#: STOP1 bodies with fewer entries are parsed in this process.
 PARALLEL_MIN_VALUES = 1 << 18
 
 #: Nominal size of one parse task; each range ends at the next line end.
@@ -323,14 +323,14 @@ def _format_block(block: np.ndarray) -> bytes:
 
 
 def _write_rows(fh, matrix: np.ndarray, block_rows: int) -> None:
-    """Write each row of a 2-D array as one line of space-separated values."""
+    """Write each row of a 2-D array as one line of space-separated values.
+
+    In this process: a forked worker would hand each block's text back
+    through a pipe, which costs about as much as formatting it.
+    """
     matrix = np.ascontiguousarray(matrix, dtype=float)
-    _format_tables()  # built here once, so forked workers inherit it
-    starts = range(0, matrix.shape[0], block_rows)
-    blocks = (matrix[start : start + block_rows] for start in starts)
-    with _task_map(len(starts), matrix.size) as task_map:
-        for text in task_map(_format_block, blocks):
-            fh.write(text)
+    for start in range(0, matrix.shape[0], block_rows):
+        fh.write(_format_block(matrix[start : start + block_rows]))
 
 
 def write_stop1(path, matrix: np.ndarray, M: int, Nt: int, T: float) -> None:

@@ -104,6 +104,56 @@ def dnu_gamma_time_integral(r2, dot_nu, a, b) -> np.ndarray:
     return out
 
 
+def window_integrals(r2, windows, dot_nu=None):
+    """Yield the integrals of Gamma, or of dnu_gamma, over groups of windows.
+
+    r2 = |x|^2 > 0 has shape (..., M); windows is a sequence of (a, b)
+    pairs of equal-length 1-D arrays with 0 <= a < b.  Group (a, b) yields
+    an array of shape (..., len(a), M): window j fills [..., j, :] with the
+    values gamma_time_integral(r2, a[j], b[j]) returns, or with dot_nu
+    (d = dx . nu, broadcasting against r2) those of
+    dnu_gamma_time_integral, bit for bit.  E1(r2/(4u)) or exp(-r2/(4u)) is
+    evaluated once per distinct endpoint float u and dropped after the last
+    group that uses it.
+    """
+    r2 = np.asarray(r2, dtype=float)
+    if np.any(r2 <= 0):
+        raise ValueError("window integrals need r2 > 0")
+    windows = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float)) for a, b in windows]
+    last_use = {}
+    for g, (a, b) in enumerate(windows):
+        if a.shape != b.shape or a.ndim != 1 or np.any(a < 0) or np.any(b <= a):
+            raise ValueError("need equal-length 1-D windows with 0 <= a < b")
+        last_use.update(dict.fromkeys(a.tolist() + b.tolist(), g))
+    expiring = [[] for _ in windows]
+    for u, g in last_use.items():
+        expiring[g].append(u)
+    if dot_nu is None:
+        shape = r2.shape
+    else:
+        coef = -np.asarray(dot_nu, dtype=float) / (2.0 * np.pi * r2)
+        shape = coef.shape
+
+    def endpoint(u):
+        z = r2 / (4.0 * u)
+        return exp1(z) if dot_nu is None else np.exp(-z)
+
+    table = {0.0: 0.0}  # the a = 0 endpoint contributes nothing
+    for g, (a, b) in enumerate(windows):
+        out = np.empty(shape[:-1] + a.shape + shape[-1:])
+        for j, (lo, hi) in enumerate(zip(a.tolist(), b.tolist())):
+            for u in (lo, hi):
+                if u not in table:
+                    table[u] = endpoint(u)
+            if dot_nu is None:
+                out[..., j, :] = (table[hi] - table[lo]) / _FOUR_PI
+            else:
+                out[..., j, :] = coef * (table[hi] - table[lo])
+        yield out
+        for u in expiring[g]:
+            del table[u]
+
+
 def e1_entire_part(z) -> np.ndarray:
     """Entire remainder E1(z) + eulergamma + log(z), with value 0 at z = 0.
 

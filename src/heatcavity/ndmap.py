@@ -212,15 +212,20 @@ def assemble_N(setup: ProblemSetup) -> SpaceTimeOperator:
     the backward-projected composition L'(-F)L without ever inverting the
     auxiliary bridge operator.  Without a cavity, N = 0 identically.
     """
+    if setup.cavity is not None:
+        return compose_N(setup, assemble_FL(setup).matrix, assemble_Lhat(setup).matrix)
     g = gram_weights(setup.omega, setup.grid)
     pair = (setup.omega, setup.grid)
     n = setup.omega.M * setup.grid.Nt
-    if setup.cavity is None:
-        return SpaceTimeOperator(np.zeros((n, n)), pair, pair, g, g)
-    fl = assemble_FL(setup).matrix
-    lhat = assemble_Lhat(setup).matrix
+    return SpaceTimeOperator(np.zeros((n, n)), pair, pair, g, g)
+
+
+def compose_N(setup: ProblemSetup, fl: np.ndarray, lhat: np.ndarray) -> SpaceTimeOperator:
+    """N = R Lhat R FL from already assembled FL and Lhat matrices."""
     inner = lhat @ _reverse_rows(fl, setup.cavity.M, setup.grid.Nt)
     mat = _reverse_rows(inner, setup.omega.M, setup.grid.Nt)
+    g = gram_weights(setup.omega, setup.grid)
+    pair = (setup.omega, setup.grid)
     return SpaceTimeOperator(mat, pair, pair, g, g)
 
 

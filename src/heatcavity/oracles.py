@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import jn, jnp_zeros
 
 
@@ -51,11 +51,11 @@ def radial_disk_trace(
     diag[n] = -2.0 * inv_dr2
     bflux = (2.0 * inv_dr2 * dr + 1.0 / radius) * flux  # constant forcing at r=R
 
-    # banded matrices for (I - dt/2 A) u+ = (I + dt/2 A) u + dt forcing
-    ab = np.zeros((3, n + 1))
-    ab[0, 1:] = -0.5 * dt * upper[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * lower[1:]
+    # (I - dt/2 A) u+ = (I + dt/2 A) u + dt forcing; the tridiagonal left
+    # side is LU-factored once (the LAPACK steps of the banded solver)
+    factors = dgttrf(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1])
+    if factors[-1] != 0:
+        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
 
     out_t = np.arange(nsteps + 1) * dt
     trace = np.zeros(nsteps + 1)
@@ -67,7 +67,7 @@ def radial_disk_trace(
                             [lower[n] * u[n - 1] + diag[n] * u[n]]))
         )
         rhs += dt * bflux * (np.arange(n + 1) == n)
-        u = solve_banded((1, 1), ab, rhs)
+        u, _ = dgttrs(*factors[:-1], rhs)
         trace[step + 1] = u[n]
     return np.interp(times, out_t, trace)
 

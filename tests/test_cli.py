@@ -1,5 +1,6 @@
 """Pipeline driver: config handling, artifacts, exit codes, reproducibility."""
 
+import json
 import shutil
 import subprocess
 import sys
@@ -476,6 +477,18 @@ class TestVerifyCommand:
         assert payload["all_passed"] is True
         assert [c["name"] for c in payload["checks"]] == ["alpha", "beta"]
         assert "alpha: pass" in capsys.readouterr().out
+
+    def test_report_carries_seconds_per_check(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            verify,
+            "ALL_CHECKS",
+            (lambda ctx: self.fake_report("alpha", True), lambda ctx: self.fake_report("beta", False)),
+        )
+        out = tmp_path / "v"
+        cli.main(["verify", "--config", write_cfg(tmp_path), "--out", str(out)])
+        for check in json.loads((out / "verify.json").read_text())["checks"]:
+            assert isinstance(check["seconds"], float)
+            assert 0.0 <= check["seconds"] < 60.0
 
     def test_any_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(

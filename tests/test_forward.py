@@ -16,6 +16,7 @@ from heatcavity.forward import (
     _lag_bounds,
     assemble_blocks,
     field_norm,
+    gradient_at,
     green_probe_trace,
     green_probe_traces,
     normal_derivative_on,
@@ -24,7 +25,7 @@ from heatcavity.forward import (
     trace_on,
 )
 from heatcavity.geometry import CurveSpec, make_curve
-from heatcavity.kernels import gamma, gamma_time_integral
+from heatcavity.kernels import dnu_gamma_time_integral, gamma, gamma_time_integral
 from heatcavity.verify import _polar_cells
 
 UNIT_CIRCLE = CurveSpec("circle", (0.0, 0.0, 1.0))
@@ -356,3 +357,120 @@ class TestConventions:
         f = BoundaryField(curve, disk_region.grid, np.ones((16, 8)))
         # ||1||_W^2 = perimeter * T
         assert field_norm(f) == pytest.approx(np.sqrt(2 * np.pi * 0.5), rel=1e-12)
+
+
+def potential_reference(density, points, times):
+    """potential_at as one gamma_time_integral call per density cell."""
+    region = density.region
+    dx = points[:, None, :] - region.nodes[None, :, :]
+    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+    w = region.weights
+    a, b = forward._eval_windows(region, times)
+    rho = density.values if density.values.ndim == 3 else density.values[:, :, None]
+    out = np.zeros((points.shape[0], times.shape[0], rho.shape[2]))
+    for cell in range(region.grid.Nt):
+        live = b[:, cell] > a[:, cell]
+        if not np.any(live):
+            continue
+        ker = gamma_time_integral(
+            r2[:, None, :], a[live, cell][None, :, None], b[live, cell][None, :, None]
+        ) * w[None, None, :]
+        out[:, live, :] += np.tensordot(ker, rho[:, cell, :], axes=(2, 0))
+    return out if density.values.ndim == 3 else out[:, :, 0]
+
+
+def gradient_reference(density, points, times):
+    """gradient_at as one dnu_gamma_time_integral call per cell and axis."""
+    region = density.region
+    dx = points[:, None, :] - region.nodes[None, :, :]
+    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+    w = region.weights
+    a, b = forward._eval_windows(region, times)
+    rho = density.values if density.values.ndim == 3 else density.values[:, :, None]
+    out = np.zeros((points.shape[0], 2, times.shape[0], rho.shape[2]))
+    for cell in range(region.grid.Nt):
+        live = b[:, cell] > a[:, cell]
+        if not np.any(live):
+            continue
+        for axis in range(2):
+            ker = dnu_gamma_time_integral(
+                r2[:, None, :],
+                dx[:, None, :, axis],
+                a[live, cell][None, :, None],
+                b[live, cell][None, :, None],
+            ) * w[None, None, :]
+            out[:, axis][:, live, :] += np.tensordot(ker, rho[:, cell, :], axes=(2, 0))
+    return out if density.values.ndim == 3 else out[:, :, :, 0]
+
+
+def bits_equal(x, y) -> bool:
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestWindowKernelsMatchPerWindowForm:
+    """The shared-endpoint kernel paths give the per-window values bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def densities(self):
+        omega = make_curve(UNIT_CIRCLE, 20)
+        cavity = make_curve(CurveSpec("circle", (0.05, 0.0, 0.35)), 16)
+        region = assemble_blocks((omega, cavity), TimeGrid(0.5, 12))
+        rng = np.random.default_rng(21)
+        one = solve_neumann(region, rng.standard_normal((36, 12)))
+        stacked = solve_neumann(region, rng.standard_normal((36, 12, 3)))
+        return one, stacked
+
+    TIMES = {
+        "collocation": TimeGrid(0.5, 12).times,
+        "off_grid": np.array([0.013, 0.2217, 0.37, 0.4999]),
+        "single": np.array([0.5]),
+        "before_first_edge": np.array([0.0, 0.1]),
+    }
+
+    @pytest.mark.parametrize("times", list(TIMES), ids=list(TIMES))
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one_rhs", "stacked"])
+    def test_potential_and_gradient(self, densities, times, stacked):
+        density = densities[stacked]
+        t = self.TIMES[times]
+        pts, _ = _polar_cells(0.45, 0.9, 9)
+        assert bits_equal(potential_at(density, pts, t), potential_reference(density, pts, t))
+        assert bits_equal(gradient_at(density, pts, t), gradient_reference(density, pts, t))
+
+    def test_point_subsets_each_match_reference(self, densities):
+        # every point set is its own reference call: results are per call
+        density = densities[0]
+        pts, _ = _polar_cells(0.45, 0.9, 16)
+        t = self.TIMES["collocation"]
+        for lo, hi in ((0, 1), (0, 97), (97, 256)):
+            p = pts[lo:hi]
+            assert bits_equal(gradient_at(density, p, t), gradient_reference(density, p, t))
+            assert bits_equal(potential_at(density, p, t[-1:]), potential_reference(density, p, t[-1:]))
+
+    def test_lag_blocks_match_per_lag_integrals(self, densities):
+        region = densities[0].region
+        nodes, normals, weights = region.nodes, region.normals, region.weights
+        dx = nodes[:, None, :] - nodes[None, :, :]
+        r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+        dot = dx[..., 0] * normals[:, None, 0] + dx[..., 1] * normals[:, None, 1]
+        np.fill_diagonal(r2, 1.0)
+        self_blocks = np.zeros(r2.shape, bool)
+        for i in range(len(region.curves)):
+            sl = region.component_slice(i)
+            self_blocks[sl, sl] = True
+        target = make_curve(CurveSpec("circle", (0.0, 0.0, 0.6)), 10)
+        tdx = target.nodes[:, None, :] - nodes[None, :, :]
+        tr2 = tdx[..., 0] ** 2 + tdx[..., 1] ** 2
+        tdot = tdx[..., 0] * target.normals[:, None, 0] + tdx[..., 1] * target.normals[:, None, 1]
+        off_single = forward._offcurve_lag_blocks(region, target.nodes)
+        off_adjoint = forward._offcurve_lag_blocks(region, target.nodes, target.normals)
+        for lag in range(region.grid.Nt):
+            a, b = _lag_bounds(lag, region.grid.dt)
+            v = gamma_time_integral(r2, a, b) * weights[None, :]
+            k = dnu_gamma_time_integral(r2, dot, a, b) * weights[None, :]
+            assert bits_equal(region.single[lag][~self_blocks], v[~self_blocks])
+            off_diag = ~np.eye(r2.shape[0], dtype=bool)
+            assert bits_equal(region.adjoint[lag][off_diag], k[off_diag])
+            assert bits_equal(off_single[lag], gamma_time_integral(tr2, a, b) * weights[None, :])
+            assert bits_equal(
+                off_adjoint[lag], dnu_gamma_time_integral(tr2, tdot, a, b) * weights[None, :]
+            )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from heatcavity import kernels
 from heatcavity.kernels import (
     dnu_gamma,
     dnu_gamma_time_integral,
@@ -11,6 +12,7 @@ from heatcavity.kernels import (
     gamma,
     gamma_time_integral,
     log_quadrature_weights,
+    window_integrals,
 )
 
 FOUR_PI = 4.0 * np.pi
@@ -151,6 +153,75 @@ class TestDnuGammaTimeIntegral:
                 assert val == 0.0
             else:
                 assert val == pytest.approx(oracle, rel=1e-8)
+
+
+class TestWindowIntegrals:
+    """Grouped windows from shared endpoints, against the single-window forms."""
+
+    R2 = np.random.default_rng(31).uniform(1e-4, 3.0, (5, 7))
+    DOT = np.random.default_rng(32).standard_normal((2, 5, 7))
+    # lag windows telescope; collocation-style windows repeat endpoints
+    # across groups, some starting at a = 0
+    GROUPS = [
+        ([0.0, 0.0125], [0.0125, 0.0375]),
+        ([0.0375], [0.0625]),
+        ([0.0, 0.0125, 0.3], [0.0375, 0.0625, 0.7]),
+        ([0.0625], [0.7]),
+    ]
+
+    def endpoints(self):
+        return {u for a, b in self.GROUPS for u in a + b if u > 0}
+
+    def test_gamma_windows_bitwise(self):
+        for (a, b), got in zip(self.GROUPS, window_integrals(self.R2, self.GROUPS)):
+            assert got.shape == (5, len(a), 7)
+            for j, (lo, hi) in enumerate(zip(a, b)):
+                assert np.array_equal(got[:, j, :], gamma_time_integral(self.R2, lo, hi))
+
+    def test_dnu_windows_bitwise_with_leading_axes(self):
+        groups = window_integrals(self.R2, self.GROUPS, self.DOT)
+        for (a, b), got in zip(self.GROUPS, groups):
+            assert got.shape == (2, 5, len(a), 7)
+            for j, (lo, hi) in enumerate(zip(a, b)):
+                want = dnu_gamma_time_integral(self.R2, self.DOT, lo, hi)
+                assert np.array_equal(got[:, :, j, :], want)
+
+    @pytest.mark.parametrize("dot", [None, DOT], ids=["exp1", "exp"])
+    def test_one_evaluation_per_distinct_endpoint(self, monkeypatch, dot):
+        seen = []
+        name, real = ("exp1", kernels.exp1) if dot is None else ("exp", np.exp)
+
+        def spy(z, *args, **kwargs):
+            seen.append(np.asarray(z).shape)
+            return real(z, *args, **kwargs)
+
+        monkeypatch.setattr(kernels if dot is None else np, name, spy)
+        list(window_integrals(self.R2, self.GROUPS, dot))
+        assert seen == [self.R2.shape] * len(self.endpoints())
+
+    def test_endpoints_dropped_after_last_use(self):
+        # 400 telescoping windows: keeping every endpoint would hold 401
+        # (100, 100) tables, 32 MB; dropping each after its last use keeps two
+        import tracemalloc
+
+        r2 = np.random.default_rng(33).uniform(0.01, 1.0, (100, 100))
+        edges = (np.arange(401) + 0.5) * 1e-3
+        groups = [([lo], [hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+        tracemalloc.start()
+        try:
+            for _ in window_integrals(r2, groups, np.ones_like(r2)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * r2.nbytes
+
+    def test_invalid_windows_and_coincident_points_rejected(self):
+        for groups in ([([0.2], [0.1])], [([-0.1], [0.1])], [([0.1], [0.1])], [([0.0, 0.1], [0.2])]):
+            with pytest.raises(ValueError, match="0 <= a < b"):
+                list(window_integrals(self.R2, groups))
+        with pytest.raises(ValueError, match="r2 > 0"):
+            list(window_integrals(np.zeros((2, 2)), [([0.1], [0.2])]))
 
 
 class TestLogQuadratureTools:

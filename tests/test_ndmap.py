@@ -226,6 +226,12 @@ class TestFactorization:
         via_fields = -apply_Lprime(small_setup, inner).values
         assert np.allclose(via_matrix, via_fields, rtol=0, atol=1e-12 * np.abs(via_fields).max())
 
+    def test_compose_N_from_assembled_parts_is_assemble_N(self, small_ops, small_setup):
+        composed = ndmap.compose_N(small_setup, small_ops["FL"].matrix, small_ops["Lhat"].matrix)
+        assert np.array_equal(composed.matrix, small_ops["N"].matrix)
+        assert np.array_equal(composed.gram_domain, small_ops["N"].gram_domain)
+        assert composed.domain == small_ops["N"].domain
+
     def test_no_cavity_N_is_zero(self, no_cavity_setup):
         op = assemble_N(no_cavity_setup)
         assert np.abs(op.matrix).max() <= 1e-12

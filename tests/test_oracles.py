@@ -7,6 +7,7 @@ classical solutions before anything else relies on them.
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.special import jn_zeros
 
 from heatcavity.kernels import gamma
@@ -45,6 +46,51 @@ class TestRadialOracle:
         one = radial_disk_trace(times, flux=1.0)
         three = radial_disk_trace(times, flux=3.0)
         assert three[0] == pytest.approx(3.0 * one[0], rel=1e-12)
+
+
+def radial_trace_banded(times, dr, dt):
+    """The radial Crank-Nicolson trace with one banded solve per step."""
+    n = int(round(1.0 / dr))
+    r = np.linspace(0.0, 1.0, n + 1)
+    lower, diag, upper = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+    inv_dr2 = 1.0 / dr**2
+    diag[0], upper[0] = -4.0 * inv_dr2, 4.0 * inv_dr2
+    lower[1:n] = inv_dr2 - 1.0 / (2 * dr * r[1:n])
+    diag[1:n] = -2.0 * inv_dr2
+    upper[1:n] = inv_dr2 + 1.0 / (2 * dr * r[1:n])
+    lower[n], diag[n] = 2.0 * inv_dr2, -2.0 * inv_dr2
+    bflux = 2.0 * inv_dr2 * dr + 1.0
+    ab = np.zeros((3, n + 1))
+    ab[0, 1:] = -0.5 * dt * upper[:-1]
+    ab[1, :] = 1.0 - 0.5 * dt * diag
+    ab[2, :-1] = -0.5 * dt * lower[1:]
+    nsteps = int(np.ceil(np.max(times) / dt))
+    u, trace = np.zeros(n + 1), np.zeros(nsteps + 1)
+    for step in range(nsteps):
+        au = np.concatenate(([diag[0] * u[0] + upper[0] * u[1]],
+                             lower[1:n] * u[0:n - 1] + diag[1:n] * u[1:n] + upper[1:n] * u[2:],
+                             [lower[n] * u[n - 1] + diag[n] * u[n]]))
+        rhs = u + 0.5 * dt * au
+        rhs += dt * bflux * (np.arange(n + 1) == n)
+        u = solve_banded((1, 1), ab, rhs)
+        trace[step + 1] = u[n]
+    return np.interp(times, np.arange(nsteps + 1) * dt, trace)
+
+
+class TestRadialOracleRuns:
+    TIMES = (np.array([0.01, 0.03, 0.05]), np.array([0.005, 0.0125, 0.1]), np.array([0.02]))
+
+    def test_factored_steps_match_banded_solves(self):
+        times = np.concatenate(self.TIMES)
+        got = radial_disk_trace(times, dr=5e-3, dt=2e-4)
+        assert np.array_equal(got, radial_trace_banded(times, dr=5e-3, dt=2e-4))
+
+    def test_one_run_on_the_union_matches_separate_runs(self):
+        # a shorter run's trajectory is a prefix of the longer one's
+        union = radial_disk_trace(np.concatenate(self.TIMES), dr=5e-3)
+        parts = np.split(union, np.cumsum([t.size for t in self.TIMES])[:-1])
+        for times, part in zip(self.TIMES, parts):
+            assert np.array_equal(part, radial_disk_trace(times, dr=5e-3))
 
 
 class TestDiskGreenOracle:

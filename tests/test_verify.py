@@ -81,6 +81,13 @@ class TestChecksPass:
         decay = rep.values["count_above_ratio"]
         assert decay["1e-8"] >= decay["1e-4"] >= decay["1e-1"] >= 1
 
+    def test_spectrum_reads_the_benchmark_eigensystem(self, check_reports, verify_ctx):
+        rep = check_reports(verify.check_spectrum)
+        lam = verify_ctx.benchmark_eigensystem.lambdas
+        assert rep.values["lambda_1"] == lam[0]
+        assert rep.values["top_eigenvalues"] == lam[:8].tolist()
+        assert rep.values["min_eig_over_lambda_1"] == lam[-1] / lam[0]
+
     def test_probe_dichotomy(self, check_reports):
         rep = check_reports(verify.check_probe_dichotomy)
         assert rep.passed
@@ -104,6 +111,12 @@ class TestReporting:
         assert sorted(c["name"] for c in payload["checks"]) == sorted(
             r.name for r in reports
         )
+
+    def test_seconds_recorded_only_when_timed(self, check_reports):
+        rep = check_reports(verify.check_spectrum)
+        assert "seconds" not in rep.to_record()
+        timed = verify.CheckReport(rep.name, rep.passed, rep.values, rep.resolutions, 1.25)
+        assert timed.to_record()["seconds"] == 1.25
 
     def test_check_names_distinct(self, check_reports):
         names = [check_reports(c).name for c in verify.ALL_CHECKS]
