@@ -67,7 +67,8 @@ class CheckReport:
             "resolutions": clean(self.resolutions),
         }
         if self.seconds is not None:
-            record["seconds"] = float(self.seconds)
+            # milliseconds: more digits would only lengthen verify.json
+            record["seconds"] = round(float(self.seconds), 3)
         return record
 
 

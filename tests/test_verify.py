@@ -115,8 +115,8 @@ class TestReporting:
     def test_seconds_recorded_only_when_timed(self, check_reports):
         rep = check_reports(verify.check_spectrum)
         assert "seconds" not in rep.to_record()
-        timed = verify.CheckReport(rep.name, rep.passed, rep.values, rep.resolutions, 1.25)
-        assert timed.to_record()["seconds"] == 1.25
+        timed = verify.CheckReport(rep.name, rep.passed, rep.values, rep.resolutions, 1.23456)
+        assert timed.to_record()["seconds"] == 1.235
 
     def test_check_names_distinct(self, check_reports):
         names = [check_reports(c).name for c in verify.ALL_CHECKS]
