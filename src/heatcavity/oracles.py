@@ -51,8 +51,9 @@ def radial_disk_trace(
     diag[n] = -2.0 * inv_dr2
     bflux = (2.0 * inv_dr2 * dr + 1.0 / radius) * flux  # constant forcing at r=R
 
-    # (I - dt/2 A) u+ = (I + dt/2 A) u + dt forcing; the tridiagonal left
-    # side is LU-factored once (the LAPACK steps of the banded solver)
+    # (I - dt/2 A) u+ = (I + dt/2 A) u + dt forcing; the constant
+    # tridiagonal left side is LU-factored once, by the same elimination a
+    # tridiagonal solve repeats every step, so the steps keep their bits
     factors = dgttrf(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1])
     if factors[-1] != 0:
         raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
