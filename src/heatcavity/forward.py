@@ -25,7 +25,6 @@ from .kernels import (
     dnu_gamma,
     e1_entire_part,
     gamma,
-    gamma_time_integral,
     log_quadrature_weights,
     window_integrals,
 )
@@ -129,9 +128,9 @@ class RetardedBlocks:
     single: np.ndarray   # (Nt, Mt, Mt)
     adjoint: np.ndarray  # (Nt, Mt, Mt)
     _lu: tuple | None = field(default=None, repr=False)
-    # trace_at_times window kernels keyed by (component, a, b); entries are
-    # read-only, and a racing thread can only store an identical kernel
-    _windows: dict = field(default_factory=dict, repr=False)
+    # trace_at_times single-layer stacks for off-grid probe times, keyed by
+    # s; read-only, and a racing thread can only store an identical stack
+    _probe_blocks: dict = field(default_factory=dict, repr=False)
 
     @property
     def M_total(self) -> int:
@@ -156,18 +155,19 @@ class RetardedBlocks:
         return self._lu
 
 
-def _lag_bounds(lag: int, dt: float) -> tuple[float, float]:
-    """Retardation window of density cell (m - lag) seen from collocation
-    instant tau_m, clipped to positive retardations."""
-    b = (lag + COLLOCATION_OFFSET) * dt
-    a = max(0.0, (lag - 1 + COLLOCATION_OFFSET) * dt)
+def _lag_bounds(lag: int, dt: float, offset: float = 0.0) -> tuple[float, float]:
+    """Retardation window of density cell (m - lag) seen from the instant
+    tau_m + offset * dt, clipped to positive retardations."""
+    b = (lag + COLLOCATION_OFFSET + offset) * dt
+    a = max(0.0, (lag - 1 + COLLOCATION_OFFSET + offset) * dt)
     return a, b
 
 
-def _lag_windows(grid: TimeGrid) -> list:
+def _lag_windows(grid: TimeGrid, offset: float = 0.0) -> list:
     """Every lag's window as its own group for window_integrals.  The windows
-    telescope: lag l's lower end is the same float as lag l - 1's upper end."""
-    return [tuple([v] for v in _lag_bounds(lag, grid.dt)) for lag in range(grid.Nt)]
+    telescope: lag l's lower end is the same float as lag l - 1's upper end,
+    or 0."""
+    return [tuple([v] for v in _lag_bounds(lag, grid.dt, offset)) for lag in range(grid.Nt)]
 
 
 def _self_half_block(curve: BoundaryCurve, b: float) -> np.ndarray:
@@ -198,12 +198,33 @@ def _self_half_block(curve: BoundaryCurve, b: float) -> np.ndarray:
     )
 
 
-def _self_window_block(curve: BoundaryCurve, a: float, b: float) -> np.ndarray:
-    """Single-layer self matrix over the retardation window (a, b]."""
-    block = _self_half_block(curve, b)
-    if a > 0.0:
-        block = block - _self_half_block(curve, a)
-    return block
+def _single_blocks(curves, grid: TimeGrid, offset: float = 0.0) -> np.ndarray:
+    """Single-layer lag blocks seen from the collocation instants shifted by
+    offset * dt; shape (Nt, Mt, Mt).  offset 0 gives assembly's blocks.
+
+    Cross-node entries come from window_integrals; each curve's self block
+    is _self_half_block at the window's upper end, less its value at a
+    positive lower end.  A window that rounds to empty gives a zero block.
+    """
+    nodes = np.concatenate([c.nodes for c in curves])
+    weights = np.concatenate([c.weights for c in curves])
+    dx = nodes[:, None, :] - nodes[None, :, :]
+    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+    np.fill_diagonal(r2, 1.0)
+    windows = _lag_windows(grid, offset)
+    live = [lag for lag, ((a,), (b,)) in enumerate(windows) if b > a]
+    out = np.zeros((grid.Nt,) + r2.shape)
+    ends = np.cumsum([0] + [c.M for c in curves])
+    halves = [{} for _ in curves]  # per curve: window endpoint -> half block
+    for lag, v in zip(live, window_integrals(r2, [windows[lag] for lag in live])):
+        (a,), (b,) = windows[lag]
+        out[lag] = v[:, 0, :] * weights[None, :]
+        for c, half, lo, hi in zip(curves, halves, ends, ends[1:]):
+            for u in (a, b):
+                if u > 0.0 and u not in half:
+                    half[u] = _self_half_block(c, u)
+            out[lag, lo:hi, lo:hi] = half[b] - half[a] if a > 0.0 else half[b]
+    return out
 
 
 def assemble_blocks(curves, grid: TimeGrid) -> RetardedBlocks:
@@ -229,47 +250,17 @@ def assemble_blocks(curves, grid: TimeGrid) -> RetardedBlocks:
     sigma = np.concatenate(
         [np.full(c.M, 1.0 if i == 0 else -1.0) for i, c in enumerate(curves)]
     )
-    mt = nodes.shape[0]
     dx = nodes[:, None, :] - nodes[None, :, :]
     r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
     dot_nu = dx[..., 0] * normals[:, None, 0] + dx[..., 1] * normals[:, None, 1]
-    r2_safe = r2.copy()
-    np.fill_diagonal(r2_safe, 1.0)
+    np.fill_diagonal(r2, 1.0)
 
-    dt = grid.dt
-    windows = _lag_windows(grid)
-    # spectral self blocks at the window endpoints (l + 1/2) dt, per curve
-    halves = [
-        [_self_half_block(c, (lag + COLLOCATION_OFFSET) * dt) for lag in range(grid.Nt)]
-        for c in curves
-    ]
-    slices = []
-    start = 0
-    for c in curves:
-        slices.append(slice(start, start + c.M))
-        start += c.M
-
-    single = np.empty((grid.Nt, mt, mt))
-    adjoint = np.empty((grid.Nt, mt, mt))
-    lags = zip(
-        range(grid.Nt),
-        window_integrals(r2_safe, windows),
-        window_integrals(r2_safe, windows, dot_nu),
-    )
-    for lag, v, k in lags:
-        v = v[:, 0, :] * weights[None, :]
+    adjoint = np.empty((grid.Nt,) + r2.shape)
+    for lag, k in enumerate(window_integrals(r2, _lag_windows(grid), dot_nu)):
         k = k[:, 0, :] * weights[None, :]
-        for ci, sl in enumerate(slices):
-            if lag == 0:
-                v[sl, sl] = halves[ci][0]
-            else:
-                v[sl, sl] = halves[ci][lag] - halves[ci][lag - 1]
-        if lag == 0:
-            np.fill_diagonal(k, -weights * curvature / _FOUR_PI)
-        else:
-            np.fill_diagonal(k, 0.0)
-        single[lag] = v
+        np.fill_diagonal(k, -weights * curvature / _FOUR_PI if lag == 0 else 0.0)
         adjoint[lag] = k
+    single = _single_blocks(curves, grid)
     return RetardedBlocks(curves, grid, nodes, normals, weights, sigma, single, adjoint)
 
 
@@ -482,40 +473,31 @@ def gradient_at(density: LayerDensity, points: np.ndarray, times: np.ndarray) ->
     return out
 
 
-def trace_at_times(density: LayerDensity, component: int, times: np.ndarray) -> np.ndarray:
-    """Trace on a source component at arbitrary (non-collocation) times.
+def trace_at_times(density: LayerDensity, component: int, s: float) -> np.ndarray:
+    """Trace on a source component at the times s - tau_k, one per live
+    collocation instant tau_k < s.  Shape (M_comp, n0) or (M_comp, n0, R).
 
-    Self interactions go through the same spectral singular rule as
-    assembly, applied per retardation window.  Each window's kernel is
-    built once per region and reused by later calls.  Shape (M_comp, K) or
-    (M_comp, K, R).
+    With n0 live instants and theta = s/dt - n0, the time s - tau_k is the
+    instant tau_m, m = n0 - 1 - k, shifted by theta * dt: the trace is the
+    lag convolution of single-layer blocks whose windows are shifted by
+    theta, read backwards.  On-grid s (theta == 0) uses the assembled
+    blocks; any other s builds its stack once per region.
     """
     region = density.region
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    curve = region.curves[component]
+    n0 = int(np.count_nonzero(region.grid.times < s))
+    # theta lies in (-1/2, 1/2] but for rounding; above 1/2 it would give
+    # lag 0 a window with a sliver of a lower end, where the self rule fails
+    theta = min(s / region.grid.dt - n0, 0.5)
+    if n0 == 0 or theta == 0.0:
+        stack = region.single
+    else:
+        stack = region._probe_blocks.get(s)
+        if stack is None:
+            stack = _single_blocks(region.curves, region.grid, theta)
+            stack.flags.writeable = False
+            region._probe_blocks[s] = stack
     rows = region.component_slice(component)
-    pts = region.nodes[rows]
-    dx = pts[:, None, :] - region.nodes[None, :, :]
-    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    self_cols = np.arange(rows.start, rows.stop)
-    r2_safe = r2.copy()
-    r2_safe[np.arange(pts.shape[0]), self_cols] = 1.0
-    a, b = _eval_windows(region, times)
-    rho = density.values if density.values.ndim == 3 else density.values[:, :, None]
-    out = np.zeros((pts.shape[0], times.shape[0], rho.shape[2]))
-    for cell in range(region.grid.Nt):
-        for kt in np.nonzero(b[:, cell] > a[:, cell])[0]:
-            av, bv = a[kt, cell], b[kt, cell]
-            ker = region._windows.get((component, av, bv))
-            if ker is None:
-                ker = gamma_time_integral(r2_safe, av, bv) * region.weights[None, :]
-                ker[:, rows] = _self_window_block(curve, av, bv)
-                ker.flags.writeable = False
-                region._windows[(component, av, bv)] = ker
-            out[:, kt, :] += ker @ rho[:, cell, :]
-    if density.values.ndim == 2:
-        out = out[:, :, 0]
-    return out
+    return _convolve(stack[:n0, rows, :], density.values[:, :n0])[:, ::-1]
 
 
 def green_probe_trace(
@@ -551,17 +533,24 @@ def green_probe_trace(
 
 def green_probe_traces(
     points: np.ndarray,
-    s: float,
+    s,
     omega: BoundaryCurve,
     grid: TimeGrid,
     *,
     region: RetardedBlocks | None = None,
     include_correction: bool = True,
 ) -> np.ndarray:
-    """Batched probe traces; returns (M, Nt, P) for P probe points."""
+    """Batched probe traces for P points and the probe times s (a scalar or
+    S values); returns (M, Nt, S * P), column j * P + p for (s[j], point p).
+
+    The correction flux does not depend on s, so one Neumann solve serves
+    every probe time.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not 0.0 < s <= grid.T:
-        raise ValueError(f"probe time s={s} outside (0, T]")
+    svals = np.atleast_1d(np.asarray(s, dtype=float))
+    for sv in svals:
+        if not 0.0 < sv <= grid.T:
+            raise ValueError(f"probe time s={sv} outside (0, T]")
     outside = ~points_in_region(points, omega)
     if np.any(outside):
         raise ValueError(f"probe point {tuple(points[np.argmax(outside)])} outside the conductor")
@@ -571,23 +560,24 @@ def green_probe_traces(
         raise ValueError("region must be the single-curve conductor system")
 
     taus = grid.times
-    live = taus < s
-    out = np.zeros((omega.M, grid.Nt, points.shape[0]))
-    if not np.any(live):
-        return out
+    npts = points.shape[0]
+    out = np.zeros((omega.M, grid.Nt, svals.size * npts))
     dx = omega.nodes[:, None, :] - points[None, :, :]
-    # free-space pole, evaluated at the retarded collocation instants
-    out[:, live, :] = np.transpose(
-        gamma(dx[:, :, None, :], (s - taus[live])[None, None, :]), (0, 2, 1)
-    )
-    if include_correction:
+    rho = None
+    if include_correction and np.any(taus < svals.max()):
         flux = -dnu_gamma(
             dx[:, :, None, :],
             omega.normals[:, None, None, :],
             taus[None, None, :],
         )
-        flux = np.transpose(flux, (0, 2, 1))  # (M, Nt, P)
-        rho = solve_neumann(region, flux)
-        corr = trace_at_times(rho, 0, s - taus[live])  # (M, K, P)
-        out[:, live, :] += corr
+        rho = solve_neumann(region, np.transpose(flux, (0, 2, 1)))  # (M, Nt, P)
+    for j, sv in enumerate(svals):
+        live = taus < sv
+        cols = slice(j * npts, (j + 1) * npts)
+        # free-space pole, evaluated at the retarded collocation instants
+        out[:, live, cols] = np.transpose(
+            gamma(dx[:, :, None, :], (sv - taus[live])[None, None, :]), (0, 2, 1)
+        )
+        if rho is not None:
+            out[:, live, cols] += trace_at_times(rho, 0, float(sv))
     return out

@@ -232,23 +232,21 @@ def reconstruct(
     if region is None:
         region = assemble_blocks(omega, grid)
 
-    jobs = []
-    for s in svals:
-        for lo in range(0, len(pts), PROBE_CHUNK):
-            jobs.append((pts[lo : lo + PROBE_CHUNK], float(s)))
+    jobs = [pts[lo : lo + PROBE_CHUNK] for lo in range(0, len(pts), PROBE_CHUNK)]
 
-    def run_chunk(job):
-        chunk_pts, s = job
-        traces = green_probe_traces(chunk_pts, s, omega, grid, region=region)
+    def run_chunk(chunk_pts):
+        # one Neumann solve per chunk serves every sampling time
+        traces = green_probe_traces(chunk_pts, svals, omega, grid, region=region)
         probes = traces.reshape(omega.M * grid.Nt, -1)
         probes = _normalized_probe_matrix(eig, probes)
         orphan = np.any(np.isnan(probes), axis=0)
         probes = np.nan_to_num(probes)
         sums = _picard_sums(eig, probes)
         out = np.where((sums <= SUM_FLOOR) | orphan, np.inf, 1.0 / np.maximum(sums, SUM_FLOOR))
-        return out
+        return out.reshape(len(svals), -1)
 
-    values = np.concatenate(list(chunk_map(run_chunk, jobs))) if jobs else np.zeros(0)
+    # chunks hold every time of their points; values run s-major like points
+    values = np.concatenate(list(chunk_map(run_chunk, jobs)), axis=1).ravel()
 
     finite = np.isfinite(values)
     vmax = values[finite].max() if np.any(finite) else 1.0

@@ -289,8 +289,8 @@ class TestDeterminism:
         assert (tmp_path / "threaded" / "indicator.csv").read_bytes() == serial
 
     def test_threads_do_not_change_bits_with_shared_window_cache(self, tmp_path):
-        # 258 probes in six chunks at two off-grid s values: worker threads
-        # fill the region's window-kernel cache concurrently
+        # 258 probes: three chunks of points, each at two off-grid s values;
+        # worker threads store the region's per-s lag-block stacks concurrently
         cfg_text = SMALL_CFG.replace("nx=9\nny=9", "nx=17\nny=17")
         cfg_path = write_cfg(tmp_path, cfg_text.replace("s_slices=1", "s_slices=2"))
         out = tmp_path / "serial"

@@ -25,7 +25,12 @@ from heatcavity.forward import (
     trace_on,
 )
 from heatcavity.geometry import CurveSpec, make_curve
-from heatcavity.kernels import dnu_gamma_time_integral, gamma, gamma_time_integral
+from heatcavity.kernels import (
+    dnu_gamma_time_integral,
+    gamma,
+    gamma_time_integral,
+    window_integrals,
+)
 from heatcavity.verify import _polar_cells
 
 UNIT_CIRCLE = CurveSpec("circle", (0.0, 0.0, 1.0))
@@ -299,40 +304,66 @@ class TestGreenProbe:
         b = green_probe_traces(pts, 0.3, omega, grid)
         assert np.array_equal(a, b)
 
-    def test_window_cache_matches_fresh_region(self):
-        # s = T/3 lies off the dt grid, so every trace goes through the
-        # per-window kernels that the region caches
+    def test_several_times_equal_single_time_calls(self):
+        omega = make_curve(UNIT_CIRCLE, 16)
+        grid = TimeGrid(0.5, 8)
+        region = assemble_blocks(omega, grid)
+        pts = np.array([[0.2, 0.1], [-0.3, 0.25], [0.0, -0.4]])
+        s1, s2 = grid.T / 3, grid.T / 2
+        both = green_probe_traces(pts, [s1, s2], omega, grid, region=region)
+        assert both.shape == (16, 8, 6)
+        assert np.array_equal(both[:, :, :3], green_probe_traces(pts, s1, omega, grid, region=region))
+        assert np.array_equal(both[:, :, 3:], green_probe_traces(pts, s2, omega, grid, region=region))
+
+    def test_off_grid_stack_built_once_per_region(self, monkeypatch):
+        # s = T/3 lies off the dt grid, so its stack is built and stored
         omega = make_curve(UNIT_CIRCLE, 16)
         grid = TimeGrid(0.5, 8)
         s = grid.T / 3
         pts = np.array([[0.2, 0.1], [-0.3, 0.25], [0.0, -0.4]])
         warm = assemble_blocks(omega, grid)
-        green_probe_traces(pts[::-1], s, omega, grid, region=warm)
-        assert warm._windows
+        calls = []
+        real = forward._single_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(forward, "_single_blocks", counting)
+        first = green_probe_traces(pts[::-1], s, omega, grid, region=warm)
+        assert len(calls) == 1 and list(warm._probe_blocks) == [s]
+        again = green_probe_traces(pts[::-1], s, omega, grid, region=warm)
+        assert len(calls) == 1
+        assert np.array_equal(first, again)
         for pt in pts:
             cached = green_probe_trace(pt, s, omega, grid, region=warm)
             fresh = green_probe_trace(pt, s, omega, grid, region=assemble_blocks(omega, grid))
             assert np.array_equal(cached.values, fresh.values)
 
-    def test_window_cache_hit_builds_no_kernel(self, monkeypatch):
+    def test_concurrent_off_grid_probes_match_serial(self):
+        # threads racing to build the same per-s stack store identical bits
         omega = make_curve(UNIT_CIRCLE, 16)
         grid = TimeGrid(0.5, 8)
-        s = grid.T / 3
-        pts = np.array([[0.2, 0.1], [-0.3, 0.25]])
-        region = assemble_blocks(omega, grid)
-        first = green_probe_traces(pts, s, omega, grid, region=region)
-        entries = len(region._windows)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return gamma_time_integral(*args)
-
-        monkeypatch.setattr(forward, "gamma_time_integral", counting)
-        again = green_probe_traces(pts, s, omega, grid, region=region)
-        assert len(region._windows) == entries > 0
-        assert calls == []
-        assert np.array_equal(first, again)
+        svals = [grid.T / 3, 2 * grid.T / 3]
+        rng = np.random.default_rng(2)
+        batches = [rng.uniform(-0.5, 0.5, size=(5, 2)) for _ in range(16)]
+        ref = assemble_blocks(omega, grid)
+        serial = [green_probe_traces(p, svals, omega, grid, region=ref) for p in batches]
+        shared = assemble_blocks(omega, grid)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = pool.map(
+                    lambda p: green_probe_traces(p, svals, omega, grid, region=shared),
+                    batches,
+                    timeout=60,
+                )
+                threaded = list(runs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(shared._probe_blocks) == svals
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
     def test_invalid_probe_inputs(self):
         omega = make_curve(UNIT_CIRCLE, 16)
@@ -405,6 +436,144 @@ def gradient_reference(density, points, times):
 
 def bits_equal(x, y) -> bool:
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def trace_reference(density, component, s):
+    """trace_at_times as one kernel per (evaluation time, density cell):
+    gamma_time_integral across nodes, _self_half_block differences on the
+    component's own columns."""
+    region = density.region
+    curve = region.curves[component]
+    rows = region.component_slice(component)
+    times = s - region.grid.times[region.grid.times < s]
+    dx = region.nodes[rows][:, None, :] - region.nodes[None, :, :]
+    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+    r2[np.arange(curve.M), np.arange(rows.start, rows.stop)] = 1.0
+    a, b = forward._eval_windows(region, times)
+    out = np.zeros((curve.M, times.size) + density.values.shape[2:])
+    for cell in range(region.grid.Nt):
+        for k in np.nonzero(b[:, cell] > a[:, cell])[0]:
+            av, bv = a[k, cell], b[k, cell]
+            ker = gamma_time_integral(r2, av, bv) * region.weights[None, :]
+            ker[:, rows] = forward._self_half_block(curve, bv)
+            if av > 0.0:
+                ker[:, rows] -= forward._self_half_block(curve, av)
+            out[:, k] += ker @ density.values[:, cell]
+    return out
+
+
+def per_lag_single_blocks(region):
+    """Single-layer lag blocks, lag by lag: window integrals across nodes,
+    self blocks as differences of consecutive half blocks at (l + 1/2) dt."""
+    dt, nt = region.grid.dt, region.grid.Nt
+    dx = region.nodes[:, None, :] - region.nodes[None, :, :]
+    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+    np.fill_diagonal(r2, 1.0)
+    windows = [([max(0.0, (lag - 1 + 0.5) * dt)], [(lag + 0.5) * dt]) for lag in range(nt)]
+    halves = [[forward._self_half_block(c, (lag + 0.5) * dt) for lag in range(nt)] for c in region.curves]
+    out = np.empty_like(region.single)
+    for lag, v in enumerate(window_integrals(r2, windows)):
+        v = v[:, 0, :] * region.weights[None, :]
+        for ci in range(len(region.curves)):
+            sl = region.component_slice(ci)
+            v[sl, sl] = halves[ci][lag] - halves[ci][lag - 1] if lag else halves[ci][0]
+        out[lag] = v
+    return out
+
+
+class TestOneProbeTracePath:
+    """Probe traces are lag convolutions of single-layer blocks."""
+
+    @pytest.fixture(scope="class")
+    def conductor(self):
+        omega = make_curve(CurveSpec("ellipse", (0.0, 0.0, 1.1, 0.8)), 16)
+        rng = np.random.default_rng(8)
+        out = {}
+        for T, nt in ((0.5, 8), (0.5, 5)):
+            region = assemble_blocks(omega, TimeGrid(T, nt))
+            out[nt] = solve_neumann(region, rng.standard_normal((16, nt, 3)))
+        return out
+
+    def test_on_grid_uses_assembled_blocks(self, conductor):
+        rho = conductor[8]
+        region = rho.region
+        got = forward.trace_at_times(rho, 0, region.grid.T / 2)
+        assert np.array_equal(got, forward._convolve(region.single[:4], rho.values[:, :4])[:, ::-1])
+        full = forward._convolve(region.single, rho.values)[:, ::-1]
+        assert np.array_equal(forward.trace_at_times(rho, 0, region.grid.T), full)
+        assert not region._probe_blocks
+
+    @pytest.mark.parametrize(
+        "where", ["third", "ulp_below_instant", "at_instant", "ulp_above_instant", "T"]
+    )
+    def test_matches_per_window_reference(self, conductor, where):
+        # dt = 1/16 is dyadic, so both forms see the same window floats
+        rho = conductor[8]
+        tau = rho.region.grid.times[3]
+        s = {
+            "third": rho.region.grid.T / 3,
+            "ulp_below_instant": np.nextafter(tau, 0.0),
+            "at_instant": tau,
+            "ulp_above_instant": np.nextafter(tau, 1.0),
+            "T": rho.region.grid.T,
+        }[where]
+        got = forward.trace_at_times(rho, 0, float(s))
+        want = trace_reference(rho, 0, s)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_lag_zero_rounding_to_empty_gives_zero_block(self, conductor):
+        # on (T, Nt) = (0.5, 5), one ulp above the last collocation instant,
+        # s/dt rounds to exactly Nt - 1/2: lag 0's window is empty.  The
+        # times s - tau_k then are those of s = tau_4 plus a newest one at 0.
+        rho = conductor[5]
+        grid = rho.region.grid
+        s = float(np.nextafter(grid.times[-1], 1.0))
+        assert s / grid.dt - grid.Nt == -0.5
+        stack = forward._single_blocks(rho.region.curves, grid, -0.5)
+        assert np.all(stack[0] == 0.0) and np.all(np.isfinite(stack))
+        got = forward.trace_at_times(rho, 0, s)
+        assert got.shape[1] == grid.Nt and np.all(got[:, -1] == 0.0)
+        want = forward.trace_at_times(rho, 0, float(grid.times[-1]))
+        assert np.abs(got[:, :-1] - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_theta_rounding_above_half_is_clipped(self, conductor):
+        # at s = tau_1 on (0.5, 5), s/dt rounds just above 1.5; unclipped,
+        # lag 0's window would start at a sliver of 2e-17 instead of 0
+        rho = conductor[5]
+        grid = rho.region.grid
+        s = float(grid.times[1])
+        assert s / grid.dt - 1 > 0.5
+        got = forward.trace_at_times(rho, 0, s)
+        below = forward.trace_at_times(rho, 0, float(np.nextafter(s, 0.0)))
+        assert got.shape == below.shape == (16, 1, 3)
+        assert np.abs(got - below).max() <= 1e-13 * np.abs(below).max()
+
+    def test_probe_before_first_instant_is_zero(self, conductor):
+        grid = conductor[8].region.grid
+        omega = conductor[8].region.curves[0]
+        for s in (0.25 * grid.dt, float(np.nextafter(grid.times[0], 0.0))):
+            p = green_probe_traces(np.array([[0.1, 0.2]]), s, omega, grid, region=conductor[8].region)
+            assert p.shape == (16, 8, 1) and np.all(p == 0.0)
+            assert forward.trace_at_times(conductor[8], 0, s).shape == (16, 0, 3)
+
+    def test_cavity_component_off_grid(self):
+        omega = make_curve(UNIT_CIRCLE, 20)
+        cavity = make_curve(CurveSpec("circle", (0.05, 0.0, 0.35)), 16)
+        region = assemble_blocks((omega, cavity), TimeGrid(0.5, 8))
+        rho = solve_neumann(region, np.random.default_rng(4).standard_normal((36, 8)))
+        for component in (0, 1):
+            got = forward.trace_at_times(rho, component, 0.5 / 3)
+            want = trace_reference(rho, component, 0.5 / 3)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("two_curves", [False, True], ids=["one_curve", "two_curves"])
+    def test_assembly_matches_per_lag_form(self, two_curves):
+        curves = [make_curve(CurveSpec("ellipse", (0.0, 0.0, 1.1, 0.8)), 20)]
+        if two_curves:
+            curves.append(make_curve(CurveSpec("kite", (0.1, 0.05, 0.3)), 16))
+        region = assemble_blocks(tuple(curves), TimeGrid(0.5, 10))
+        assert bits_equal(region.single, per_lag_single_blocks(region))
 
 
 class TestWindowKernelsMatchPerWindowForm:

@@ -300,6 +300,22 @@ class TestReconstruct:
         assert np.array_equal(ref.values, alt.values)
         assert np.array_equal(ref.mask, alt.mask)
 
+    def test_values_follow_points_across_time_slices(self, tiny_pipeline):
+        # each chunk computes all slices of its points; values stay s-major
+        st, eig = tiny_pipeline
+        from heatcavity.forward import green_probe_trace
+
+        grid_out = reconstruct(
+            eig, st.omega, st.grid, SamplingSpec(13, 13, 2, 0.2), 0.2, region=st.omega_system
+        )
+        n = len(grid_out) // 2
+        assert n > recon.PROBE_CHUNK
+        for i in (0, n - 1, n, 2 * n - 1, n + recon.PROBE_CHUNK + 3):
+            pt = grid_out.points[i]
+            probe = green_probe_trace(pt.y, pt.s, st.omega, st.grid, region=st.omega_system)
+            want = picard_indicator(eig, probe)
+            assert grid_out.values[i] == pytest.approx(want, rel=1e-10)
+
     def test_degenerate_probe_time_yields_inf_sentinel(self, tiny_pipeline):
         # s below the first collocation instant leaves no live cells: the
         # probe is identically zero and the indicator flags it as infinite
