@@ -15,7 +15,7 @@ import hashlib
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,42 +171,33 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {ln}: unknown config key {key!r}")
         raw[key] = val.strip()
 
-    def get(key, default):
-        return raw.get(key, default)
+    # absent keys take their canonical text from the default config
+    vals = dict(ln.split("=", 1) for ln in serialize_config(DEFAULT_CONFIG).splitlines())
+    vals.update(raw)
+
+    def curve(name):
+        params = tuple(float(p) for p in vals[f"{name}_params"].split(","))
+        return CurveSpec(vals[f"{name}_kind"], params)
 
     try:
-        omega = CurveSpec(
-            get("omega_kind", "circle"),
-            tuple(float(v) for v in get("omega_params", "0,0,1").split(",")),
-        )
-        cavity_kind = get("cavity_kind", "circle")
-        if cavity_kind == "none":
-            cavity = None
-        else:
-            cavity = CurveSpec(
-                cavity_kind,
-                tuple(float(v) for v in get("cavity_params", "0,0,0.35").split(",")),
-            )
-        tau_raw = get("tau", "auto")
-        margin_raw = get("margin", "auto")
         cfg = RunConfig(
-            omega=omega,
-            cavity=cavity,
-            M_omega=int(get("M_omega", "32")),
-            M_cavity=int(get("M_cavity", "24")),
-            Nt=int(get("Nt", "32")),
-            T=float(get("T", "0.5")),
-            tau=None if tau_raw == "auto" else float(tau_raw),
-            noise=NoiseSpec(float(get("noise_level", "0")), int(get("noise_seed", "0"))),
+            omega=curve("omega"),
+            cavity=None if vals["cavity_kind"] == "none" else curve("cavity"),
+            M_omega=int(vals["M_omega"]),
+            M_cavity=int(vals["M_cavity"]),
+            Nt=int(vals["Nt"]),
+            T=float(vals["T"]),
+            tau=None if vals["tau"] == "auto" else float(vals["tau"]),
+            noise=NoiseSpec(float(vals["noise_level"]), int(vals["noise_seed"])),
             sampling=SamplingSpec(
-                int(get("nx", "21")),
-                int(get("ny", "21")),
-                int(get("s_slices", "1")),
-                None if margin_raw == "auto" else float(margin_raw),
+                int(vals["nx"]),
+                int(vals["ny"]),
+                int(vals["s_slices"]),
+                None if vals["margin"] == "auto" else float(vals["margin"]),
             ),
-            threshold=float(get("threshold", "0.2")),
-            out_dir=get("out_dir", "out"),
-            seed=int(get("seed", "0")),
+            threshold=float(vals["threshold"]),
+            out_dir=vals["out_dir"],
+            seed=int(vals["seed"]),
         )
     except (ValueError, GeometryError) as exc:
         if isinstance(exc, ConfigError):
@@ -236,7 +227,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             updates["noise"] = NoiseSpec(level, cfg.noise.seed)
         if updates:
             cfg = replace(cfg, **updates)
-        cfg.validate()
+            cfg.validate()
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -356,7 +347,8 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
 def _load_operator(cfg: RunConfig, name: str):
     """Read an operator and its gram, refusing files made for another problem.
 
-    The header and the provenance hash are checked before the body is parsed.
+    The header, the provenance hash and the gram are checked before the
+    operator body is parsed.
     """
     import os
 
@@ -383,8 +375,10 @@ def _load_operator(cfg: RunConfig, name: str):
                     f"{mpath} was simulated for another geometry, resolution or noise "
                     f"(operator_hash {made_by} in {meta_path}); run simulate with this config"
                 )
-        matrix, _ = io.read_stop1(mpath)
         gram = io.read_gram(gpath)
+        if gram.shape != (n,):
+            raise ConfigError(f"{gpath} holds {gram.size} gram weights, expected {n}")
+        matrix, _ = io.read_stop1(mpath)
     except io.FormatError as exc:
         raise ConfigError(str(exc)) from exc
     return matrix, gram
@@ -421,21 +415,16 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
     with _timed(timings, "probes"):
         region = assemble_blocks(omega, grid)
         cavity = make_curve(cfg.cavity, cfg.M_cavity) if cfg.cavity else None
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                grid_out = recon.reconstruct(
-                    eig,
-                    omega,
-                    grid,
-                    cfg.sampling,
-                    cfg.threshold,
-                    cavity=cavity,
-                    region=region,
-                    chunk_map=pool.map,
-                )
-        else:
+        with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
             grid_out = recon.reconstruct(
-                eig, omega, grid, cfg.sampling, cfg.threshold, cavity=cavity, region=region
+                eig,
+                omega,
+                grid,
+                cfg.sampling,
+                cfg.threshold,
+                cavity=cavity,
+                region=region,
+                chunk_map=map if pool is None else pool.map,
             )
     with _timed(timings, "write"):
         io.write_indicator_csv(_out_path(cfg, "indicator.csv"), grid_out)

@@ -95,7 +95,13 @@ class BoundaryField:
     @property
     def gram(self) -> np.ndarray:
         """Diagonal weights of the space-time inner product, same ordering."""
-        return np.repeat(self.curve.weights, self.grid.Nt) * self.grid.dt
+        return gram_weights(self.curve, self.grid)
+
+
+def gram_weights(curve: BoundaryCurve, grid: TimeGrid) -> np.ndarray:
+    """Space-time inner-product weights on one curve: arclength weight * dt,
+    node-major with time fastest."""
+    return np.repeat(curve.weights, grid.Nt) * grid.dt
 
 
 def field_inner(u: BoundaryField, v: BoundaryField) -> float:
@@ -336,13 +342,6 @@ def _convolve(blocks: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _find_component(region: RetardedBlocks, target: BoundaryCurve) -> int | None:
-    for i, c in enumerate(region.curves):
-        if c is target:
-            return i
-    return None
-
-
 def _check_clearance(region: RetardedBlocks, points: np.ndarray) -> None:
     d = points[:, None, :] - region.nodes[None, :, :]
     dist = np.sqrt((d**2).sum(-1))
@@ -376,6 +375,26 @@ def _require_single_rhs(density: LayerDensity) -> None:
         )
 
 
+def _trace_values(density: LayerDensity, target: BoundaryCurve, normal=False) -> np.ndarray:
+    """Trace, or with normal the normal derivative, of the layer potential at
+    target's nodes and time cells; shape (M_tgt, Nt[, R]).
+
+    The one place that picks lag blocks: a source component reads its rows of
+    the assembled single-layer blocks (self terms by the assembly rules), any
+    other curve needs clearance from the sources and gets off-curve blocks.
+    """
+    region = density.region
+    comp = next((i for i, c in enumerate(region.curves) if c is target), None)
+    if comp is not None:
+        if normal:
+            raise ValueError("normal_derivative_on requires a non-source target curve")
+        blocks = region.single[:, region.component_slice(comp), :]
+    else:
+        _check_clearance(region, target.nodes)
+        blocks = _offcurve_lag_blocks(region, target.nodes, target.normals if normal else None)
+    return _convolve(blocks, density.values)
+
+
 def trace_on(density: LayerDensity, target: BoundaryCurve) -> BoundaryField:
     """Temperature trace of the layer potential at target nodes/cells.
 
@@ -384,16 +403,7 @@ def trace_on(density: LayerDensity, target: BoundaryCurve) -> BoundaryField:
     density must hold one right-hand side, shape (M_total, Nt).
     """
     _require_single_rhs(density)
-    region = density.region
-    comp = _find_component(region, target)
-    if comp is not None:
-        rows = region.component_slice(comp)
-        vals = _convolve(region.single[:, rows, :], density.values)
-    else:
-        _check_clearance(region, target.nodes)
-        blocks = _offcurve_lag_blocks(region, target.nodes)
-        vals = _convolve(blocks, density.values)
-    return BoundaryField(target, region.grid, vals)
+    return BoundaryField(target, density.region.grid, _trace_values(density, target))
 
 
 def normal_derivative_on(density: LayerDensity, target: BoundaryCurve) -> BoundaryField:
@@ -402,13 +412,7 @@ def normal_derivative_on(density: LayerDensity, target: BoundaryCurve) -> Bounda
     density must hold one right-hand side, shape (M_total, Nt).
     """
     _require_single_rhs(density)
-    region = density.region
-    if _find_component(region, target) is not None:
-        raise ValueError("normal_derivative_on requires a non-source target curve")
-    _check_clearance(region, target.nodes)
-    blocks = _offcurve_lag_blocks(region, target.nodes, normals=target.normals)
-    vals = _convolve(blocks, density.values)
-    return BoundaryField(target, region.grid, vals)
+    return BoundaryField(target, density.region.grid, _trace_values(density, target, normal=True))
 
 
 def _eval_windows(region: RetardedBlocks, times: np.ndarray):

@@ -420,7 +420,10 @@ def write_gram(path, gram: np.ndarray) -> None:
 
 
 def read_gram(path) -> np.ndarray:
-    out = np.loadtxt(path, ndmin=1)
+    try:
+        out = np.loadtxt(path, ndmin=1)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if out.ndim != 1 or np.any(out <= 0):
         raise FormatError(f"{path}: gram weights must be one positive value per line")
     return out

@@ -22,10 +22,9 @@ from .forward import (
     BoundaryField,
     RetardedBlocks,
     TimeGrid,
-    _convolve,
-    _find_component,
-    _offcurve_lag_blocks,
+    _trace_values,
     assemble_blocks,
+    gram_weights,
     normal_derivative_on,
     solve_neumann,
     trace_on,
@@ -96,10 +95,6 @@ class ProblemSetup:
         return self.cavity_system
 
 
-def gram_weights(curve: BoundaryCurve, grid: TimeGrid) -> np.ndarray:
-    return np.repeat(curve.weights, grid.Nt) * grid.dt
-
-
 def _impulse_flux(region: RetardedBlocks, component: int) -> np.ndarray:
     """One right-hand side per node of the component: flux 1 in cell 0."""
     sl = region.component_slice(component)
@@ -123,65 +118,40 @@ def _reverse_rows(mat: np.ndarray, m: int, nt: int) -> np.ndarray:
     return mat.reshape(m, nt, -1)[:, ::-1, :].reshape(m * nt, -1)
 
 
-def _flux_trace_matrix(
-    region: RetardedBlocks,
-    source_component: int,
-    target: BoundaryCurve,
-    normal_derivative: bool = False,
-    negate: bool = False,
-) -> np.ndarray:
-    """Full matrix of a flux-to-(trace or flux) map via impulse responses."""
-    flux = _impulse_flux(region, source_component)
-    rho = solve_neumann(region, flux)
-    if normal_derivative:
-        blocks = _offcurve_lag_blocks(region, target.nodes, normals=target.normals)
-        resp = _convolve(blocks, rho.values)
-    else:
-        comp = _find_component(region, target)
-        if comp is not None:
-            rows = region.component_slice(comp)
-            resp = _convolve(region.single[:, rows, :], rho.values)
-        else:
-            blocks = _offcurve_lag_blocks(region, target.nodes)
-            resp = _convolve(blocks, rho.values)
-    if negate:
+def _operator(matrix: np.ndarray, domain: tuple, codomain: tuple) -> SpaceTimeOperator:
+    """Operator between (curve, grid) spaces, each with its Gram weights."""
+    return SpaceTimeOperator(
+        matrix, domain, codomain, gram_weights(*domain), gram_weights(*codomain)
+    )
+
+
+def _flux_map(
+    setup: ProblemSetup, region: RetardedBlocks, source: int, target: BoundaryCurve, normal=False
+) -> SpaceTimeOperator:
+    """Flux on region component source to the trace on target, or with normal
+    to minus its normal derivative, assembled from impulse responses."""
+    rho = solve_neumann(region, _impulse_flux(region, source))
+    resp = _trace_values(rho, target, normal)
+    if normal:
         resp = -resp
-    return _toeplitz_expand(resp)
+    domain = ((setup.omega, setup.cavity)[source], setup.grid)
+    return _operator(_toeplitz_expand(resp), domain, (target, setup.grid))
 
 
 def assemble_lambda(setup: ProblemSetup, with_cavity: bool) -> SpaceTimeOperator:
     """Flux-to-temperature map on the outer boundary (with or without D)."""
     region = setup.require_cavity() if with_cavity else setup.omega_system
-    mat = _flux_trace_matrix(region, 0, setup.omega)
-    g = gram_weights(setup.omega, setup.grid)
-    pair = (setup.omega, setup.grid)
-    return SpaceTimeOperator(mat, pair, pair, g, g)
+    return _flux_map(setup, region, 0, setup.omega)
 
 
 def assemble_L(setup: ProblemSetup) -> SpaceTimeOperator:
     """Outer flux to cavity-boundary temperature (virtual measurement)."""
-    region = setup.require_cavity()
-    mat = _flux_trace_matrix(region, 0, setup.cavity)
-    return SpaceTimeOperator(
-        mat,
-        (setup.omega, setup.grid),
-        (setup.cavity, setup.grid),
-        gram_weights(setup.omega, setup.grid),
-        gram_weights(setup.cavity, setup.grid),
-    )
+    return _flux_map(setup, setup.require_cavity(), 0, setup.cavity)
 
 
 def assemble_Lhat(setup: ProblemSetup) -> SpaceTimeOperator:
     """Cavity flux to outer-boundary temperature (back projection)."""
-    region = setup.require_cavity()
-    mat = _flux_trace_matrix(region, 1, setup.omega)
-    return SpaceTimeOperator(
-        mat,
-        (setup.cavity, setup.grid),
-        (setup.omega, setup.grid),
-        gram_weights(setup.cavity, setup.grid),
-        gram_weights(setup.omega, setup.grid),
-    )
+    return _flux_map(setup, setup.require_cavity(), 1, setup.omega)
 
 
 def assemble_FL(setup: ProblemSetup) -> SpaceTimeOperator:
@@ -192,17 +162,8 @@ def assemble_FL(setup: ProblemSetup) -> SpaceTimeOperator:
     transmission operator applied to the virtual measurement of phi, so
     the composite needs no transmission solver.
     """
-    region = setup.omega_system
-    if setup.cavity is None:
-        raise ValueError("operation requires a cavity in the geometry")
-    mat = _flux_trace_matrix(region, 0, setup.cavity, normal_derivative=True, negate=True)
-    return SpaceTimeOperator(
-        mat,
-        (setup.omega, setup.grid),
-        (setup.cavity, setup.grid),
-        gram_weights(setup.omega, setup.grid),
-        gram_weights(setup.cavity, setup.grid),
-    )
+    setup.require_cavity()
+    return _flux_map(setup, setup.omega_system, 0, setup.cavity, normal=True)
 
 
 def assemble_N(setup: ProblemSetup) -> SpaceTimeOperator:
@@ -214,19 +175,17 @@ def assemble_N(setup: ProblemSetup) -> SpaceTimeOperator:
     """
     if setup.cavity is not None:
         return compose_N(setup, assemble_FL(setup).matrix, assemble_Lhat(setup).matrix)
-    g = gram_weights(setup.omega, setup.grid)
     pair = (setup.omega, setup.grid)
     n = setup.omega.M * setup.grid.Nt
-    return SpaceTimeOperator(np.zeros((n, n)), pair, pair, g, g)
+    return _operator(np.zeros((n, n)), pair, pair)
 
 
 def compose_N(setup: ProblemSetup, fl: np.ndarray, lhat: np.ndarray) -> SpaceTimeOperator:
     """N = R Lhat R FL from already assembled FL and Lhat matrices."""
     inner = lhat @ _reverse_rows(fl, setup.cavity.M, setup.grid.Nt)
     mat = _reverse_rows(inner, setup.omega.M, setup.grid.Nt)
-    g = gram_weights(setup.omega, setup.grid)
     pair = (setup.omega, setup.grid)
-    return SpaceTimeOperator(mat, pair, pair, g, g)
+    return _operator(mat, pair, pair)
 
 
 def lprime_from_duality(L_op: SpaceTimeOperator) -> SpaceTimeOperator:
@@ -293,8 +252,7 @@ def apply_Lprime(setup: ProblemSetup, theta: BoundaryField) -> BoundaryField:
 
 def apply_FL(setup: ProblemSetup, phi: BoundaryField) -> BoundaryField:
     """Transmission-composite applied to phi: -dnu u0 on the cavity boundary."""
-    if setup.cavity is None:
-        raise ValueError("operation requires a cavity in the geometry")
+    setup.require_cavity()
     rho = solve_neumann(setup.omega_system, phi.values)
     out = normal_derivative_on(rho, setup.cavity)
     out.values = -out.values

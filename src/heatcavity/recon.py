@@ -136,10 +136,21 @@ def _normalized_probe_matrix(eig: EigenSystem, probes: np.ndarray) -> np.ndarray
         return np.where(norms[None, :] > 0, probes / norms[None, :], np.nan)
 
 
-def _picard_sums(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:
-    """Retained Picard series sums for W-normalized probe columns."""
+def _picard_terms(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:
+    """Retained Picard terms |<p, psi_n>_W|^2 / lambda_n, shape (n*, P), for
+    W-normalized probe columns."""
     coeff = eig.retained_vectors.T @ (eig.gram[:, None] * probes)
-    return np.sum(coeff**2 / eig.retained_lambdas[:, None], axis=0)
+    return coeff**2 / eig.retained_lambdas[:, None]
+
+
+def _indicators(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:
+    """W for each probe column: the reciprocal retained Picard sum of the
+    W-normalized column, or np.inf for a zero column or a sum at or below
+    SUM_FLOOR."""
+    probes = _normalized_probe_matrix(eig, probes)
+    orphan = np.any(np.isnan(probes), axis=0)
+    sums = np.sum(_picard_terms(eig, np.nan_to_num(probes)), axis=0)
+    return np.where((sums <= SUM_FLOOR) | orphan, np.inf, 1.0 / np.maximum(sums, SUM_FLOOR))
 
 
 def picard_indicator(eig: EigenSystem, probe: BoundaryField) -> float:
@@ -151,14 +162,7 @@ def picard_indicator(eig: EigenSystem, probe: BoundaryField) -> float:
     """
     if eig.retained < 1:
         raise ValueError("eigensystem has no retained pairs")
-    vec = probe.flatten()[:, None]
-    vec = _normalized_probe_matrix(eig, vec)
-    if np.any(np.isnan(vec)):
-        return np.inf
-    total = float(_picard_sums(eig, vec)[0])
-    if total <= SUM_FLOOR:
-        return np.inf
-    return 1.0 / total
+    return float(_indicators(eig, probe.flatten()[:, None])[0])
 
 
 def picard_partial_sums(eig: EigenSystem, probe: BoundaryField) -> np.ndarray:
@@ -171,8 +175,7 @@ def picard_partial_sums(eig: EigenSystem, probe: BoundaryField) -> np.ndarray:
     vec = _normalized_probe_matrix(eig, probe.flatten()[:, None])
     if np.any(np.isnan(vec)):
         return np.zeros(eig.retained)
-    coeff = eig.retained_vectors.T @ (eig.gram[:, None] * vec)
-    return np.cumsum(coeff[:, 0] ** 2 / eig.retained_lambdas)
+    return np.cumsum(_picard_terms(eig, vec)[:, 0])
 
 
 def sampling_points(omega: BoundaryCurve, spec: SamplingSpec) -> tuple[np.ndarray, float]:
@@ -237,13 +240,7 @@ def reconstruct(
     def run_chunk(chunk_pts):
         # one Neumann solve per chunk serves every sampling time
         traces = green_probe_traces(chunk_pts, svals, omega, grid, region=region)
-        probes = traces.reshape(omega.M * grid.Nt, -1)
-        probes = _normalized_probe_matrix(eig, probes)
-        orphan = np.any(np.isnan(probes), axis=0)
-        probes = np.nan_to_num(probes)
-        sums = _picard_sums(eig, probes)
-        out = np.where((sums <= SUM_FLOOR) | orphan, np.inf, 1.0 / np.maximum(sums, SUM_FLOOR))
-        return out.reshape(len(svals), -1)
+        return _indicators(eig, traces.reshape(omega.M * grid.Nt, -1)).reshape(len(svals), -1)
 
     # chunks hold every time of their points; values run s-major like points
     values = np.concatenate(list(chunk_map(run_chunk, jobs)), axis=1).ravel()

@@ -405,6 +405,30 @@ class TestExitCodes:
         assert "config error" in err and "N.stop1" in err
 
     @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda lines: lines[:2] + ["abc"] + lines[3:],
+            lambda lines: lines[: len(lines) // 2],
+            lambda lines: lines[:2],
+        ],
+        ids=["bad_value_on_line_3", "truncated", "two_lines"],
+    )
+    def test_bad_gram_exits_1_naming_the_file(
+        self, pipeline, tmp_path, capsys, monkeypatch, corrupt
+    ):
+        def parse(path):
+            raise AssertionError(f"{path} parsed before its gram was checked")
+
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        lines = (out / "N.gram").read_text().splitlines()
+        (out / "N.gram").write_text("\n".join(corrupt(lines)) + "\n")
+        monkeypatch.setattr(hio, "read_stop1", parse)
+        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out / "N.gram") in err
+
+    @pytest.mark.parametrize(
         "old, new, message",
         [
             ("Nt=8", "Nt=16", "was produced at"),

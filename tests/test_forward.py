@@ -211,6 +211,26 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             normal_derivative_on(rho, disk_region.curves[0])
 
+    @pytest.mark.parametrize(
+        "target, normal",
+        [("cavity", False), ("off_curve", False), ("off_curve", True)],
+        ids=["source_component", "off_curve_trace", "off_curve_normal"],
+    )
+    def test_stacked_trace_values_match_per_column(self, target, normal):
+        omega = make_curve(UNIT_CIRCLE, 16)
+        cavity = make_curve(CurveSpec("circle", (0.05, 0.0, 0.35)), 12)
+        region = assemble_blocks((omega, cavity), TimeGrid(0.5, 8))
+        rng = np.random.default_rng(13)
+        rho = solve_neumann(region, rng.standard_normal((28, 8, 3)))
+        ring = make_curve(CurveSpec("circle", (0.0, 0.0, 0.6)), 10)
+        curve = cavity if target == "cavity" else ring
+        got = forward._trace_values(rho, curve, normal)
+        assert got.shape == (curve.M, 8, 3)
+        column_map = normal_derivative_on if normal else trace_on
+        for r in range(3):
+            want = column_map(forward.LayerDensity(region, rho.values[:, :, r]), curve).values
+            assert np.abs(got[:, :, r] - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_stacked_density_rejected_by_name(self, disk_region):
         rho = solve_neumann(disk_region, np.zeros((16, 8, 3)))
         target = make_curve(CurveSpec("circle", (0.0, 0.0, 0.5)), 6)

@@ -105,11 +105,17 @@ class TestLambda:
         out = (diff @ f.flatten()).reshape(32, 32)
         assert out[:, 2:].min() >= -1e-10
 
-    def test_operator_route_matches_field_route(self, small_setup, small_ops):
+    @pytest.mark.parametrize(
+        "name, apply",
+        [("L", apply_L), ("Lhat", apply_Lhat), ("FL", apply_FL)],
+        ids=["L", "Lhat", "FL"],
+    )
+    def test_operator_route_matches_field_route(self, small_setup, small_ops, name, apply):
         rng = np.random.default_rng(3)
-        phi = _smooth_field(small_setup.omega, small_setup.grid, rng)
-        via_op = small_ops["FL"].matrix @ phi.flatten()
-        via_field = apply_FL(small_setup, phi).flatten()
+        op = small_ops[name]
+        phi = _smooth_field(op.domain[0], small_setup.grid, rng)
+        via_op = op.matrix @ phi.flatten()
+        via_field = apply(small_setup, phi).flatten()
         scale = np.abs(via_field).max()
         assert np.abs(via_op - via_field).max() <= 1e-12 * scale
 
