@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -270,8 +271,6 @@ def _build_problem(cfg: RunConfig) -> ndmap.ProblemSetup:
 
 
 def _out_path(cfg: RunConfig, name: str):
-    import os
-
     os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, name)
 
@@ -350,8 +349,6 @@ def _load_operator(cfg: RunConfig, name: str):
     The header, the provenance hash and the gram are checked before the
     operator body is parsed.
     """
-    import os
-
     mpath = os.path.join(cfg.out_dir, f"{name}.stop1")
     gpath = os.path.join(cfg.out_dir, f"{name}.gram")
     if not os.path.exists(mpath) or not os.path.exists(gpath):
@@ -379,6 +376,10 @@ def _load_operator(cfg: RunConfig, name: str):
         if gram.shape != (n,):
             raise ConfigError(f"{gpath} holds {gram.size} gram weights, expected {n}")
         matrix, _ = io.read_stop1(mpath)
+        # min and max are nan or infinite exactly when some entry is, and
+        # need no temporary the size of the matrix
+        if not np.isfinite([matrix.min(), matrix.max()]).all():
+            raise ConfigError(f"{mpath} holds non-finite operator entries")
     except io.FormatError as exc:
         raise ConfigError(str(exc)) from exc
     return matrix, gram
@@ -432,6 +433,7 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
     summary = {
         "command": "reconstruct",
         "lambda_1": io.format_float(eig.lambdas[0]),
+        "lambda_min_ratio": io.format_float(eig.lambdas[-1] / eig.lambdas[0]),
         "retained": eig.retained,
         "tau_effective": io.format_float(cfg.effective_tau),
         "threshold": io.format_float(cfg.threshold),

@@ -182,8 +182,10 @@ def _self_half_block(curve: BoundaryCurve, b: float) -> np.ndarray:
     The time-integrated kernel E1(r^2/(4b))/(4 pi) carries a -log r^2
     factor; the analytic remainder goes through the plain trapezoid rule
     while the periodic log factor uses the spectral circulant weights of
-    log_quadrature_weights.  Accurate to the grid's bandwidth even though
-    the kernel peak is only O(sqrt(b)) wide.
+    log_quadrature_weights.  The kernel peak is O(sqrt(b)) wide: once that is
+    small next to the node spacing the rule loses accuracy (on the unit
+    circle with 16 nodes, row sums are 2.7 % off at b = 1e-2 and of the
+    wrong sign at 1e-3).
     """
     m = curve.M
     h = 2.0 * np.pi / m
@@ -204,27 +206,42 @@ def _self_half_block(curve: BoundaryCurve, b: float) -> np.ndarray:
     )
 
 
+def _lag_blocks(targets, sources, weights, grid: TimeGrid, normals=None, offset=0.0) -> np.ndarray:
+    """Single-layer, or with target normals adjoint-double-layer, lag kernels
+    (Nt, P, M) seen from the collocation instants shifted by offset * dt.
+    Diagonal entries of targets-is-sources blocks are left to the caller's
+    self rule; a window that rounds to empty gives a zero block."""
+    dx = targets[:, None, :] - sources[None, :, :]
+    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+    dot = None if normals is None else (
+        dx[..., 0] * normals[:, None, 0] + dx[..., 1] * normals[:, None, 1]
+    )
+    if targets is sources:
+        np.fill_diagonal(r2, 1.0)
+    windows = _lag_windows(grid, offset)
+    live = [lag for lag, ((a,), (b,)) in enumerate(windows) if b > a]
+    out = np.zeros((grid.Nt,) + r2.shape)
+    for lag, ker in zip(live, window_integrals(r2, [windows[lag] for lag in live], dot)):
+        out[lag] = ker[:, 0, :] * weights
+    return out
+
+
 def _single_blocks(curves, grid: TimeGrid, offset: float = 0.0) -> np.ndarray:
     """Single-layer lag blocks seen from the collocation instants shifted by
     offset * dt; shape (Nt, Mt, Mt).  offset 0 gives assembly's blocks.
 
-    Cross-node entries come from window_integrals; each curve's self block
-    is _self_half_block at the window's upper end, less its value at a
-    positive lower end.  A window that rounds to empty gives a zero block.
+    Cross-node entries come from _lag_blocks; each curve's self block is
+    _self_half_block at the window's upper end, less its value at a
+    positive lower end.
     """
     nodes = np.concatenate([c.nodes for c in curves])
     weights = np.concatenate([c.weights for c in curves])
-    dx = nodes[:, None, :] - nodes[None, :, :]
-    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    np.fill_diagonal(r2, 1.0)
-    windows = _lag_windows(grid, offset)
-    live = [lag for lag, ((a,), (b,)) in enumerate(windows) if b > a]
-    out = np.zeros((grid.Nt,) + r2.shape)
+    out = _lag_blocks(nodes, nodes, weights, grid, offset=offset)
     ends = np.cumsum([0] + [c.M for c in curves])
     halves = [{} for _ in curves]  # per curve: window endpoint -> half block
-    for lag, v in zip(live, window_integrals(r2, [windows[lag] for lag in live])):
-        (a,), (b,) = windows[lag]
-        out[lag] = v[:, 0, :] * weights[None, :]
+    for lag, ((a,), (b,)) in enumerate(_lag_windows(grid, offset)):
+        if not b > a:
+            continue
         for c, half, lo, hi in zip(curves, halves, ends, ends[1:]):
             for u in (a, b):
                 if u > 0.0 and u not in half:
@@ -256,16 +273,9 @@ def assemble_blocks(curves, grid: TimeGrid) -> RetardedBlocks:
     sigma = np.concatenate(
         [np.full(c.M, 1.0 if i == 0 else -1.0) for i, c in enumerate(curves)]
     )
-    dx = nodes[:, None, :] - nodes[None, :, :]
-    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    dot_nu = dx[..., 0] * normals[:, None, 0] + dx[..., 1] * normals[:, None, 1]
-    np.fill_diagonal(r2, 1.0)
-
-    adjoint = np.empty((grid.Nt,) + r2.shape)
-    for lag, k in enumerate(window_integrals(r2, _lag_windows(grid), dot_nu)):
-        k = k[:, 0, :] * weights[None, :]
+    adjoint = _lag_blocks(nodes, nodes, weights, grid, normals)
+    for lag, k in enumerate(adjoint):
         np.fill_diagonal(k, -weights * curvature / _FOUR_PI if lag == 0 else 0.0)
-        adjoint[lag] = k
     single = _single_blocks(curves, grid)
     return RetardedBlocks(curves, grid, nodes, normals, weights, sigma, single, adjoint)
 
@@ -349,24 +359,6 @@ def _check_clearance(region: RetardedBlocks, points: np.ndarray) -> None:
         raise ValueError("evaluation point touches a source curve")
 
 
-def _offcurve_lag_blocks(region, points, normals=None):
-    """Smooth lag kernels from stacked sources to disjoint points.
-
-    With normals given, returns adjoint-double-layer kernels at the target
-    normals; otherwise single-layer kernels.  Shape (Nt, P, M_total).
-    """
-    dx = points[:, None, :] - region.nodes[None, :, :]
-    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    dot = None if normals is None else (
-        dx[..., 0] * normals[:, None, 0] + dx[..., 1] * normals[:, None, 1]
-    )
-    w = region.weights[None, :]
-    out = np.empty((region.grid.Nt,) + r2.shape)
-    for lag, ker in enumerate(window_integrals(r2, _lag_windows(region.grid), dot)):
-        out[lag] = ker[:, 0, :] * w
-    return out
-
-
 def _require_single_rhs(density: LayerDensity) -> None:
     if density.values.ndim != 2:
         raise ValueError(
@@ -391,7 +383,8 @@ def _trace_values(density: LayerDensity, target: BoundaryCurve, normal=False) ->
         blocks = region.single[:, region.component_slice(comp), :]
     else:
         _check_clearance(region, target.nodes)
-        blocks = _offcurve_lag_blocks(region, target.nodes, target.normals if normal else None)
+        normals = target.normals if normal else None
+        blocks = _lag_blocks(target.nodes, region.nodes, region.weights, region.grid, normals)
     return _convolve(blocks, density.values)
 
 
@@ -423,14 +416,33 @@ def _eval_windows(region: RetardedBlocks, times: np.ndarray):
     return a, b
 
 
-def _cell_windows(region: RetardedBlocks, times: np.ndarray):
-    """The density cells some evaluation time sees, each with the mask of
-    those times, and their windows as one group per cell for
-    window_integrals."""
+def _field_at(density: LayerDensity, points, times, gradient: bool) -> np.ndarray:
+    """Potential (P, K[, R]), or with gradient its spatial gradient
+    (P, 2, K[, R]), at points away from the source curves."""
+    region = density.region
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    _check_clearance(region, points)
+    dx = points[:, None, :] - region.nodes[None, :, :]
+    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+    w = region.weights
+    # the density cells some time sees, each with the mask of those times
     a, b = _eval_windows(region, times)
-    live = b > a
-    cells = [(cell, live[:, cell]) for cell in range(region.grid.Nt) if live[:, cell].any()]
-    return cells, [(a[m, cell], b[m, cell]) for cell, m in cells]
+    seen = b > a
+    cells = [(cell, seen[:, cell]) for cell in range(region.grid.Nt) if seen[:, cell].any()]
+    windows = [(a[m, cell], b[m, cell]) for cell, m in cells]
+    rho = density.values if density.values.ndim == 3 else density.values[:, :, None]
+    # both gradient axes share each window's exponentials: d runs over dx's components
+    axes_dot = np.moveaxis(dx, -1, 0) if gradient else None
+    out = np.zeros((points.shape[0], 2 if gradient else 1, times.shape[0], rho.shape[2]))
+    for (cell, live), kers in zip(cells, window_integrals(r2, windows, axes_dot)):
+        for axis, ker in enumerate(kers if gradient else [kers]):
+            out[:, axis][:, live, :] += np.tensordot(ker * w, rho[:, cell, :], axes=(2, 0))
+    if not gradient:
+        out = out[:, 0]
+    if density.values.ndim == 2:
+        out = out[..., 0]
+    return out
 
 
 def potential_at(density: LayerDensity, points: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -438,43 +450,12 @@ def potential_at(density: LayerDensity, points: np.ndarray, times: np.ndarray) -
 
     Returns shape (P, K) or (P, K, R) for stacked densities.
     """
-    region = density.region
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    _check_clearance(region, points)
-    dx = points[:, None, :] - region.nodes[None, :, :]
-    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    w = region.weights
-    cells, windows = _cell_windows(region, times)
-    rho = density.values if density.values.ndim == 3 else density.values[:, :, None]
-    out = np.zeros((points.shape[0], times.shape[0], rho.shape[2]))
-    for (cell, live), ker in zip(cells, window_integrals(r2, windows)):
-        out[:, live, :] += np.tensordot(ker * w, rho[:, cell, :], axes=(2, 0))
-    if density.values.ndim == 2:
-        out = out[:, :, 0]
-    return out
+    return _field_at(density, points, times, gradient=False)
 
 
 def gradient_at(density: LayerDensity, points: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Spatial gradient of the potential away from sources; (P, 2, K[, R])."""
-    region = density.region
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    _check_clearance(region, points)
-    dx = points[:, None, :] - region.nodes[None, :, :]
-    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    w = region.weights
-    cells, windows = _cell_windows(region, times)
-    rho = density.values if density.values.ndim == 3 else density.values[:, :, None]
-    out = np.zeros((points.shape[0], 2, times.shape[0], rho.shape[2]))
-    # both axes share each window's exponentials: d runs over dx's components
-    axes_dot = np.moveaxis(dx, -1, 0)
-    for (cell, live), kers in zip(cells, window_integrals(r2, windows, axes_dot)):
-        for axis in range(2):
-            out[:, axis][:, live, :] += np.tensordot(kers[axis] * w, rho[:, cell, :], axes=(2, 0))
-    if density.values.ndim == 2:
-        out = out[:, :, :, 0]
-    return out
+    return _field_at(density, points, times, gradient=True)
 
 
 def trace_at_times(density: LayerDensity, component: int, s: float) -> np.ndarray:

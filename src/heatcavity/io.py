@@ -424,8 +424,8 @@ def read_gram(path) -> np.ndarray:
         out = np.loadtxt(path, ndmin=1)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if out.ndim != 1 or np.any(out <= 0):
-        raise FormatError(f"{path}: gram weights must be one positive value per line")
+    if out.ndim != 1 or not np.all(np.isfinite(out) & (out > 0)):
+        raise FormatError(f"{path}: gram weights must be one finite positive value per line")
     return out
 
 

@@ -14,7 +14,7 @@ expanded along the causal diagonals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,9 +25,7 @@ from .forward import (
     _trace_values,
     assemble_blocks,
     gram_weights,
-    normal_derivative_on,
     solve_neumann,
-    trace_on,
 )
 from .geometry import BoundaryCurve
 
@@ -95,15 +93,6 @@ class ProblemSetup:
         return self.cavity_system
 
 
-def _impulse_flux(region: RetardedBlocks, component: int) -> np.ndarray:
-    """One right-hand side per node of the component: flux 1 in cell 0."""
-    sl = region.component_slice(component)
-    m_src = sl.stop - sl.start
-    flux = np.zeros((region.M_total, region.grid.Nt, m_src))
-    flux[np.arange(sl.start, sl.stop), 0, np.arange(m_src)] = 1.0
-    return flux
-
-
 def _toeplitz_expand(resp: np.ndarray) -> np.ndarray:
     """Expand impulse responses (M_tgt, Nt, M_src) along causal diagonals."""
     m_tgt, nt, m_src = resp.shape
@@ -125,17 +114,29 @@ def _operator(matrix: np.ndarray, domain: tuple, codomain: tuple) -> SpaceTimeOp
     )
 
 
+def _response(
+    region: RetardedBlocks, source: int, values: np.ndarray, target: BoundaryCurve, normal=False
+) -> np.ndarray:
+    """Trace on target, or with normal minus its normal derivative, of the
+    field driven by flux values (M_src, Nt[, R]) on region component source
+    and zero flux on the other component."""
+    flux = np.zeros((region.M_total,) + values.shape[1:])
+    flux[region.component_slice(source)] = values
+    resp = _trace_values(solve_neumann(region, flux), target, normal)
+    return -resp if normal else resp
+
+
 def _flux_map(
     setup: ProblemSetup, region: RetardedBlocks, source: int, target: BoundaryCurve, normal=False
 ) -> SpaceTimeOperator:
     """Flux on region component source to the trace on target, or with normal
-    to minus its normal derivative, assembled from impulse responses."""
-    rho = solve_neumann(region, _impulse_flux(region, source))
-    resp = _trace_values(rho, target, normal)
-    if normal:
-        resp = -resp
-    domain = ((setup.omega, setup.cavity)[source], setup.grid)
-    return _operator(_toeplitz_expand(resp), domain, (target, setup.grid))
+    to minus its normal derivative, assembled from impulse responses: one
+    right-hand side per source node, flux 1 in time cell 0."""
+    curve = (setup.omega, setup.cavity)[source]
+    impulses = np.zeros((curve.M, setup.grid.Nt, curve.M))
+    impulses[np.arange(curve.M), 0, np.arange(curve.M)] = 1.0
+    resp = _response(region, source, impulses, target, normal)
+    return _operator(_toeplitz_expand(resp), (curve, setup.grid), (target, setup.grid))
 
 
 def assemble_lambda(setup: ProblemSetup, with_cavity: bool) -> SpaceTimeOperator:
@@ -212,28 +213,20 @@ def time_reversal(obj):
         m_d, nt_d = obj.domain[0].M, obj.domain[1].Nt
         mat = _reverse_rows(obj.matrix, m_c, nt_c)
         mat = mat.reshape(-1, m_d, nt_d)[:, :, ::-1].reshape(mat.shape[0], m_d * nt_d)
-        return SpaceTimeOperator(
-            mat, obj.domain, obj.codomain, obj.gram_domain, obj.gram_codomain
-        )
+        return replace(obj, matrix=mat)
     raise TypeError(f"cannot time-reverse {type(obj).__name__}")
 
 
 def apply_L(setup: ProblemSetup, phi: BoundaryField) -> BoundaryField:
     """Virtual measurement: cavity-boundary trace of the phi-driven field."""
-    region = setup.require_cavity()
-    flux = np.zeros((region.M_total, setup.grid.Nt))
-    flux[region.component_slice(0)] = phi.values
-    rho = solve_neumann(region, flux)
-    return trace_on(rho, setup.cavity)
+    resp = _response(setup.require_cavity(), 0, phi.values, setup.cavity)
+    return BoundaryField(setup.cavity, setup.grid, resp)
 
 
 def apply_Lhat(setup: ProblemSetup, theta: BoundaryField) -> BoundaryField:
     """Back projection: outer trace of the field driven by cavity flux."""
-    region = setup.require_cavity()
-    flux = np.zeros((region.M_total, setup.grid.Nt))
-    flux[region.component_slice(1)] = theta.values
-    rho = solve_neumann(region, flux)
-    return trace_on(rho, setup.omega)
+    resp = _response(setup.require_cavity(), 1, theta.values, setup.omega)
+    return BoundaryField(setup.omega, setup.grid, resp)
 
 
 def apply_Lprime(setup: ProblemSetup, theta: BoundaryField) -> BoundaryField:
@@ -253,10 +246,8 @@ def apply_Lprime(setup: ProblemSetup, theta: BoundaryField) -> BoundaryField:
 def apply_FL(setup: ProblemSetup, phi: BoundaryField) -> BoundaryField:
     """Transmission-composite applied to phi: -dnu u0 on the cavity boundary."""
     setup.require_cavity()
-    rho = solve_neumann(setup.omega_system, phi.values)
-    out = normal_derivative_on(rho, setup.cavity)
-    out.values = -out.values
-    return out
+    resp = _response(setup.omega_system, 0, phi.values, setup.cavity, normal=True)
+    return BoundaryField(setup.cavity, setup.grid, resp)
 
 
 def symmetrize(N_op: SpaceTimeOperator) -> tuple[SpaceTimeOperator, np.ndarray]:
@@ -274,25 +265,14 @@ def symmetrize(N_op: SpaceTimeOperator) -> tuple[SpaceTimeOperator, np.ndarray]:
     b = N_op.matrix * (sqrt_g[:, None] / sqrt_g[None, :])
     s = 0.5 * (b + b.T)
     ntilde_mat = s / (sqrt_g[:, None] / sqrt_g[None, :])
-    ntilde = SpaceTimeOperator(
-        ntilde_mat, N_op.domain, N_op.codomain, N_op.gram_domain, N_op.gram_codomain
-    )
-    return ntilde, s
+    return replace(N_op, matrix=ntilde_mat), s
 
 
 def add_noise(op: SpaceTimeOperator, spec: NoiseSpec) -> SpaceTimeOperator:
     """Additive Gaussian perturbation with exact relative Frobenius size."""
     if spec.level == 0.0:
-        return SpaceTimeOperator(
-            op.matrix.copy(), op.domain, op.codomain, op.gram_domain, op.gram_codomain
-        )
+        return replace(op, matrix=op.matrix.copy())
     rng = np.random.default_rng(spec.seed)
     noise = rng.standard_normal(op.matrix.shape)
     scale = spec.level * np.linalg.norm(op.matrix) / np.linalg.norm(noise)
-    return SpaceTimeOperator(
-        op.matrix + scale * noise,
-        op.domain,
-        op.codomain,
-        op.gram_domain,
-        op.gram_codomain,
-    )
+    return replace(op, matrix=op.matrix + scale * noise)

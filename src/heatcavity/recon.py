@@ -111,6 +111,8 @@ def eigendecompose(S: np.ndarray, gram: np.ndarray, tau: float) -> EigenSystem:
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S must be a square matrix")
     norm = np.linalg.norm(S)
+    if not np.isfinite(norm):
+        raise ValueError("S has a non-finite norm: nan or inf entries")
     if norm > 0 and np.linalg.norm(S - S.T) > 1e-10 * norm:
         raise ValueError("S is not symmetric to the required tolerance")
     if not 0.0 < tau < 1.0:
@@ -121,7 +123,7 @@ def eigendecompose(S: np.ndarray, gram: np.ndarray, tau: float) -> EigenSystem:
     lam, vec = np.linalg.eigh(S)
     lam = lam[::-1]
     vec = vec[:, ::-1]
-    if lam[0] <= 0:
+    if not lam[0] > 0:
         raise ValueError("operator not positive — check symmetrization/noise level")
     retained = int(np.sum((lam >= tau * lam[0]) & (lam > 0)))
     vectors = vec / np.sqrt(gram)[:, None]

@@ -107,10 +107,12 @@ class VerifyContext:
         self.omega_spec = omega_spec
         self.cavity_spec = cavity_spec
         self.horizon = horizon
+        self._setups: dict = {}
+        self._mats: dict = {}
 
     def setup(self, resolution) -> ndmap.ProblemSetup:
         key = tuple(resolution)
-        cache = self.__dict__.setdefault("_setups", {})
+        cache = self._setups
         if key not in cache:
             m_om, m_cav, nt = key
             omega = make_curve(self.omega_spec, m_om)
@@ -120,7 +122,7 @@ class VerifyContext:
 
     def operator_matrices(self, resolution) -> dict:
         key = tuple(resolution)
-        cache = self.__dict__.setdefault("_mats", {})
+        cache = self._mats
         if key not in cache:
             st = self.setup(key)
             mats = {

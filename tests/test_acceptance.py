@@ -125,7 +125,7 @@ def test_criterion_6_indicator_dichotomy_and_mask(benchmark_reconstruction):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="measured: 1e-3 multiplicative data noise with the matching "
+    reason="measured: 1e-3 additive Gaussian data noise with the matching "
     "spectral cutoff collapses the retained spectrum to a few pairs; the "
     "mask jaccard drops from ~0.82 to ~0.23 (degradation ~0.59 vs the "
     "0.15 target) and no cutoff choice at this noise level closes the gap",

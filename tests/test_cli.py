@@ -242,6 +242,11 @@ class TestPipelineArtifacts:
         assert np.array_equal(table["truth"], radii < 0.35)
         assert np.all(table["s"] == 0.25)
 
+    def test_summary_lambda_min_ratio_matches_spectrum(self, pipeline):
+        lams = hio.read_spectrum_csv(pipeline["out"] / "spectrum.csv")
+        summary = hio.read_kv(pipeline["out"] / "summary")
+        assert float(summary["lambda_min_ratio"]) == lams[-1] / lams[0]
+
     def test_summary_jaccard_matches_columns(self, pipeline):
         from heatcavity.recon import jaccard
 
@@ -410,8 +415,10 @@ class TestExitCodes:
             lambda lines: lines[:2] + ["abc"] + lines[3:],
             lambda lines: lines[: len(lines) // 2],
             lambda lines: lines[:2],
+            lambda lines: lines[:2] + ["nan"] + lines[3:],
+            lambda lines: lines[:2] + ["inf"] + lines[3:],
         ],
-        ids=["bad_value_on_line_3", "truncated", "two_lines"],
+        ids=["bad_value_on_line_3", "truncated", "two_lines", "nan_on_line_3", "inf_on_line_3"],
     )
     def test_bad_gram_exits_1_naming_the_file(
         self, pipeline, tmp_path, capsys, monkeypatch, corrupt
@@ -427,6 +434,19 @@ class TestExitCodes:
         assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and str(out / "N.gram") in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_operator_entry_exits_1_naming_the_file(
+        self, pipeline, tmp_path, capsys, value
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        mat, head = hio.read_stop1(out / "N.stop1")
+        mat[3, 5] = value
+        hio.write_stop1(out / "N.stop1", mat, head["M"], head["Nt"], head["T"])
+        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out / "N.stop1") in err and "non-finite" in err
 
     @pytest.mark.parametrize(
         "old, new, message",

@@ -303,6 +303,13 @@ class TestGram:
         with pytest.raises(hio.FormatError, match="positive"):
             hio.read_gram(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "g.gram"
+        path.write_text(f"1.0\n{bad}\n2.0\n")
+        with pytest.raises(hio.FormatError, match="finite positive"):
+            hio.read_gram(path)
+
     def test_rejects_matrix_shaped(self, tmp_path):
         path = tmp_path / "g.gram"
         path.write_text("1.0 2.0\n3.0 4.0\n")

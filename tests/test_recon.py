@@ -75,6 +75,14 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="operator not positive"):
             eigendecompose(-np.eye(2), np.ones(2), 1e-8)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, value):
+        # eigh leaves a NaN diagonal entry in place: lambda_1 would still read 1
+        s = np.eye(3)
+        s[1, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            eigendecompose(s, np.ones(3), 1e-8)
+
     def test_asymmetric_rejected(self):
         s = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
