@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import io, ndmap, recon, verify
+from . import io, ndmap, recon
 from .forward import SolverError, TimeGrid, assemble_blocks
 from .geometry import CurveSpec, GeometryError, OnBoundaryError, make_curve, points_in_region
 from .ndmap import NoiseSpec
@@ -458,6 +458,8 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
 
 
 def cmd_verify(cfg: RunConfig, threads: int = 1) -> int:
+    from . import verify  # its oracles need scipy; no other command loads it
+
     ctx = verify.VerifyContext()
     reports = []
     for chk in verify.ALL_CHECKS:

@@ -5,7 +5,7 @@ the region's boundary (one or two closed curves).  Densities are piecewise
 constant in time; space is discretized by Nyström collocation at the curve
 nodes with trapezoid quadrature.  The Neumann boundary condition becomes a
 second-kind Volterra system that is block lower-triangular in time and is
-solved by marching: the lag-0 block is LU-factored once, later lags feed
+solved by marching: the lag-0 block is inverted once, later lags feed
 back already-computed density slices.
 
 Collocation in time is at cell midpoints.  With uniform cells this makes
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import TOL_GEOM, BoundaryCurve, points_in_region
 from .kernels import (
@@ -42,6 +41,10 @@ SELF_TERM_SCALE = 1.0
 #: sigma * JUMP_COEFF * rho + K'rho with sigma = +1 on the outer curve
 #: (normal leaves the domain) and -1 on a cavity curve (normal enters it).
 JUMP_COEFF = 0.5
+
+#: Smallest reciprocal 1-norm condition number of the lag-0 stepping matrix
+#: that solve_neumann accepts.
+STEPPING_RCOND_MIN = 1e-14
 
 _FOUR_PI = 4.0 * np.pi
 
@@ -133,7 +136,7 @@ class RetardedBlocks:
     sigma: np.ndarray
     single: np.ndarray   # (Nt, Mt, Mt)
     adjoint: np.ndarray  # (Nt, Mt, Mt)
-    _lu: tuple | None = field(default=None, repr=False)
+    _inverse: np.ndarray | None = field(default=None, repr=False)
     # trace_at_times single-layer stacks for off-grid probe times, keyed by
     # s; read-only, and a racing thread can only store an identical stack
     _probe_blocks: dict = field(default_factory=dict, repr=False)
@@ -146,19 +149,26 @@ class RetardedBlocks:
         start = sum(c.M for c in self.curves[:index])
         return slice(start, start + self.curves[index].M)
 
-    def stepping_lu(self):
-        if self._lu is None:
+    def stepping_inverse(self) -> np.ndarray:
+        """Inverse of the lag-0 stepping matrix (sigma/2) I + K'_0, built once.
+
+        Raises SolverError when the matrix is singular or its 1-norm
+        condition number exceeds 1/STEPPING_RCOND_MIN; on well-resolved
+        grids it is close to 1.
+        """
+        if self._inverse is None:
             a0 = np.diag(self.sigma * JUMP_COEFF) + self.adjoint[0]
-            lu, piv = lu_factor(a0)
-            absdiag = np.abs(np.diag(lu))
-            if absdiag.min() <= 1e-14 * max(absdiag.max(), 1.0):
+            try:
+                inverse = np.linalg.inv(a0)
+                rcond = 1.0 / (np.linalg.norm(a0, 1) * np.linalg.norm(inverse, 1))
+            except np.linalg.LinAlgError:
+                rcond = 0.0
+            if not rcond >= STEPPING_RCOND_MIN:  # also catches a nan rcond
                 raise SolverError(
-                    "singular stepping matrix (diag ratio "
-                    f"{absdiag.min() / max(absdiag.max(), 1e-300):.2e}); "
-                    "self-term rule suspect"
+                    f"singular stepping matrix (rcond {rcond:.2e}); self-term rule suspect"
                 )
-            self._lu = (lu, piv)
-        return self._lu
+            self._inverse = inverse
+        return self._inverse
 
 
 def _lag_bounds(lag: int, dt: float, offset: float = 0.0) -> tuple[float, float]:
@@ -328,15 +338,14 @@ def solve_neumann(region: RetardedBlocks, flux) -> LayerDensity:
     if squeeze:
         fvals = fvals[:, :, None]
     nt = region.grid.Nt
-    lu, piv = region.stepping_lu()
-    piv = piv.copy()  # getrs shifts pivots in place while it runs: threads must not share them
+    inverse = region.stepping_inverse()
     adj = region.adjoint
     rho = np.zeros_like(fvals)
     for k in range(nt):
         rhs = fvals[:, k, :].copy()
         for lag in range(1, k + 1):
             rhs -= adj[lag] @ rho[:, k - lag, :]
-        rho[:, k, :] = lu_solve((lu, piv), rhs)
+        rho[:, k, :] = inverse @ rhs
     if squeeze:
         rho = rho[:, :, 0]
     return LayerDensity(region, rho)

@@ -1,13 +1,16 @@
 """Pipeline driver: config handling, artifacts, exit codes, reproducibility."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heatcavity
 from heatcavity import cli, io as hio, verify
 from heatcavity.cli import (
     DEFAULT_CONFIG,
@@ -570,3 +573,32 @@ class TestConsoleScript:
         )
         assert proc.returncode == 1
         assert "config error" in proc.stderr
+
+
+class TestImportCost:
+    SCRIPT = """\
+import json, sys
+from heatcavity import cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = {"import": scipy_modules()}
+for command in ("simulate", "reconstruct"):
+    assert cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+seen["pipeline"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+    def test_cli_simulate_and_reconstruct_load_no_scipy(self, tmp_path):
+        # SMALL_CFG is the acceptance gate's case.  scipy costs about half a
+        # second of start-up per command; only verify needs it
+        src = str(Path(heatcavity.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, write_cfg(tmp_path), str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen == {"import": [], "pipeline": []}

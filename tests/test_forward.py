@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import lu_factor, lu_solve
 from scipy.special import exp1
 
 from heatcavity import forward, oracles
@@ -13,6 +14,7 @@ from heatcavity.forward import (
     JUMP_COEFF,
     SELF_TERM_SCALE,
     BoundaryField,
+    SolverError,
     TimeGrid,
     _lag_bounds,
     assemble_blocks,
@@ -72,7 +74,7 @@ class TestSolveNeumann:
         assert np.abs(trace.values[:, :k0]).max() <= 1e-12 * np.abs(trace.values).max()
 
     def test_concurrent_solves_match_serial(self):
-        # every call shares the region's one stepping factorization
+        # every call shares the region's one stepping inverse
         region = disk_region(24, 8, 0.5)
         rng = np.random.default_rng(11)
         fluxes = [rng.standard_normal((24, 8, 16)) for _ in range(32)]
@@ -86,6 +88,33 @@ class TestSolveNeumann:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
+    def test_step_residuals_match_lu_solve(self):
+        # the march applies inv(a0) where it used to LU-solve; per step and
+        # column, |a0 x - rhs|_inf may exceed the LU residual by 8 eps |rhs|_inf
+        region = disk_region(24, 8, 0.5)
+        a0 = np.diag(region.sigma * JUMP_COEFF) + region.adjoint[0]
+        lu = lu_factor(a0)
+        flux = np.random.default_rng(12).standard_normal((24, 8, 16))
+        rho = solve_neumann(region, flux).values
+        eps = np.finfo(float).eps
+        for k in range(8):
+            rhs = flux[:, k] - sum(region.adjoint[lag] @ rho[:, k - lag] for lag in range(1, k + 1))
+            res = np.abs(a0 @ rho[:, k] - rhs).max(axis=0)
+            res_lu = np.abs(a0 @ lu_solve(lu, rhs) - rhs).max(axis=0)
+            assert np.all(res <= res_lu + 8 * eps * np.abs(rhs).max(axis=0))
+
+    @pytest.mark.parametrize("defect", ["zero", "rank_one"])
+    def test_singular_stepping_matrix_raises(self, defect):
+        # adjoint[0] cancels the jump term: a0 is 0, or a rank-one matrix
+        # whose inverse LAPACK still returns (rcond 2.8e-20)
+        region = disk_region(16, 8, 0.5)
+        region.adjoint[0] = -np.diag(region.sigma * JUMP_COEFF)
+        if defect == "rank_one":
+            u = np.random.default_rng(13).standard_normal(16)
+            region.adjoint[0] += np.outer(u, u)
+        with pytest.raises(SolverError, match="singular stepping matrix"):
+            solve_neumann(region, uniform_flux(region))
 
     def test_boundary_field_input_equivalent(self, disk_region):
         curve = disk_region.curves[0]

@@ -1,14 +1,17 @@
 """Closed-form kernel values against direct formulas and adaptive quadrature."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1 as scipy_exp1
 
 from heatcavity import kernels
 from heatcavity.kernels import (
     dnu_gamma,
     dnu_gamma_time_integral,
     e1_entire_part,
+    exp1,
     gamma,
     gamma_time_integral,
     log_quadrature_weights,
@@ -63,6 +66,51 @@ class TestDnuGamma:
         val = float(dnu_gamma(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0))
         assert val == pytest.approx(-np.exp(-0.25) / (8.0 * np.pi), rel=1e-15)
         assert val == pytest.approx(-3.0988e-2, rel=1e-4)
+
+
+class TestExp1:
+    TINY = np.finfo(float).tiny
+
+    @staticmethod
+    def ulps(got, want):
+        return np.abs(got - want) / np.spacing(np.abs(want))
+
+    def test_within_16_ulp_of_mpmath_where_normal(self):
+        # log-spaced over [1e-300, 745], plus the underflow tail: E1 turns
+        # subnormal near z = 701.8 and rounds to 0 past 738.5
+        z = np.concatenate([np.logspace(-300, np.log10(745.0), 3001), np.linspace(690.0, 745.0, 221)])
+        want = np.array([float(mpmath.e1(mpmath.mpf(v))) for v in z])
+        got = exp1(z)
+        normal = want >= self.TINY
+        assert 0 < np.count_nonzero(~normal) < 200
+        assert self.ulps(got[normal], want[normal]).max() <= 16
+        beyond = got[~normal]
+        assert np.all((beyond >= 0) & (beyond < self.TINY))
+
+    def test_dense_sample_matches_scipy(self):
+        # scipy's exp1 is itself up to 16 ulp off near z = 1
+        rng = np.random.default_rng(41)
+        z = np.concatenate([np.exp(rng.uniform(np.log(1e-12), np.log(700.0), 200_000)), rng.uniform(0.0, 32.0, 200_000)])
+        want = scipy_exp1(z)
+        assert self.ulps(exp1(z), want).max() <= 24
+
+    def test_special_values_and_shape(self):
+        assert exp1(0.0) == np.inf
+        assert exp1(np.inf) == 0.0
+        assert exp1(746.0) == 0.0
+        z = np.array([[0.5, 1.0], [16.0, 1e20]])
+        assert exp1(z).shape == (2, 2)
+
+    def test_each_value_independent_of_the_rest_of_the_array(self):
+        # window_integrals and gamma_time_integral evaluate the same
+        # arguments in differently sized and ordered arrays
+        rng = np.random.default_rng(42)
+        z = np.exp(rng.uniform(np.log(1e-6), np.log(800.0), 4099))
+        full = exp1(z)
+        perm = rng.permutation(z.size)
+        assert np.array_equal(exp1(z[perm]), full[perm])
+        assert np.array_equal(exp1(np.repeat(z, 2)[::2]), full)
+        assert np.array_equal([exp1(z[i : i + 1])[0] for i in range(0, z.size, 37)], full[::37])
 
 
 class TestGammaTimeIntegral:
