@@ -317,14 +317,16 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
         )
         ops["N"] = ndmap.add_noise(ops["N"], NoiseSpec(cfg.noise.level, cfg.noise.seed + 1))
 
+    meta_path = _out_path(cfg, "meta")
+    if os.path.exists(meta_path):
+        # a meta left by an earlier run must not vouch for half-written operators
+        os.remove(meta_path)
     with _timed(timings, "write"):
-        for name in ("lambda_D", "lambda_0", "N"):
-            op = ops[name]
-            with _timed(timings, f"write.{name}"):
-                io.write_stop1(
-                    _out_path(cfg, f"{name}.stop1"), op.matrix, cfg.M_omega, cfg.Nt, cfg.T
-                )
-                io.write_gram(_out_path(cfg, f"{name}.gram"), op.gram_domain)
+        # costliest first: N repeats the fewest values, so it formats the most
+        costliest_first = ("N", "lambda_D", "lambda_0")
+        operators = {n: (ops[n].matrix, ops[n].gram_domain) for n in costliest_first}
+        seconds, writers = io.write_operators(cfg.out_dir, operators, cfg.M_omega, cfg.Nt, cfg.T)
+    timings.update({f"write.{name}": dt for name, dt in seconds.items()})
 
     meta = {
         "command": "simulate",
@@ -338,7 +340,8 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
         meta[f"seconds.{name}"] = io.format_float(dt)
     meta["seconds.total"] = io.format_float(time.perf_counter() - t0)
     meta["peak_rss_mb"] = _peak_rss_mb()
-    io.write_kv(_out_path(cfg, "meta"), meta)
+    meta["write_workers"] = writers
+    io.write_kv(meta_path, meta)
     print(f"[simulate] wrote operators to {cfg.out_dir} ({timings['write']:.1f}s)")
     return EXIT_OK
 
@@ -430,6 +433,7 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
     with _timed(timings, "write"):
         io.write_indicator_csv(_out_path(cfg, "indicator.csv"), grid_out)
 
+    finite = grid_out.values[np.isfinite(grid_out.values)]
     summary = {
         "command": "reconstruct",
         "lambda_1": io.format_float(eig.lambdas[0]),
@@ -439,6 +443,10 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
         "threshold": io.format_float(cfg.threshold),
         "points": len(grid_out),
         "inf_probes": int(np.sum(np.isinf(grid_out.values))),
+        # decades W spans: small when noise has flattened the indicator
+        "w_contrast": io.format_float(
+            np.log10(finite.max() / finite.min()) if finite.size else np.nan
+        ),
         "mask_size": int(np.sum(grid_out.mask)),
     }
     if cavity is not None:

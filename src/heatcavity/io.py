@@ -14,12 +14,14 @@ formats each distinct bit pattern once: the Λ maps are lag operators whose
 rows repeat the same few lags.  Telling values apart by bit pattern keeps
 the sign of ``-0.0``.
 
-STOP1 bodies are formatted in this process.  Bodies of
-``PARALLEL_MIN_VALUES`` entries or more are parsed in a pool of forked
-processes, one per usable CPU.  The work is split by the file (one task
-per line-aligned range of about ``RANGE_BYTES``), never by the worker
-count, and results are taken in order, so the arrays read do not depend
-on how many CPUs ran them.
+Large jobs run in a pool of forked processes, one per usable CPU, and
+the work is always split by the data, never by the worker count.
+``write_operators`` writes each operator's STOP1 file and gram whole in one
+worker, straight to disk, so no text crosses a pipe and every byte is that
+of ``write_stop1`` and ``write_gram``.  ``read_stop1`` parses bodies of
+``PARALLEL_MIN_VALUES`` entries or more one line-aligned range of about
+``RANGE_BYTES`` per task, and takes the results in order, so the arrays
+read do not depend on how many CPUs ran them.
 
 Formats:
   * STOP1 — dense operator matrix: ASCII header ``STOP1 <rows> <cols> <M>
@@ -36,6 +38,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
+import time
 from contextlib import contextmanager
 from io import BytesIO
 from typing import NamedTuple
@@ -44,7 +47,8 @@ import numpy as np
 
 FLOAT_FMT = "%.17g"
 
-#: STOP1 bodies with fewer entries are parsed in this process.
+#: Jobs with fewer entries run in this process: a STOP1 body to parse, or
+#: all the matrices of one ``write_operators`` call.
 PARALLEL_MIN_VALUES = 1 << 18
 
 #: Nominal size of one parse task; each range ends at the next line end.
@@ -325,8 +329,9 @@ def _format_block(block: np.ndarray) -> bytes:
 def _write_rows(fh, matrix: np.ndarray, block_rows: int) -> None:
     """Write each row of a 2-D array as one line of space-separated values.
 
-    In this process: a forked worker would hand each block's text back
-    through a pipe, which costs about as much as formatting it.
+    The text goes straight to ``fh`` from the process that formats it:
+    handing it to another process through a pipe would cost about as much
+    as formatting it.  ``write_operators`` runs whole files in workers.
     """
     matrix = np.ascontiguousarray(matrix, dtype=float)
     for start in range(0, matrix.shape[0], block_rows):
@@ -341,6 +346,48 @@ def write_stop1(path, matrix: np.ndarray, M: int, Nt: int, T: float) -> None:
     with open(path, "wb") as fh:
         fh.write(f"STOP1 {rows} {cols} {M} {Nt} {format_float(T)}\n".encode())
         _write_rows(fh, matrix, max(int(Nt), 1))
+
+
+#: Operators of the running ``write_operators`` calls, by path stem.  A
+#: forked worker inherits the table as it stood at the fork, so it finds its
+#: matrix there and none is pickled.
+_WRITE_JOBS: dict[str, tuple] = {}
+
+
+def _write_operator(stem: str) -> tuple[float, int]:
+    """Write ``<stem>.stop1`` and ``<stem>.gram``; return the seconds and the pid."""
+    matrix, gram, M, Nt, T = _WRITE_JOBS[stem]
+    start = time.perf_counter()
+    write_stop1(f"{stem}.stop1", matrix, M, Nt, T)
+    write_gram(f"{stem}.gram", gram)
+    return time.perf_counter() - start, os.getpid()
+
+
+def write_operators(
+    directory, operators: dict, M: int, Nt: int, T: float
+) -> tuple[dict[str, float], int]:
+    """Write ``<name>.stop1`` and ``<name>.gram`` for each ``name: (matrix, gram)``.
+
+    Each operator is one task: a worker of ``_task_map`` formats and writes
+    both of its files itself, so the bytes do not depend on the CPU count.
+    Tasks start in the dict's order, so list the costliest first.  Returns
+    each name's seconds, measured in the process that wrote its files, and
+    the number of processes that wrote.
+    """
+    jobs = {
+        os.path.join(directory, name): (matrix, gram, M, Nt, T)
+        for name, (matrix, gram) in operators.items()
+    }
+    _WRITE_JOBS.update(jobs)
+    try:
+        values = sum(np.size(job[0]) for job in jobs.values())
+        with _task_map(len(jobs), values) as task_map:
+            done = list(task_map(_write_operator, jobs))
+    finally:
+        for stem in jobs:
+            _WRITE_JOBS.pop(stem, None)
+    seconds = {name: s for name, (s, _) in zip(operators, done)}
+    return seconds, len({pid for _, pid in done})
 
 
 def _read_header(fh, path) -> dict:

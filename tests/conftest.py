@@ -28,6 +28,30 @@ def cli_subprocess_path():
         yield
 
 
+class PoolSpy:
+    """Counts fork-pool start-ups by wrapping ``multiprocessing.get_context``,
+    with ``os.sched_getaffinity`` reporting ``cpus`` usable CPUs."""
+
+    def __init__(self, monkeypatch, cpus):
+        import multiprocessing
+
+        self.starts = 0
+        real = multiprocessing.get_context
+
+        def spy(method=None):
+            self.starts += 1
+            return real(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """``pool_spy(cpus)`` patches the CPU count and returns a ``PoolSpy``."""
+    return lambda cpus: PoolSpy(monkeypatch, cpus)
+
+
 @pytest.fixture(scope="session")
 def verify_ctx() -> verify.VerifyContext:
     return verify.VerifyContext()

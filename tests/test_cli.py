@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,16 @@ def write_cfg(tmp_path, text=SMALL_CFG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+#: 32/24/32: each operator has 1024² entries, past ``io.PARALLEL_MIN_VALUES``,
+#: so simulate writes them in the fork pool on a host with two CPUs.
+POOLED_CFG = (
+    SMALL_CFG.replace("M_omega=16", "M_omega=32")
+    .replace("M_cavity=12", "M_cavity=24")
+    .replace("Nt=8", "Nt=32")
+)
+OPERATOR_FILES = [f"{n}.{ext}" for n in ("lambda_D", "lambda_0", "N") for ext in ("stop1", "gram")]
 
 
 class TestConfigRoundTrip:
@@ -256,6 +267,71 @@ class TestPipelineArtifacts:
         table = hio.read_indicator_csv(pipeline["out"] / "indicator.csv")
         summary = hio.read_kv(pipeline["out"] / "summary")
         assert float(summary["jaccard"]) == jaccard(table["mask"], table["truth"])
+
+    def test_summary_w_contrast_matches_indicator(self, pipeline):
+        W = hio.read_indicator_csv(pipeline["out"] / "indicator.csv")["W"]
+        finite = W[np.isfinite(W)]
+        summary = hio.read_kv(pipeline["out"] / "summary")
+        assert float(summary["w_contrast"]) == np.log10(finite.max() / finite.min())
+        assert float(summary["w_contrast"]) > 1.0  # a clean run spans decades
+
+
+@pytest.fixture(scope="module")
+def pooled_simulate(tmp_path_factory):
+    """simulate on POOLED_CFG with two usable CPUs."""
+    root = tmp_path_factory.mktemp("pooled")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = ["simulate", "--config", write_cfg(root, POOLED_CFG), "--out", str(root / "out")]
+        assert cli.main(argv) == 0
+    return root / "out"
+
+
+class TestOperatorWriteWorkers:
+    """simulate writes each operator file whole in one process of the fork pool."""
+
+    def test_meta_write_seconds_per_operator_pooled(self, pooled_simulate):
+        # measured in the workers, which write concurrently, so they overlap
+        meta = hio.read_kv(pooled_simulate / "meta")
+        assert meta["write_workers"] == "2"
+        for name in ("lambda_D", "lambda_0", "N"):
+            assert 0.0 <= float(meta[f"seconds.write.{name}"]) <= float(meta["seconds.write"])
+
+    @pytest.mark.parametrize(
+        "cpus,other_thread,starts,writers", [(1, False, 0, 1), (2, False, 1, 2), (2, True, 0, 1)]
+    )
+    def test_bytes_do_not_depend_on_writers(
+        self, tmp_path, pool_spy, pooled_simulate, cpus, other_thread, starts, writers
+    ):
+        spy = pool_spy(cpus)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        if other_thread:
+            other.start()
+        argv = ["simulate", "--config", write_cfg(tmp_path, POOLED_CFG), "--out", str(tmp_path)]
+        try:
+            code = cli.main(argv)
+        finally:
+            release.set()
+            if other_thread:
+                other.join(30)
+        assert code == 0 and not other.is_alive()
+        assert spy.starts == starts
+        assert hio.read_kv(tmp_path / "meta")["write_workers"] == str(writers)
+        for name in OPERATOR_FILES:
+            assert (tmp_path / name).read_bytes() == (pooled_simulate / name).read_bytes(), name
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_write_raises_its_own_type_and_leaves_no_meta(self, tmp_path, pool_spy, cpus):
+        spy = pool_spy(cpus)
+        (tmp_path / "lambda_0.stop1").mkdir()
+        (tmp_path / "meta").write_text("command=simulate\n")  # left by an earlier run
+        argv = ["simulate", "--config", write_cfg(tmp_path, POOLED_CFG), "--out", str(tmp_path)]
+        with pytest.raises(IsADirectoryError, match="lambda_0.stop1"):
+            cli.main(argv)
+        assert spy.starts == (1 if cpus == 2 else 0)
+        assert not (tmp_path / "meta").exists()
+        assert hio._WRITE_JOBS == {}
 
 
 class TestDeterminism:
@@ -588,17 +664,30 @@ seen["pipeline"] = scipy_modules()
 print(json.dumps(seen))
 """
 
-    def test_cli_simulate_and_reconstruct_load_no_scipy(self, tmp_path):
-        # SMALL_CFG is the acceptance gate's case.  scipy costs about half a
-        # second of start-up per command; only verify needs it
+    @staticmethod
+    def run(script, *args):
         src = str(Path(heatcavity.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, write_cfg(tmp_path), str(tmp_path / "out")],
+            [sys.executable, "-c", script, *args],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_cli_simulate_and_reconstruct_load_no_scipy(self, tmp_path):
+        # SMALL_CFG is the acceptance gate's case.  scipy costs about half a
+        # second of start-up per command; only verify needs it
+        seen = self.run(self.SCRIPT, write_cfg(tmp_path), str(tmp_path / "out"))
         assert seen == {"import": [], "pipeline": []}
+
+    def test_cli_import_loads_no_multiprocessing(self):
+        # the fork pool is imported when a large STOP1 job first needs it
+        script = (
+            "import json, sys\nfrom heatcavity import cli\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'multiprocessing']\n"
+            "print(json.dumps(sorted(loaded)))"
+        )
+        assert self.run(script) == []

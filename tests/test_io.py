@@ -117,31 +117,14 @@ class TestStop1:
         assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
 
 
-class _PoolSpy:
-    """Counts fork-pool start-ups by wrapping ``multiprocessing.get_context``."""
-
-    def __init__(self, monkeypatch, cpus):
-        import multiprocessing
-
-        self.starts = 0
-        real = multiprocessing.get_context
-
-        def spy(method=None):
-            self.starts += 1
-            return real(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", spy)
-        monkeypatch.setattr(hio.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 class TestWorkerCount:
     """STOP1 bytes and parsed arrays do not depend on how many CPUs ran them."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_lag_operator_bytes_and_read_back(self, tmp_path, monkeypatch, cpus):
+    def test_lag_operator_bytes_and_read_back(self, tmp_path, pool_spy, cpus):
         matrix, nt = WRITER_CASES["lag_many_blocks"]
         assert matrix.size >= hio.PARALLEL_MIN_VALUES
-        spy = _PoolSpy(monkeypatch, cpus)
+        spy = pool_spy(cpus)
         path = tmp_path / "op.stop1"
         hio.write_stop1(path, matrix, M=16, Nt=nt, T=0.5)
         assert path.read_bytes() == stop1_reference(matrix, 16, nt, 0.5)
@@ -150,8 +133,8 @@ class TestWorkerCount:
         assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
         assert spy.starts == (1 if cpus == 2 else 0)  # the read; writes stay in-process
 
-    def test_single_block_write_and_small_read_start_no_process(self, tmp_path, monkeypatch):
-        spy = _PoolSpy(monkeypatch, 2)
+    def test_single_block_write_and_small_read_start_no_process(self, tmp_path, pool_spy):
+        spy = pool_spy(2)
         big_block = _rng.standard_normal((8, hio.PARALLEL_MIN_VALUES // 8 + 1))
         hio.write_stop1(tmp_path / "one.stop1", big_block, M=1, Nt=8, T=0.5)
         small, nt = WRITER_CASES["toeplitz"]
@@ -161,8 +144,8 @@ class TestWorkerCount:
         hio.write_gram(tmp_path / "g.gram", np.ones(hio.PARALLEL_MIN_VALUES))
         assert spy.starts == 0
 
-    def test_no_fork_while_other_threads_run(self, tmp_path, monkeypatch):
-        spy = _PoolSpy(monkeypatch, 2)
+    def test_no_fork_while_other_threads_run(self, tmp_path, pool_spy):
+        spy = pool_spy(2)
         matrix, nt = WRITER_CASES["lag_many_blocks"]
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
