@@ -62,7 +62,7 @@ def main() -> None:
     print("\nblock stencil of the modified map N (time reversal makes it dense):")
     print(stencil(block_norms(nmat, 16, 8), cut=1e-10))
 
-    _, S = symmetrize(assemble_N(setup))
+    S = symmetrize(assemble_N(setup))
     print(f"\nsymmetrized N: relative asymmetry {np.linalg.norm(S - S.T) / np.linalg.norm(S):.2e}")
 
 

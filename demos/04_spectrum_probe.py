@@ -25,7 +25,7 @@ def main() -> None:
     setup = ProblemSetup.build(omega, cavity, grid)
 
     op = assemble_N(setup)
-    _, S = symmetrize(op)
+    S = symmetrize(op)
     eig = eigendecompose(S, op.gram_domain, 1e-8)
     print(f"operator dimension {S.shape[0]}, retained pairs {eig.retained}")
     lam = eig.lambdas

@@ -1,10 +1,10 @@
 """Pipeline driver: simulate, reconstruct, spectrum, and verify commands.
 
 Runs are described by a flat ``key=value`` config file; every artifact a
-command writes is reproducible bit for bit from the config and seeds, no
-matter how many worker threads evaluate probe batches.
+command writes is reproducible bit for bit from the config, no matter how
+many worker threads evaluate probe batches.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure, 3 check
+Exit codes: 0 success, 1 config or file error, 2 numerical failure, 3 check
 failure.
 """
 
@@ -54,7 +54,6 @@ class RunConfig:
     sampling: SamplingSpec
     threshold: float
     out_dir: str
-    seed: int
 
     def validate(self) -> None:
         counts = {
@@ -106,7 +105,6 @@ DEFAULT_CONFIG = RunConfig(
     sampling=SamplingSpec(21, 21, 1, None),
     threshold=0.2,
     out_dir="out",
-    seed=0,
 )
 
 _CONFIG_KEYS = (
@@ -127,7 +125,6 @@ _CONFIG_KEYS = (
     "margin",
     "threshold",
     "out_dir",
-    "seed",
 )
 
 
@@ -153,7 +150,6 @@ def serialize_config(cfg: RunConfig) -> str:
         "margin": "auto" if cfg.sampling.margin is None else io.format_float(cfg.sampling.margin),
         "threshold": io.format_float(cfg.threshold),
         "out_dir": cfg.out_dir,
-        "seed": cfg.seed,
     }
     return "".join(f"{k}={vals[k]}\n" for k in _CONFIG_KEYS)
 
@@ -198,7 +194,6 @@ def parse_config(text: str) -> RunConfig:
             ),
             threshold=float(vals["threshold"]),
             out_dir=vals["out_dir"],
-            seed=int(vals["seed"]),
         )
     except (ValueError, GeometryError) as exc:
         if isinstance(exc, ConfigError):
@@ -221,8 +216,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         updates = {}
         if overrides.get("out") is not None:
             updates["out_dir"] = overrides["out"]
-        if overrides.get("seed") is not None:
-            updates["seed"] = int(overrides["seed"])
         if overrides.get("noise") is not None:
             level = float(overrides["noise"])
             updates["noise"] = NoiseSpec(level, cfg.noise.seed)
@@ -394,8 +387,9 @@ def _spectral_data(cfg: RunConfig, timings: dict):
     with _timed(timings, "eigh"):
         omega = make_curve(cfg.omega, cfg.M_omega)
         grid = TimeGrid(cfg.T, cfg.Nt)
-        op = ndmap.SpaceTimeOperator(nmat, (omega, grid), (omega, grid), gram, gram)
-        _, S = ndmap.symmetrize(op)
+        pair = (omega, grid)
+        S = ndmap.symmetrize(ndmap.SpaceTimeOperator(nmat, pair, pair, gram, gram))
+        del nmat  # eigh runs without N in memory
         eig = recon.eigendecompose(S, gram, cfg.effective_tau)
     return omega, grid, eig
 
@@ -493,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=("simulate", "reconstruct", "verify", "spectrum"))
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     parser.add_argument("--out", metavar="DIR", help="override output directory")
-    parser.add_argument("--seed", metavar="N", type=int, help="override master seed")
     parser.add_argument("--noise", metavar="LEVEL", type=float, help="override noise level")
     parser.add_argument(
         "--threads", metavar="N", type=int, default=1, help="worker threads for probe batches"
@@ -520,6 +513,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, threads=max(1, args.threads))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # a failed write may name no file, as a full disk does
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

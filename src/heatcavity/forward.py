@@ -301,9 +301,6 @@ class LayerDensity:
     region: RetardedBlocks
     values: np.ndarray
 
-    def component(self, index: int) -> np.ndarray:
-        return self.values[self.region.component_slice(index)]
-
 
 def _stack_flux(region: RetardedBlocks, flux) -> np.ndarray:
     """Accept an array over stacked nodes or a list of per-curve fields."""

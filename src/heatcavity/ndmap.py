@@ -250,22 +250,19 @@ def apply_FL(setup: ProblemSetup, phi: BoundaryField) -> BoundaryField:
     return BoundaryField(setup.cavity, setup.grid, resp)
 
 
-def symmetrize(N_op: SpaceTimeOperator) -> tuple[SpaceTimeOperator, np.ndarray]:
-    """Weighted symmetrization of N and its plain-symmetric similar matrix.
+def symmetrize(N_op: SpaceTimeOperator) -> np.ndarray:
+    """Exactly symmetric S = G^{1/2} Ntilde G^{-1/2}, similar to the symmetrized N.
 
-    Returns (Ntilde, S): Ntilde = (N + N')/2 with N' the Gram-weighted
-    transpose (the coefficient-space Riesz maps are taken as the
-    identity), and S = G^{1/2} Ntilde G^{-1/2}, which is exactly symmetric
-    and has the same spectrum as Ntilde in the weighted inner product.
+    Ntilde = (N + N')/2 with N' the Gram-weighted transpose (the
+    coefficient-space Riesz maps are taken as the identity).  S is exactly
+    symmetric and has the spectrum of Ntilde in the weighted inner product;
+    Ntilde itself is never formed.
     """
     if not N_op.is_square:
         raise ValueError("symmetrization needs a square operator")
-    g = N_op.gram_domain
-    sqrt_g = np.sqrt(g)
+    sqrt_g = np.sqrt(N_op.gram_domain)
     b = N_op.matrix * (sqrt_g[:, None] / sqrt_g[None, :])
-    s = 0.5 * (b + b.T)
-    ntilde_mat = s / (sqrt_g[:, None] / sqrt_g[None, :])
-    return replace(N_op, matrix=ntilde_mat), s
+    return 0.5 * (b + b.T)
 
 
 def add_noise(op: SpaceTimeOperator, spec: NoiseSpec) -> SpaceTimeOperator:

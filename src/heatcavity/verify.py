@@ -98,15 +98,7 @@ def _polar_cells(r0: float, r1: float, n: int = 64):
 class VerifyContext:
     """Shared lazily-built problem setups so checks can reuse solves."""
 
-    def __init__(
-        self,
-        omega_spec: CurveSpec = OMEGA_SPEC,
-        cavity_spec: CurveSpec = CAVITY_SPEC,
-        horizon: float = HORIZON,
-    ):
-        self.omega_spec = omega_spec
-        self.cavity_spec = cavity_spec
-        self.horizon = horizon
+    def __init__(self):
         self._setups: dict = {}
         self._mats: dict = {}
 
@@ -115,9 +107,9 @@ class VerifyContext:
         cache = self._setups
         if key not in cache:
             m_om, m_cav, nt = key
-            omega = make_curve(self.omega_spec, m_om)
-            cavity = make_curve(self.cavity_spec, m_cav)
-            cache[key] = ndmap.ProblemSetup.build(omega, cavity, TimeGrid(self.horizon, nt))
+            omega = make_curve(OMEGA_SPEC, m_om)
+            cavity = make_curve(CAVITY_SPEC, m_cav)
+            cache[key] = ndmap.ProblemSetup.build(omega, cavity, TimeGrid(HORIZON, nt))
         return cache[key]
 
     def operator_matrices(self, resolution) -> dict:
@@ -138,9 +130,7 @@ class VerifyContext:
 
     @cached_property
     def benchmark_S(self) -> np.ndarray:
-        N = self.operator_matrices(DOUBLED_RESOLUTION)["N"]
-        _, S = ndmap.symmetrize(N)
-        return S
+        return ndmap.symmetrize(self.operator_matrices(DOUBLED_RESOLUTION)["N"])
 
     @cached_property
     def benchmark_eigensystem(self) -> recon.EigenSystem:
@@ -231,8 +221,8 @@ def check_factorization(ctx: VerifyContext | None = None) -> CheckReport:
         res35.append(float(r35))
         res37.append(float(r37))
     # cavity-free path: the modified map vanishes identically
-    omega16 = make_curve(ctx.omega_spec, 16)
-    st_empty = ndmap.ProblemSetup.build(omega16, None, TimeGrid(ctx.horizon, 16))
+    omega16 = make_curve(OMEGA_SPEC, 16)
+    st_empty = ndmap.ProblemSetup.build(omega16, None, TimeGrid(HORIZON, 16))
     n_empty = float(np.abs(ndmap.assemble_N(st_empty).matrix).max())
     passed = (
         res35[0] <= REL_TOL
@@ -354,7 +344,7 @@ def check_spectrum(ctx: VerifyContext | None = None) -> CheckReport:
             "top_eigenvalues": [float(v) for v in lam[:8]],
             "count_above_ratio": decades,
         },
-        {"benchmark": DOUBLED_RESOLUTION, "horizon": ctx.horizon},
+        {"benchmark": DOUBLED_RESOLUTION, "horizon": HORIZON},
     )
 
 
@@ -370,7 +360,7 @@ def check_probe_dichotomy(ctx: VerifyContext | None = None) -> CheckReport:
     ctx = ctx or VerifyContext()
     st = ctx.setup(DOUBLED_RESOLUTION)
     eig = ctx.benchmark_eigensystem
-    s = ctx.horizon / 2.0
+    s = HORIZON / 2.0
     interior = [(0.0, 0.0), (0.15, 0.1), (-0.12, 0.18), (0.05, -0.22), (-0.2, -0.1)]
     exterior = [(0.55, 0.0), (-0.4, 0.45), (0.1, -0.62), (-0.68, -0.2), (0.45, 0.5)]
 

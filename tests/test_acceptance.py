@@ -139,7 +139,7 @@ def test_criterion_7_noise_robustness(verify_ctx, benchmark_reconstruction):
         verify_ctx.operator_matrices(verify.DOUBLED_RESOLUTION)["N"],
         NoiseSpec(1e-3, 1),
     )
-    _, S = ndmap.symmetrize(noisy)
+    S = ndmap.symmetrize(noisy)
     eig = recon.eigendecompose(S, noisy.gram_domain, 1e-3)
     noisy_grid = recon.reconstruct(
         eig,

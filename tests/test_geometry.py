@@ -1,5 +1,6 @@
 """Curve discretization, quadrature accuracy, and point membership."""
 
+import hypothesis
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -104,6 +105,58 @@ class TestMakeCurve:
             CurveSpec("square", (0.0, 0.0, 1.0))
         with pytest.raises(GeometryError):
             CurveSpec("ellipse", (0.0, 0.0, 1.0, np.nan))
+
+
+def polygon_self_intersects(p: np.ndarray) -> bool:
+    """True when two non-adjacent edges of the closed polygon p cross."""
+    n = len(p)
+    d = np.roll(p, -1, axis=0) - p
+    # segment pair (i, j) crossing test, vectorized over all pairs
+    cross = lambda u, w: u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+    pi, di = p[:, None, :], d[:, None, :]
+    pj, dj = p[None, :, :], d[None, :, :]
+    denom = cross(di, dj)
+    rel = pj - pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = cross(rel, dj) / denom
+        u = cross(rel, di) / denom
+    hit = (np.abs(denom) > 1e-14) & (s > 1e-9) & (s < 1 - 1e-9) & (u > 1e-9) & (u < 1 - 1e-9)
+    i, j = np.indices(hit.shape)
+    adjacent = (np.abs(i - j) <= 1) | (np.abs(i - j) >= n - 1)
+    return bool(np.any(hit & ~adjacent))
+
+
+def any_spec(kind: str):
+    """Specs of one kind: random centre and scale, and aspect ratio for ellipses."""
+    st = hypothesis.strategies
+    centre = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+    scale = st.floats(1e-2, 1e2)
+    if kind == "ellipse":
+        ratio = st.floats(0.05, 20.0)
+        return st.builds(lambda c, a, r: CurveSpec(kind, (*c, a, a * r)), centre, scale, ratio)
+    return st.builds(lambda c, s: CurveSpec(kind, (*c, s)), centre, scale)
+
+
+class TestSimpleCurves:
+    """make_curve does not check its specs: each kind is one simple shape up
+    to translation and positive scale, so none self-intersects or stalls."""
+
+    def test_crossing_test_sees_a_figure_eight(self):
+        # off-node phase: the crossing at the origin falls inside two edges
+        t = 2 * np.pi * (np.arange(256) + 0.3) / 256
+        assert polygon_self_intersects(np.column_stack([np.sin(2 * t), np.sin(t)]))
+        assert not polygon_self_intersects(np.column_stack([np.cos(t), np.sin(t)]))
+
+    @pytest.mark.parametrize("kind", ["circle", "ellipse", "kite", "peanut"])
+    def test_every_spec_is_simple_with_nonzero_speed(self, kind):
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(any_spec(kind))
+        def simple(spec):
+            p, v, _ = _eval_curve(spec, 2 * np.pi * np.arange(256) / 256)
+            assert not polygon_self_intersects(p)
+            assert np.all(np.hypot(v[:, 0], v[:, 1]) > 0)
+
+        simple()
 
 
 class TestMembership:

@@ -254,6 +254,12 @@ class TestFactorization:
         assert a == pytest.approx(b, rel=1e-12)
 
 
+def weighted_symmetrization(N: SpaceTimeOperator) -> np.ndarray:
+    """Ntilde = (N + G^{-1} N^T G)/2 with G the diagonal Gram of N's domain."""
+    g = N.gram_domain
+    return 0.5 * (N.matrix + N.matrix.T * g[None, :] / g[:, None])
+
+
 class TestSymmetrize:
     def test_already_symmetric_unchanged(self, small_setup):
         n = 16 * 8
@@ -265,24 +271,30 @@ class TestSymmetrize:
         mat = sym * (1.0 / np.sqrt(g))[:, None] * np.sqrt(g)[None, :]
         pair = (small_setup.omega, small_setup.grid)
         op = SpaceTimeOperator(mat, pair, pair, g, g)
-        ntilde, S = symmetrize(op)
-        assert np.linalg.norm(ntilde.matrix - mat) <= 1e-14 * np.linalg.norm(mat)
+        ntilde = weighted_symmetrization(op)
+        assert np.linalg.norm(ntilde - mat) <= 1e-14 * np.linalg.norm(mat)
+        S = symmetrize(op)
         assert np.linalg.norm(S - sym) <= 1e-13 * np.linalg.norm(sym)
 
     def test_S_exactly_symmetric(self, small_ops):
-        _, S = symmetrize(small_ops["N"])
+        S = symmetrize(small_ops["N"])
         assert np.linalg.norm(S - S.T) <= 1e-12 * np.linalg.norm(S)
+
+    def test_S_bits_are_the_scaled_symmetric_part(self, small_ops):
+        N = small_ops["N"]
+        sqrt_g = np.sqrt(N.gram_domain)
+        b = N.matrix * (sqrt_g[:, None] / sqrt_g[None, :])
+        assert np.array_equal(symmetrize(N), 0.5 * (b + b.T))
 
     def test_eigenvalues_match_generalized_oracle(self, small_ops):
         from heatcavity.recon import eigendecompose
 
         N = small_ops["N"]
         g = N.gram_domain
-        ntilde, S = symmetrize(N)
-        eig = eigendecompose(S, g, 1e-8)
+        eig = eigendecompose(symmetrize(N), g, 1e-8)
         # oracle: the W-eigenproblem (G Ntilde) x = lambda G x, symmetric
         # because Ntilde is W-selfadjoint
-        a = np.diag(g) @ ntilde.matrix
+        a = np.diag(g) @ weighted_symmetrization(N)
         a = 0.5 * (a + a.T)
         lam = scipy.linalg.eigh(a, np.diag(g), eigvals_only=True)[::-1]
         assert np.allclose(eig.lambdas, lam, rtol=0, atol=1e-10 * abs(lam[0]))
