@@ -17,7 +17,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,7 +154,8 @@ def serialize_config(cfg: RunConfig) -> str:
     return "".join(f"{k}={vals[k]}\n" for k in _CONFIG_KEYS)
 
 
-def parse_config(text: str) -> RunConfig:
+def _config_keys(text: str) -> dict[str, str]:
+    """The key=value map of a config text; unknown keys are refused."""
     raw: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -167,8 +168,12 @@ def parse_config(text: str) -> RunConfig:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {ln}: unknown config key {key!r}")
         raw[key] = val.strip()
+    return raw
 
-    # absent keys take their canonical text from the default config
+
+def _config_from_keys(raw: dict[str, str]) -> RunConfig:
+    """Parse and validate a key map; absent keys take their canonical text
+    from the default config."""
     vals = dict(ln.split("=", 1) for ln in serialize_config(DEFAULT_CONFIG).splitlines())
     vals.update(raw)
 
@@ -203,30 +208,26 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def parse_config(text: str) -> RunConfig:
+    return _config_from_keys(_config_keys(text))
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    if path is None:
-        cfg = DEFAULT_CONFIG
-    else:
+    """The config at path (the defaults when None) with the --out and --noise
+    overrides applied to its keys before the one parse and validation."""
+    raw: dict[str, str] = {}
+    if path is not None:
         try:
             with open(path) as fh:
-                cfg = parse_config(fh.read())
+                raw = _config_keys(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        updates = {}
-        if overrides.get("out") is not None:
-            updates["out_dir"] = overrides["out"]
-        if overrides.get("noise") is not None:
-            level = float(overrides["noise"])
-            updates["noise"] = NoiseSpec(level, cfg.noise.seed)
-        if updates:
-            cfg = replace(cfg, **updates)
-            cfg.validate()
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    if overrides.get("out") is not None:
+        raw["out_dir"] = overrides["out"]
+    if overrides.get("noise") is not None:
+        raw["noise_level"] = str(overrides["noise"])
+    # an empty key map is the default config, valid as written
+    return _config_from_keys(raw) if raw else DEFAULT_CONFIG
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -340,7 +341,8 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
 
 
 def _load_operator(cfg: RunConfig, name: str):
-    """Read an operator and its gram, refusing files made for another problem.
+    """Read an operator and its gram, refusing files made for another problem
+    or without the meta that records their provenance.
 
     The header, the provenance hash and the gram are checked before the
     operator body is parsed.
@@ -359,15 +361,18 @@ def _load_operator(cfg: RunConfig, name: str):
         n = cfg.M_omega * cfg.Nt
         if (head["rows"], head["cols"]) != (n, n):
             raise ConfigError(f"{mpath} has unexpected shape ({head['rows']}, {head['cols']})")
-        # operators copied without their meta carry no provenance to compare
         meta_path = os.path.join(cfg.out_dir, "meta")
-        if os.path.exists(meta_path):
-            made_by = io.read_kv(meta_path).get("operator_hash")
-            if made_by != _operator_hash(cfg):
-                raise ConfigError(
-                    f"{mpath} was simulated for another geometry, resolution or noise "
-                    f"(operator_hash {made_by} in {meta_path}); run simulate with this config"
-                )
+        if not os.path.exists(meta_path):
+            raise ConfigError(
+                f"missing {meta_path}: {mpath} has no provenance to check; "
+                "copy the meta simulate wrote with it, or run simulate"
+            )
+        made_by = io.read_kv(meta_path).get("operator_hash")
+        if made_by != _operator_hash(cfg):
+            raise ConfigError(
+                f"{mpath} was simulated for another geometry, resolution or noise "
+                f"(operator_hash {made_by} in {meta_path}); run simulate with this config"
+            )
         gram = io.read_gram(gpath)
         if gram.shape != (n,):
             raise ConfigError(f"{gpath} holds {gram.size} gram weights, expected {n}")

@@ -11,6 +11,11 @@ back already-computed density slices.
 Collocation in time is at cell midpoints.  With uniform cells this makes
 the discrete time reversal t -> T - t exact on the collocation grid, which
 the operator layer relies on.
+
+Every retarded kernel, from assembly's blocks to probe traces at off-grid
+times, traces on other curves and interior potentials and gradients, is a
+stack of lag blocks from _lag_blocks, applied by the lag convolution
+_convolve; an evaluation time off the grid shifts the stack's windows.
 """
 
 from __future__ import annotations
@@ -180,10 +185,9 @@ def _lag_bounds(lag: int, dt: float, offset: float = 0.0) -> tuple[float, float]
 
 
 def _lag_windows(grid: TimeGrid, offset: float = 0.0) -> list:
-    """Every lag's window as its own group for window_integrals.  The windows
-    telescope: lag l's lower end is the same float as lag l - 1's upper end,
-    or 0."""
-    return [tuple([v] for v in _lag_bounds(lag, grid.dt, offset)) for lag in range(grid.Nt)]
+    """Every lag's (a, b) window.  The windows telescope: lag l's lower end
+    is the same float as lag l - 1's upper end, or 0."""
+    return [_lag_bounds(lag, grid.dt, offset) for lag in range(grid.Nt)]
 
 
 def _self_half_block(curve: BoundaryCurve, b: float) -> np.ndarray:
@@ -219,20 +223,21 @@ def _self_half_block(curve: BoundaryCurve, b: float) -> np.ndarray:
 def _lag_blocks(targets, sources, weights, grid: TimeGrid, normals=None, offset=0.0) -> np.ndarray:
     """Single-layer, or with target normals adjoint-double-layer, lag kernels
     (Nt, P, M) seen from the collocation instants shifted by offset * dt.
-    Diagonal entries of targets-is-sources blocks are left to the caller's
-    self rule; a window that rounds to empty gives a zero block."""
+    normals of shape (A, P, 2), or (A, 1, 2) for directions shared by all
+    targets, stack A directions per target and give (Nt, A, P, M).  Diagonal entries of targets-is-sources blocks are left to
+    the caller's self rule; a window that rounds to empty gives a zero block."""
     dx = targets[:, None, :] - sources[None, :, :]
     r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
     dot = None if normals is None else (
-        dx[..., 0] * normals[:, None, 0] + dx[..., 1] * normals[:, None, 1]
+        dx[..., 0] * normals[..., None, 0] + dx[..., 1] * normals[..., None, 1]
     )
     if targets is sources:
         np.fill_diagonal(r2, 1.0)
     windows = _lag_windows(grid, offset)
-    live = [lag for lag, ((a,), (b,)) in enumerate(windows) if b > a]
-    out = np.zeros((grid.Nt,) + r2.shape)
+    live = [lag for lag, (a, b) in enumerate(windows) if b > a]
+    out = np.zeros((grid.Nt,) + (r2 if dot is None else dot).shape)
     for lag, ker in zip(live, window_integrals(r2, [windows[lag] for lag in live], dot)):
-        out[lag] = ker[:, 0, :] * weights
+        out[lag] = ker * weights
     return out
 
 
@@ -249,7 +254,7 @@ def _single_blocks(curves, grid: TimeGrid, offset: float = 0.0) -> np.ndarray:
     out = _lag_blocks(nodes, nodes, weights, grid, offset=offset)
     ends = np.cumsum([0] + [c.M for c in curves])
     halves = [{} for _ in curves]  # per curve: window endpoint -> half block
-    for lag, ((a,), (b,)) in enumerate(_lag_windows(grid, offset)):
+    for lag, (a, b) in enumerate(_lag_windows(grid, offset)):
         if not b > a:
             continue
         for c, half, lo, hi in zip(curves, halves, ends, ends[1:]):
@@ -358,11 +363,13 @@ def _convolve(blocks: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_clearance(region: RetardedBlocks, points: np.ndarray) -> None:
+def _off_curve_blocks(region: RetardedBlocks, points, normals=None, offset=0.0) -> np.ndarray:
+    """_lag_blocks of the region's layer at points with clearance from its
+    nodes; a point within 10 TOL_GEOM of a node raises ValueError."""
     d = points[:, None, :] - region.nodes[None, :, :]
-    dist = np.sqrt((d**2).sum(-1))
-    if dist.min() <= 10 * TOL_GEOM:
+    if np.sqrt((d**2).sum(-1)).min() <= 10 * TOL_GEOM:
         raise ValueError("evaluation point touches a source curve")
+    return _lag_blocks(points, region.nodes, region.weights, region.grid, normals, offset)
 
 
 def _require_single_rhs(density: LayerDensity) -> None:
@@ -388,9 +395,7 @@ def _trace_values(density: LayerDensity, target: BoundaryCurve, normal=False) ->
             raise ValueError("normal_derivative_on requires a non-source target curve")
         blocks = region.single[:, region.component_slice(comp), :]
     else:
-        _check_clearance(region, target.nodes)
-        normals = target.normals if normal else None
-        blocks = _lag_blocks(target.nodes, region.nodes, region.weights, region.grid, normals)
+        blocks = _off_curve_blocks(region, target.nodes, target.normals if normal else None)
     return _convolve(blocks, density.values)
 
 
@@ -414,41 +419,30 @@ def normal_derivative_on(density: LayerDensity, target: BoundaryCurve) -> Bounda
     return BoundaryField(target, density.region.grid, _trace_values(density, target, normal=True))
 
 
-def _eval_windows(region: RetardedBlocks, times: np.ndarray):
-    """Per (evaluation time, density cell) retardation windows, clipped."""
-    edges = region.grid.edges
-    a = np.maximum(0.0, times[:, None] - edges[None, 1:])
-    b = np.maximum(0.0, times[:, None] - edges[None, :-1])
-    return a, b
-
-
 def _field_at(density: LayerDensity, points, times, gradient: bool) -> np.ndarray:
     """Potential (P, K[, R]), or with gradient its spatial gradient
-    (P, 2, K[, R]), at points away from the source curves."""
+    (P, 2, K[, R]), at points away from the source curves.
+
+    A time t in the cell (e_k, e_k+1], k clipped to the grid, is the instant
+    tau_k shifted by theta = (t - tau_k) / dt, exactly 0 on the grid: its
+    value is column k of the lag convolution of off-curve blocks whose
+    windows are shifted by theta.  One block stack serves each distinct theta.
+    """
     region = density.region
+    grid = region.grid
     points = np.atleast_2d(np.asarray(points, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    _check_clearance(region, points)
-    dx = points[:, None, :] - region.nodes[None, :, :]
-    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    w = region.weights
-    # the density cells some time sees, each with the mask of those times
-    a, b = _eval_windows(region, times)
-    seen = b > a
-    cells = [(cell, seen[:, cell]) for cell in range(region.grid.Nt) if seen[:, cell].any()]
-    windows = [(a[m, cell], b[m, cell]) for cell, m in cells]
-    rho = density.values if density.values.ndim == 3 else density.values[:, :, None]
-    # both gradient axes share each window's exponentials: d runs over dx's components
-    axes_dot = np.moveaxis(dx, -1, 0) if gradient else None
-    out = np.zeros((points.shape[0], 2 if gradient else 1, times.shape[0], rho.shape[2]))
-    for (cell, live), kers in zip(cells, window_integrals(r2, windows, axes_dot)):
-        for axis, ker in enumerate(kers if gradient else [kers]):
-            out[:, axis][:, live, :] += np.tensordot(ker * w, rho[:, cell, :], axes=(2, 0))
-    if not gradient:
-        out = out[:, 0]
-    if density.values.ndim == 2:
-        out = out[..., 0]
-    return out
+    k = np.clip(np.searchsorted(grid.edges, times) - 1, 0, grid.Nt - 1)
+    theta = (times - grid.times[k]) / grid.dt
+    # the gradient's two axes as stacked "normals" share each endpoint's exp
+    axes = np.eye(2)[:, None, :] if gradient else None
+    out = np.zeros(((2 if gradient else 1) * points.shape[0], times.size) + density.values.shape[2:])
+    for th in np.unique(theta):
+        cols = theta == th
+        stack = _off_curve_blocks(region, points, axes, float(th))
+        rows = _convolve(stack.reshape(grid.Nt, -1, region.M_total), density.values)
+        out[:, cols] = rows[:, k[cols]]
+    return np.moveaxis(out.reshape((2, -1) + out.shape[1:]), 0, 1) if gradient else out
 
 
 def potential_at(density: LayerDensity, points: np.ndarray, times: np.ndarray) -> np.ndarray:

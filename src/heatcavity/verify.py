@@ -303,18 +303,15 @@ def _energy_identity(st: ndmap.ProblemSetup, phi: BoundaryField) -> float:
     total_G = 0.0
     for r0, r1, inside in ((0.0, r_cav, True), (r_cav, r_out, False)):
         pts, areas = _polar_cells(r0, r1)
-        vT = -forward.potential_at(rho0, pts, tT)[:, 0]
-        if not inside:
-            vT += forward.potential_at(rhow, pts, tT)[:, 0]
-        total_T += 0.5 * float(np.sum(vT**2 * areas))
         for lo in range(0, len(pts), 512):
-            p = pts[lo : lo + 512]
+            p, a = pts[lo : lo + 512], areas[lo : lo + 512]
+            vT = -forward.potential_at(rho0, p, tT)[:, 0]
             gv = -forward.gradient_at(rho0, p, grid.times)
             if not inside:
+                vT += forward.potential_at(rhow, p, tT)[:, 0]
                 gv += forward.gradient_at(rhow, p, grid.times)
-            total_G += float(
-                np.sum((gv**2).sum(axis=1) * areas[lo : lo + 512, None]) * grid.dt
-            )
+            total_T += 0.5 * float(np.sum(vT**2 * a))
+            total_G += float(np.sum((gv**2).sum(axis=1) * a[:, None]) * grid.dt)
     return -total_T - total_G
 
 

@@ -156,6 +156,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path, {"noise": 1.5})
 
+    def test_overrides_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = RunConfig.validate
+        monkeypatch.setattr(RunConfig, "validate", lambda cfg: calls.append(cfg) or real(cfg))
+        cfg = load_config(write_cfg(tmp_path), {"out": str(tmp_path / "o"), "noise": 0.05})
+        assert calls == [cfg]
+
 
 class TestConfigHash:
     def test_matches_git_blob_oracle(self, tmp_path):
@@ -484,6 +491,17 @@ class TestExitCodes:
         assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
         assert "simulated for another" in capsys.readouterr().err
 
+    def test_operators_copied_without_meta_exit_1(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "bare"
+        out.mkdir()
+        for name in ("N.stop1", "N.gram"):
+            shutil.copy(pipeline["out"] / name, out / name)
+        for command in ("reconstruct", "spectrum"):
+            assert cli.main([command, "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "config error" in err and f"missing {out / 'meta'}" in err
+        assert not (out / "spectrum.csv").exists()
+
     def test_truncated_operator_exits_1_naming_the_file(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"
         shutil.copytree(pipeline["out"], out)
@@ -565,7 +583,7 @@ class TestSpectrumCommand:
     def test_spectrum_matches_reconstruct_output(self, pipeline, tmp_path):
         out = tmp_path / "spec_only"
         out.mkdir()
-        for name in ("N.stop1", "N.gram"):
+        for name in ("N.stop1", "N.gram", "meta"):
             shutil.copy(pipeline["out"] / name, out / name)
         code = cli.main(["spectrum", "--config", pipeline["cfg_path"], "--out", str(out)])
         assert code == 0
@@ -579,7 +597,7 @@ class TestThresholdEdge:
         cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("threshold=0.2", "threshold=0"))
         out = tmp_path / "thr0"
         out.mkdir()
-        for name in ("N.stop1", "N.gram"):
+        for name in ("N.stop1", "N.gram", "meta"):
             shutil.copy(pipeline["out"] / name, out / name)
         assert cli.main(["reconstruct", "--config", cfg_path, "--out", str(out)]) == 0
         table = hio.read_indicator_csv(out / "indicator.csv")

@@ -473,48 +473,67 @@ class TestSelfHalfBlock:
         assert row == pytest.approx(2.0 * ref, rel=1e-8 if b == 0.1 else 0.05)
 
 
-def potential_reference(density, points, times):
-    """potential_at as one gamma_time_integral call per density cell."""
+def lag_field_reference(density, points, times, gradient=False):
+    """potential_at, or gradient_at, on the lag windows: each time t as
+    collocation instant k = ceil(t/dt) - 1 (clipped to the grid) shifted by
+    theta = (t - tau_k)/dt, one gamma_time_integral (or, per axis,
+    dnu_gamma_time_integral) call per lag, summed by _convolve."""
+    region = density.region
+    grid = region.grid
+    dx = points[:, None, :] - region.nodes[None, :, :]
+    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+    axes = 2 if gradient else 1
+    out = np.zeros((axes * points.shape[0], times.size) + density.values.shape[2:])
+    for j, t in enumerate(times):
+        k = min(max(int(np.ceil(t / grid.dt)) - 1, 0), grid.Nt - 1)
+        theta = (t - grid.times[k]) / grid.dt
+        stack = np.zeros((grid.Nt, axes * points.shape[0], region.M_total))
+        for lag in range(grid.Nt):
+            a, b = _lag_bounds(lag, grid.dt, theta)
+            if not b > a:
+                continue
+            if gradient:
+                kers = [dnu_gamma_time_integral(r2, dx[..., d], a, b) for d in range(2)]
+            else:
+                kers = [gamma_time_integral(r2, a, b)]
+            stack[lag] = np.concatenate(kers) * region.weights[None, :]
+        out[:, j] = forward._convolve(stack, density.values)[:, k]
+    if gradient:
+        return np.moveaxis(out.reshape((2, -1) + out.shape[1:]), 0, 1)
+    return out
+
+
+def cell_windows(grid, times):
+    """Per (evaluation time, density cell) retardation windows
+    (t - e_c+1, t - e_c], clipped at 0; shapes (K, Nt)."""
+    a = np.maximum(0.0, times[:, None] - grid.edges[None, 1:])
+    b = np.maximum(0.0, times[:, None] - grid.edges[None, :-1])
+    return a, b
+
+
+def cell_field_reference(density, points, times, gradient=False):
+    """potential_at, or gradient_at, as one gamma_time_integral (or, per
+    axis, dnu_gamma_time_integral) call per density cell on cell_windows."""
     region = density.region
     dx = points[:, None, :] - region.nodes[None, :, :]
     r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
     w = region.weights
-    a, b = forward._eval_windows(region, times)
-    rho = density.values if density.values.ndim == 3 else density.values[:, :, None]
-    out = np.zeros((points.shape[0], times.shape[0], rho.shape[2]))
-    for cell in range(region.grid.Nt):
-        live = b[:, cell] > a[:, cell]
-        if not np.any(live):
-            continue
-        ker = gamma_time_integral(
-            r2[:, None, :], a[live, cell][None, :, None], b[live, cell][None, :, None]
-        ) * w[None, None, :]
-        out[:, live, :] += np.tensordot(ker, rho[:, cell, :], axes=(2, 0))
-    return out if density.values.ndim == 3 else out[:, :, 0]
-
-
-def gradient_reference(density, points, times):
-    """gradient_at as one dnu_gamma_time_integral call per cell and axis."""
-    region = density.region
-    dx = points[:, None, :] - region.nodes[None, :, :]
-    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    w = region.weights
-    a, b = forward._eval_windows(region, times)
+    a, b = cell_windows(region.grid, times)
     rho = density.values if density.values.ndim == 3 else density.values[:, :, None]
     out = np.zeros((points.shape[0], 2, times.shape[0], rho.shape[2]))
     for cell in range(region.grid.Nt):
         live = b[:, cell] > a[:, cell]
         if not np.any(live):
             continue
-        for axis in range(2):
-            ker = dnu_gamma_time_integral(
-                r2[:, None, :],
-                dx[:, None, :, axis],
-                a[live, cell][None, :, None],
-                b[live, cell][None, :, None],
-            ) * w[None, None, :]
-            out[:, axis][:, live, :] += np.tensordot(ker, rho[:, cell, :], axes=(2, 0))
-    return out if density.values.ndim == 3 else out[:, :, :, 0]
+        lo, hi = a[live, cell][None, :, None], b[live, cell][None, :, None]
+        for axis in range(2 if gradient else 1):
+            if gradient:
+                ker = dnu_gamma_time_integral(r2[:, None, :], dx[:, None, :, axis], lo, hi)
+            else:
+                ker = gamma_time_integral(r2[:, None, :], lo, hi)
+            out[:, axis][:, live, :] += np.tensordot(ker * w, rho[:, cell, :], axes=(2, 0))
+    out = out if gradient else out[:, 0]
+    return out if density.values.ndim == 3 else out[..., 0]
 
 
 def bits_equal(x, y) -> bool:
@@ -532,7 +551,7 @@ def trace_reference(density, component, s):
     dx = region.nodes[rows][:, None, :] - region.nodes[None, :, :]
     r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
     r2[np.arange(curve.M), np.arange(rows.start, rows.stop)] = 1.0
-    a, b = forward._eval_windows(region, times)
+    a, b = cell_windows(region.grid, times)
     out = np.zeros((curve.M, times.size) + density.values.shape[2:])
     for cell in range(region.grid.Nt):
         for k in np.nonzero(b[:, cell] > a[:, cell])[0]:
@@ -552,11 +571,11 @@ def per_lag_single_blocks(region):
     dx = region.nodes[:, None, :] - region.nodes[None, :, :]
     r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
     np.fill_diagonal(r2, 1.0)
-    windows = [([max(0.0, (lag - 1 + 0.5) * dt)], [(lag + 0.5) * dt]) for lag in range(nt)]
+    windows = [(max(0.0, (lag - 1 + 0.5) * dt), (lag + 0.5) * dt) for lag in range(nt)]
     halves = [[forward._self_half_block(c, (lag + 0.5) * dt) for lag in range(nt)] for c in region.curves]
     out = np.empty_like(region.single)
     for lag, v in enumerate(window_integrals(r2, windows)):
-        v = v[:, 0, :] * region.weights[None, :]
+        v = v * region.weights[None, :]
         for ci in range(len(region.curves)):
             sl = region.component_slice(ci)
             v[sl, sl] = halves[ci][lag] - halves[ci][lag - 1] if lag else halves[ci][0]
@@ -685,8 +704,8 @@ class TestWindowKernelsMatchPerWindowForm:
         density = densities[stacked]
         t = self.TIMES[times]
         pts, _ = _polar_cells(0.45, 0.9, 9)
-        assert bits_equal(potential_at(density, pts, t), potential_reference(density, pts, t))
-        assert bits_equal(gradient_at(density, pts, t), gradient_reference(density, pts, t))
+        assert bits_equal(potential_at(density, pts, t), lag_field_reference(density, pts, t))
+        assert bits_equal(gradient_at(density, pts, t), lag_field_reference(density, pts, t, True))
 
     def test_point_subsets_each_match_reference(self, densities):
         # every point set is its own reference call: results are per call
@@ -695,8 +714,39 @@ class TestWindowKernelsMatchPerWindowForm:
         t = self.TIMES["collocation"]
         for lo, hi in ((0, 1), (0, 97), (97, 256)):
             p = pts[lo:hi]
-            assert bits_equal(gradient_at(density, p, t), gradient_reference(density, p, t))
-            assert bits_equal(potential_at(density, p, t[-1:]), potential_reference(density, p, t[-1:]))
+            assert bits_equal(gradient_at(density, p, t), lag_field_reference(density, p, t, True))
+            assert bits_equal(potential_at(density, p, t[-1:]), lag_field_reference(density, p, t[-1:]))
+
+    EDGE = TimeGrid(0.5, 12).edges[5]
+    EDGE_TIMES = {
+        "edge": EDGE,
+        "ulp_below_edge": np.nextafter(EDGE, 0.0),
+        "ulp_above_edge": np.nextafter(EDGE, 1.0),
+        "zero": 0.0,
+        "T": 0.5,
+        "above_T": 0.6,
+    }
+
+    @pytest.mark.parametrize("where", list(EDGE_TIMES))
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one_rhs", "stacked"])
+    def test_edge_times_match_per_cell_windows(self, densities, where, stacked):
+        density = densities[stacked]
+        t = np.array([self.EDGE_TIMES[where]])
+        pts, _ = _polar_cells(0.45, 0.9, 9)
+        for gradient, field in ((False, potential_at), (True, gradient_at)):
+            got = field(density, pts, t)
+            want = cell_field_reference(density, pts, t, gradient)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            if where == "zero":
+                assert np.all(got == 0.0)
+
+    def test_trace_on_matches_potential_at_nodes(self, densities):
+        density = densities[0]
+        ring = make_curve(CurveSpec("circle", (0.0, 0.0, 0.6)), 10)
+        got = trace_on(density, ring).values
+        want = potential_at(density, ring.nodes, density.region.grid.times)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_lag_blocks_match_per_lag_integrals(self, densities):
         region = densities[0].region

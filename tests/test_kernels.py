@@ -204,35 +204,38 @@ class TestDnuGammaTimeIntegral:
 
 
 class TestWindowIntegrals:
-    """Grouped windows from shared endpoints, against the single-window forms."""
+    """Windows from shared endpoints, against the single-window forms."""
 
     R2 = np.random.default_rng(31).uniform(1e-4, 3.0, (5, 7))
     DOT = np.random.default_rng(32).standard_normal((2, 5, 7))
-    # lag windows telescope; collocation-style windows repeat endpoints
-    # across groups, some starting at a = 0
-    GROUPS = [
-        ([0.0, 0.0125], [0.0125, 0.0375]),
-        ([0.0375], [0.0625]),
-        ([0.0, 0.0125, 0.3], [0.0375, 0.0625, 0.7]),
-        ([0.0625], [0.7]),
+    # lag windows telescope; collocation-style windows repeat endpoints,
+    # some starting at a = 0
+    WINDOWS = [
+        (0.0, 0.0125),
+        (0.0125, 0.0375),
+        (0.0375, 0.0625),
+        (0.0, 0.0375),
+        (0.0125, 0.0625),
+        (0.3, 0.7),
+        (0.0625, 0.7),
     ]
 
     def endpoints(self):
-        return {u for a, b in self.GROUPS for u in a + b if u > 0}
+        return {u for w in self.WINDOWS for u in w if u > 0}
 
     def test_gamma_windows_bitwise(self):
-        for (a, b), got in zip(self.GROUPS, window_integrals(self.R2, self.GROUPS)):
-            assert got.shape == (5, len(a), 7)
-            for j, (lo, hi) in enumerate(zip(a, b)):
-                assert np.array_equal(got[:, j, :], gamma_time_integral(self.R2, lo, hi))
+        got = list(window_integrals(self.R2, self.WINDOWS))
+        assert len(got) == len(self.WINDOWS)
+        for (a, b), v in zip(self.WINDOWS, got):
+            assert v.shape == (5, 7)
+            assert np.array_equal(v, gamma_time_integral(self.R2, a, b))
 
     def test_dnu_windows_bitwise_with_leading_axes(self):
-        groups = window_integrals(self.R2, self.GROUPS, self.DOT)
-        for (a, b), got in zip(self.GROUPS, groups):
-            assert got.shape == (2, 5, len(a), 7)
-            for j, (lo, hi) in enumerate(zip(a, b)):
-                want = dnu_gamma_time_integral(self.R2, self.DOT, lo, hi)
-                assert np.array_equal(got[:, :, j, :], want)
+        got = list(window_integrals(self.R2, self.WINDOWS, self.DOT))
+        assert len(got) == len(self.WINDOWS)
+        for (a, b), v in zip(self.WINDOWS, got):
+            assert v.shape == (2, 5, 7)
+            assert np.array_equal(v, dnu_gamma_time_integral(self.R2, self.DOT, a, b))
 
     @pytest.mark.parametrize("dot", [None, DOT], ids=["exp1", "exp"])
     def test_one_evaluation_per_distinct_endpoint(self, monkeypatch, dot):
@@ -244,7 +247,7 @@ class TestWindowIntegrals:
             return real(z, *args, **kwargs)
 
         monkeypatch.setattr(kernels if dot is None else np, name, spy)
-        list(window_integrals(self.R2, self.GROUPS, dot))
+        list(window_integrals(self.R2, self.WINDOWS, dot))
         assert seen == [self.R2.shape] * len(self.endpoints())
 
     def test_endpoints_dropped_after_last_use(self):
@@ -254,10 +257,10 @@ class TestWindowIntegrals:
 
         r2 = np.random.default_rng(33).uniform(0.01, 1.0, (100, 100))
         edges = (np.arange(401) + 0.5) * 1e-3
-        groups = [([lo], [hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+        windows = list(zip(edges[:-1], edges[1:]))
         tracemalloc.start()
         try:
-            for _ in window_integrals(r2, groups, np.ones_like(r2)):
+            for _ in window_integrals(r2, windows, np.ones_like(r2)):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -265,11 +268,11 @@ class TestWindowIntegrals:
         assert peak < 20 * r2.nbytes
 
     def test_invalid_windows_and_coincident_points_rejected(self):
-        for groups in ([([0.2], [0.1])], [([-0.1], [0.1])], [([0.1], [0.1])], [([0.0, 0.1], [0.2])]):
+        for window in ((0.2, 0.1), (-0.1, 0.1), (0.1, 0.1), (0.1, np.nan)):
             with pytest.raises(ValueError, match="0 <= a < b"):
-                list(window_integrals(self.R2, groups))
+                list(window_integrals(self.R2, [(0.0, 0.1), window]))
         with pytest.raises(ValueError, match="r2 > 0"):
-            list(window_integrals(np.zeros((2, 2)), [([0.1], [0.2])]))
+            list(window_integrals(np.zeros((2, 2)), [(0.1, 0.2)]))
 
 
 class TestLogQuadratureTools:
