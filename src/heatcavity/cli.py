@@ -386,21 +386,36 @@ def _load_operator(cfg: RunConfig, name: str):
     return matrix, gram
 
 
-def _spectral_data(cfg: RunConfig, timings: dict):
+def _spectral_data(cfg: RunConfig, omega, timings: dict):
     with _timed(timings, "read"):
         nmat, gram = _load_operator(cfg, "N")
     with _timed(timings, "eigh"):
-        omega = make_curve(cfg.omega, cfg.M_omega)
         grid = TimeGrid(cfg.T, cfg.Nt)
         pair = (omega, grid)
         S = ndmap.symmetrize(ndmap.SpaceTimeOperator(nmat, pair, pair, gram, gram))
         del nmat  # eigh runs without N in memory
         eig = recon.eigendecompose(S, gram, cfg.effective_tau)
-    return omega, grid, eig
+    return grid, eig
+
+
+def _scoring_lattice(cfg: RunConfig, omega, cavity):
+    """recon.probe_lattice of the config, refused when it keeps no point or,
+    with a cavity, no point on one side of the cavity boundary: a constant
+    truth mask makes any mask's jaccard meaningless."""
+    pts, inside, margin = lattice = recon.probe_lattice(omega, cfg.sampling, cavity)
+    # inside.all() == inside.any(): every kept point lies on one side
+    if len(pts) == 0 or (cavity is not None and inside.all() == inside.any()):
+        need = "" if cavity is None else f", {int(inside.sum())} inside the cavity"
+        raise ConfigError(
+            f"sampling lattice nx={cfg.sampling.nx}, ny={cfg.sampling.ny} with margin "
+            f"{margin:.6g} keeps {len(pts)} probe points{need}, too few to score a mask: "
+            "raise nx and ny or lower margin"
+        )
+    return lattice
 
 
 def cmd_spectrum(cfg: RunConfig, threads: int = 1) -> int:
-    _, _, eig = _spectral_data(cfg, {})
+    _, eig = _spectral_data(cfg, make_curve(cfg.omega, cfg.M_omega), {})
     io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
     print(
         f"[spectrum] lambda_1={eig.lambdas[0]:.6e}  retained n*={eig.retained} "
@@ -412,12 +427,16 @@ def cmd_spectrum(cfg: RunConfig, threads: int = 1) -> int:
 def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
-    omega, grid, eig = _spectral_data(cfg, timings)
+    omega = make_curve(cfg.omega, cfg.M_omega)
+    cavity = make_curve(cfg.cavity, cfg.M_cavity) if cfg.cavity else None
+    with _timed(timings, "probes"):
+        # before the operator is read: a lattice that cannot score is refused
+        lattice = _scoring_lattice(cfg, omega, cavity)
+    grid, eig = _spectral_data(cfg, omega, timings)
     with _timed(timings, "write"):
         io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
     with _timed(timings, "probes"):
         region = assemble_blocks(omega, grid)
-        cavity = make_curve(cfg.cavity, cfg.M_cavity) if cfg.cavity else None
         with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
             grid_out = recon.reconstruct(
                 eig,
@@ -428,6 +447,7 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
                 cavity=cavity,
                 region=region,
                 chunk_map=map if pool is None else pool.map,
+                lattice=lattice,
             )
     with _timed(timings, "write"):
         io.write_indicator_csv(_out_path(cfg, "indicator.csv"), grid_out)

@@ -7,9 +7,12 @@ w_{i,k} = arclength_weight_i * dt, and duals/adjoints below are always
 taken with respect to it.
 
 The flux-to-temperature maps are block-Toeplitz in time (the underlying
-problems are autonomous), so each one is assembled from M impulse solves —
-one per boundary node, all with flux concentrated in time cell 0 — and
-expanded along the causal diagonals.
+problems are autonomous), so each one is determined by its impulse
+responses: M impulse solves, one per source node, all with flux
+concentrated in time cell 0, give a (M_tgt, Nt, M_src) stack whose lag-a
+slice is the map's block on the a-th causal diagonal.  The dense matrices
+expand that stack; the modified operator N is composed from the stacks of
+FL and Lhat directly (see compose_N) and never forms either matrix.
 """
 
 from __future__ import annotations
@@ -94,17 +97,18 @@ class ProblemSetup:
 
 
 def _toeplitz_expand(resp: np.ndarray) -> np.ndarray:
-    """Expand impulse responses (M_tgt, Nt, M_src) along causal diagonals."""
+    """Expand impulse responses (M_tgt, Nt, M_src) along causal diagonals.
+
+    Entry ((i, k), (j, l)) of the result is resp[i, k - l, j] for k >= l and
+    0 otherwise.  With Nt - 1 zero lags padded in front, the reversed
+    sliding windows of length Nt along the time axis are exactly the rows of
+    that layout, so one copy out of the window view fills the matrix.
+    """
     m_tgt, nt, m_src = resp.shape
-    full = np.zeros((m_tgt, nt, m_src, nt))
-    for k in range(nt):
-        full[:, k:, :, k] = resp[:, : nt - k, :]
-    return full.reshape(m_tgt * nt, m_src * nt)
-
-
-def _reverse_rows(mat: np.ndarray, m: int, nt: int) -> np.ndarray:
-    """Left-multiply by the time-reversal permutation of an (m, nt) basis."""
-    return mat.reshape(m, nt, -1)[:, ::-1, :].reshape(m * nt, -1)
+    padded = np.concatenate([np.zeros((m_tgt, max(nt - 1, 0), m_src)), resp], axis=1)
+    # windows[i, k, j, w] = padded[i, k + w, j]; w = Nt-1-l reads lag k - l
+    windows = np.lib.stride_tricks.sliding_window_view(padded, nt, axis=1)
+    return windows[..., ::-1].reshape(m_tgt * nt, m_src * nt)
 
 
 def _operator(matrix: np.ndarray, domain: tuple, codomain: tuple) -> SpaceTimeOperator:
@@ -126,33 +130,54 @@ def _response(
     return -resp if normal else resp
 
 
-def _flux_map(
+def _impulse_response(
     setup: ProblemSetup, region: RetardedBlocks, source: int, target: BoundaryCurve, normal=False
+) -> np.ndarray:
+    """Impulse responses (M_tgt, Nt, M_src) of the map from flux on region
+    component source to the trace on target, or with normal to minus its
+    normal derivative: one right-hand side per source node, flux 1 in time
+    cell 0."""
+    m_src = (setup.omega, setup.cavity)[source].M
+    impulses = np.zeros((m_src, setup.grid.Nt, m_src))
+    impulses[np.arange(m_src), 0, np.arange(m_src)] = 1.0
+    return _response(region, source, impulses, target, normal)
+
+
+def _flux_map(
+    setup: ProblemSetup, source: int, target: BoundaryCurve, resp: np.ndarray
 ) -> SpaceTimeOperator:
-    """Flux on region component source to the trace on target, or with normal
-    to minus its normal derivative, assembled from impulse responses: one
-    right-hand side per source node, flux 1 in time cell 0."""
+    """The operator from source's coefficient space to target's whose
+    impulse responses are resp."""
     curve = (setup.omega, setup.cavity)[source]
-    impulses = np.zeros((curve.M, setup.grid.Nt, curve.M))
-    impulses[np.arange(curve.M), 0, np.arange(curve.M)] = 1.0
-    resp = _response(region, source, impulses, target, normal)
     return _operator(_toeplitz_expand(resp), (curve, setup.grid), (target, setup.grid))
+
+
+def fl_response(setup: ProblemSetup) -> np.ndarray:
+    """Impulse responses f of FL, shape (M_cavity, Nt, M_omega)."""
+    setup.require_cavity()
+    return _impulse_response(setup, setup.omega_system, 0, setup.cavity, normal=True)
+
+
+def lhat_response(setup: ProblemSetup) -> np.ndarray:
+    """Impulse responses of Lhat, shape (M_omega, Nt, M_cavity)."""
+    return _impulse_response(setup, setup.require_cavity(), 1, setup.omega)
 
 
 def assemble_lambda(setup: ProblemSetup, with_cavity: bool) -> SpaceTimeOperator:
     """Flux-to-temperature map on the outer boundary (with or without D)."""
     region = setup.require_cavity() if with_cavity else setup.omega_system
-    return _flux_map(setup, region, 0, setup.omega)
+    return _flux_map(setup, 0, setup.omega, _impulse_response(setup, region, 0, setup.omega))
 
 
 def assemble_L(setup: ProblemSetup) -> SpaceTimeOperator:
     """Outer flux to cavity-boundary temperature (virtual measurement)."""
-    return _flux_map(setup, setup.require_cavity(), 0, setup.cavity)
+    resp = _impulse_response(setup, setup.require_cavity(), 0, setup.cavity)
+    return _flux_map(setup, 0, setup.cavity, resp)
 
 
 def assemble_Lhat(setup: ProblemSetup) -> SpaceTimeOperator:
     """Cavity flux to outer-boundary temperature (back projection)."""
-    return _flux_map(setup, setup.require_cavity(), 1, setup.omega)
+    return _flux_map(setup, 1, setup.omega, lhat_response(setup))
 
 
 def assemble_FL(setup: ProblemSetup) -> SpaceTimeOperator:
@@ -163,8 +188,7 @@ def assemble_FL(setup: ProblemSetup) -> SpaceTimeOperator:
     transmission operator applied to the virtual measurement of phi, so
     the composite needs no transmission solver.
     """
-    setup.require_cavity()
-    return _flux_map(setup, setup.omega_system, 0, setup.cavity, normal=True)
+    return _flux_map(setup, 0, setup.cavity, fl_response(setup))
 
 
 def assemble_N(setup: ProblemSetup) -> SpaceTimeOperator:
@@ -175,16 +199,33 @@ def assemble_N(setup: ProblemSetup) -> SpaceTimeOperator:
     auxiliary bridge operator.  Without a cavity, N = 0 identically.
     """
     if setup.cavity is not None:
-        return compose_N(setup, assemble_FL(setup).matrix, assemble_Lhat(setup).matrix)
+        return compose_N(setup, fl_response(setup), lhat_response(setup))
     pair = (setup.omega, setup.grid)
     n = setup.omega.M * setup.grid.Nt
     return _operator(np.zeros((n, n)), pair, pair)
 
 
-def compose_N(setup: ProblemSetup, fl: np.ndarray, lhat: np.ndarray) -> SpaceTimeOperator:
-    """N = R Lhat R FL from already assembled FL and Lhat matrices."""
-    inner = lhat @ _reverse_rows(fl, setup.cavity.M, setup.grid.Nt)
-    mat = _reverse_rows(inner, setup.omega.M, setup.grid.Nt)
+def compose_N(setup: ProblemSetup, f: np.ndarray, h: np.ndarray) -> SpaceTimeOperator:
+    """N = R Lhat R FL from the impulse responses f of FL, shape (M_c, Nt, M),
+    and h of Lhat, shape (M, Nt, M_c); neither map is expanded.
+
+    Entry ((i, k), (j, l)) of N is the sum over cells m >= max(k, l) of
+    h[i, m-k, :] @ f[:, m-l, j].  In reversed cells a = Nt-1-k, b = Nt-1-l
+    that is the displacement recursion Q(a, b) = h(a) f(b) + Q(a-1, b-1)
+    with N[(i,k),(j,l)] = Q_ij(a, b) (Kailath & Sayed, SIAM Rev. 37, 1995).
+    One (M Nt x M_c)(M_c x M Nt) product forms every term
+    P[i, k, j, l] = h[i, Nt-1-k, :] @ f[:, Nt-1-l, j], already in N's
+    node-major layout; N[:, k, :, :-1] += N[:, k+1, :, 1:] then accumulates
+    the diagonals in place from the last cell back: Nt times fewer flops
+    than the dense product, and no second n x n array.
+    """
+    m, nt, m_c = h.shape
+    h_rev = h[:, ::-1, :].reshape(m * nt, m_c)
+    f_rev = f[:, ::-1, :].transpose(0, 2, 1).reshape(m_c, m * nt)
+    mat = h_rev @ f_rev
+    cells = mat.reshape(m, nt, m, nt)
+    for k in range(nt - 2, -1, -1):
+        cells[:, k, :, :-1] += cells[:, k + 1, :, 1:]
     pair = (setup.omega, setup.grid)
     return _operator(mat, pair, pair)
 
@@ -211,9 +252,8 @@ def time_reversal(obj):
     if isinstance(obj, SpaceTimeOperator):
         m_c, nt_c = obj.codomain[0].M, obj.codomain[1].Nt
         m_d, nt_d = obj.domain[0].M, obj.domain[1].Nt
-        mat = _reverse_rows(obj.matrix, m_c, nt_c)
-        mat = mat.reshape(-1, m_d, nt_d)[:, :, ::-1].reshape(mat.shape[0], m_d * nt_d)
-        return replace(obj, matrix=mat)
+        cells = obj.matrix.reshape(m_c, nt_c, m_d, nt_d)[:, ::-1, :, ::-1]
+        return replace(obj, matrix=cells.reshape(obj.matrix.shape))
     raise TypeError(f"cannot time-reverse {type(obj).__name__}")
 
 

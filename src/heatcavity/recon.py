@@ -199,6 +199,21 @@ def sampling_points(omega: BoundaryCurve, spec: SamplingSpec) -> tuple[np.ndarra
     return pts[(d <= -TOL_GEOM) & (-d >= margin)], margin
 
 
+def probe_lattice(
+    omega: BoundaryCurve, spec: SamplingSpec, cavity: BoundaryCurve | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The sampling points kept by sampling_points, less those on the cavity
+    boundary (within the geometric tolerance); whether each lies inside the
+    cavity (all False without one); and the margin used."""
+    pts, margin = sampling_points(omega, spec)
+    inside = np.zeros(len(pts), dtype=bool)
+    if cavity is not None:
+        d = signed_distance(cavity.spec, pts)
+        clear = np.abs(d) > TOL_GEOM
+        pts, inside = pts[clear], d[clear] < 0
+    return pts, inside, margin
+
+
 def slice_times(grid: TimeGrid, s_slices: int) -> np.ndarray:
     """Evenly spaced interior sampling times: s_j = T j/(slices+1)."""
     return grid.T * np.arange(1, s_slices + 1) / (s_slices + 1)
@@ -213,6 +228,7 @@ def reconstruct(
     cavity: BoundaryCurve | None = None,
     region: RetardedBlocks | None = None,
     chunk_map=map,
+    lattice: tuple | None = None,
 ) -> IndicatorGrid:
     """Indicator values, normalized grid, and mask over the sampling grid.
 
@@ -220,16 +236,12 @@ def reconstruct(
     excluded.  Values are normalized by the largest finite value over the
     whole grid; infinite sentinels map to 1.  chunk_map may be replaced by
     a parallel map over probe batches — batches are fixed-size, so results
-    are identical no matter how they are scheduled.
+    are identical no matter how they are scheduled.  lattice is the result
+    of probe_lattice for these arguments, when the caller has it already.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    pts, _ = sampling_points(omega, sampling)
-    inside = np.zeros(len(pts), dtype=bool)
-    if cavity is not None:
-        d = signed_distance(cavity.spec, pts)
-        clear = np.abs(d) > TOL_GEOM
-        pts, inside = pts[clear], d[clear] < 0
+    pts, inside, _ = lattice or probe_lattice(omega, sampling, cavity)
     svals = slice_times(grid, sampling.s_slices)
     points = [ProbePoint((float(p[0]), float(p[1])), float(s)) for s in svals for p in pts]
     if not points:

@@ -117,15 +117,16 @@ class VerifyContext:
         cache = self._mats
         if key not in cache:
             st = self.setup(key)
-            mats = {
+            # one set of impulse solves serves the dense FL and Lhat and N
+            f, h = ndmap.fl_response(st), ndmap.lhat_response(st)
+            cache[key] = {
                 "lambda_D": ndmap.assemble_lambda(st, True).matrix,
                 "lambda_0": ndmap.assemble_lambda(st, False).matrix,
                 "L": ndmap.assemble_L(st),
-                "Lhat": ndmap.assemble_Lhat(st).matrix,
-                "FL": ndmap.assemble_FL(st).matrix,
+                "Lhat": ndmap._toeplitz_expand(h),
+                "FL": ndmap._toeplitz_expand(f),
+                "N": ndmap.compose_N(st, f, h),
             }
-            mats["N"] = ndmap.compose_N(st, mats["FL"], mats["Lhat"])
-            cache[key] = mats
         return cache[key]
 
     @cached_property

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import heatcavity
-from heatcavity import cli, io as hio, verify
+from heatcavity import cli, io as hio, recon, verify
 from heatcavity.cli import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -602,6 +602,50 @@ class TestThresholdEdge:
         assert cli.main(["reconstruct", "--config", cfg_path, "--out", str(out)]) == 0
         table = hio.read_indicator_csv(out / "indicator.csv")
         assert np.all(table["mask"])
+
+
+class TestSamplingLattice:
+    @pytest.mark.parametrize(
+        "edits, kept",
+        [
+            # margin=auto (0.785) keeps only (0, 0), which lies in this cavity
+            ({"cavity_params": "0.2,0,0.3", "margin": "auto"}, "1 probe points, 1 inside"),
+            ({"margin": "5"}, "0 probe points, 0 inside"),
+            ({"cavity_params": "0,0,0.8", "margin": "0.3"}, "21 probe points, 21 inside"),
+        ],
+        ids=["one_point", "empty", "all_inside"],
+    )
+    def test_lattice_that_cannot_score_exits_1_before_reading(
+        self, pipeline, tmp_path, capsys, monkeypatch, edits, kept
+    ):
+        def parse(path):
+            raise AssertionError(f"{path} parsed before the lattice check")
+
+        monkeypatch.setattr(hio, "read_stop1", parse)
+        lines = (ln.split("=", 1) for ln in SMALL_CFG.splitlines())
+        cfg_path = write_cfg(tmp_path, "".join(f"{k}={edits.get(k, v)}\n" for k, v in lines))
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        assert cli.main(["reconstruct", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "nx=9, ny=9 with margin" in err
+        assert kept in err
+
+    def test_cavity_free_lattice_without_points_exits_1(self, tmp_path, capsys):
+        text = SMALL_CFG.replace("cavity_kind=circle", "cavity_kind=none")
+        cfg_path = write_cfg(tmp_path, text.replace("margin=0.2", "margin=5"))
+        assert cli.main(["reconstruct", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+        assert "keeps 0 probe points, too few" in capsys.readouterr().err
+
+    def test_lattice_is_classified_once(self, pipeline, tmp_path, monkeypatch):
+        calls = []
+        real = recon.probe_lattice
+        monkeypatch.setattr(recon, "probe_lattice", lambda *a: calls.append(a) or real(*a))
+        out = tmp_path / "again"
+        shutil.copytree(pipeline["out"], out)
+        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert (out / "indicator.csv").read_bytes() == (pipeline["out"] / "indicator.csv").read_bytes()
 
 
 class TestVerifyCommand:

@@ -1,5 +1,7 @@
 """Operator assembly: measurement maps, time reversal, duality, symmetrization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -232,15 +234,17 @@ class TestFactorization:
         via_fields = -apply_Lprime(small_setup, inner).values
         assert np.allclose(via_matrix, via_fields, rtol=0, atol=1e-12 * np.abs(via_fields).max())
 
-    def test_compose_N_from_assembled_parts_is_assemble_N(self, small_ops, small_setup):
-        composed = ndmap.compose_N(small_setup, small_ops["FL"].matrix, small_ops["Lhat"].matrix)
+    def test_compose_N_from_responses_is_assemble_N(self, small_ops, small_setup):
+        f, h = ndmap.fl_response(small_setup), ndmap.lhat_response(small_setup)
+        composed = ndmap.compose_N(small_setup, f, h)
         assert np.array_equal(composed.matrix, small_ops["N"].matrix)
         assert np.array_equal(composed.gram_domain, small_ops["N"].gram_domain)
         assert composed.domain == small_ops["N"].domain
 
     def test_no_cavity_N_is_zero(self, no_cavity_setup):
         op = assemble_N(no_cavity_setup)
-        assert np.abs(op.matrix).max() <= 1e-12
+        assert op.matrix.shape == (16 * 8, 16 * 8)
+        assert not np.any(op.matrix)
 
     def test_dual_consistency_of_N(self, small_ops, small_setup):
         N = small_ops["N"]
@@ -252,6 +256,69 @@ class TestFactorization:
         a = float(np.sum(g * (N.matrix @ phi) * psi))
         b = float(np.sum(g * phi * (nprime @ psi)))
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def toeplitz_expand_by_cells(resp: np.ndarray) -> np.ndarray:
+    """Reference expansion: one strided copy per time cell of the source."""
+    m_tgt, nt, m_src = resp.shape
+    full = np.zeros((m_tgt, nt, m_src, nt))
+    for k in range(nt):
+        full[:, k:, :, k] = resp[:, : nt - k, :]
+    return full.reshape(m_tgt * nt, m_src * nt)
+
+
+def reversal(m: int, nt: int) -> np.ndarray:
+    """Permutation matrix of the time reversal on an (m, nt) basis."""
+    return np.kron(np.eye(m), np.eye(nt)[::-1])
+
+
+@pytest.fixture(scope="module")
+def kite_setup():
+    """Ellipse conductor with an off-centre kite cavity, M != M_cavity."""
+    omega = make_curve(CurveSpec("ellipse", (0.0, 0.0, 1.2, 0.9)), 20)
+    cavity = make_curve(CurveSpec("kite", (0.1, 0.05, 0.3)), 14)
+    return ProblemSetup.build(omega, cavity, TimeGrid(0.5, 10))
+
+
+class TestImpulseAssembly:
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 5, 4), (4, 7, 2), (16, 32, 16), (3, 1, 5), (0, 4, 3), (3, 4, 0), (2, 0, 3)],
+        ids=["3x5x4", "4x7x2", "16x32x16", "nt1", "no_targets", "no_sources", "nt0"],
+    )
+    def test_gather_equals_cell_loop(self, shape):
+        resp = np.random.default_rng(11).standard_normal(shape)
+        got = ndmap._toeplitz_expand(resp)
+        assert np.array_equal(got, toeplitz_expand_by_cells(resp))
+        assert got.flags.c_contiguous
+
+    def test_gather_keeps_signed_zeros(self):
+        resp = np.array([[[-0.0], [1.0], [-0.0]]])
+        got = ndmap._toeplitz_expand(resp)
+        assert np.array_equal(np.signbit(got), np.signbit(toeplitz_expand_by_cells(resp)))
+
+    @pytest.mark.parametrize("name", ["small", "kite"])
+    def test_compose_N_matches_dense_reversed_product(self, name, small_setup, kite_setup):
+        st = {"small": small_setup, "kite": kite_setup}[name]
+        m, m_c, nt = st.omega.M, st.cavity.M, st.grid.Nt
+        f, h = ndmap.fl_response(st), ndmap.lhat_response(st)
+        assert f.shape == (m_c, nt, m) and h.shape == (m, nt, m_c)
+        fl, lhat = toeplitz_expand_by_cells(f), toeplitz_expand_by_cells(h)
+        dense = reversal(m, nt) @ lhat @ reversal(m_c, nt) @ fl
+        got = ndmap.compose_N(st, f, h).matrix
+        assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_assemble_N_peak_memory_is_one_matrix(self, bench_setup):
+        # 32/24/32: the dense FL and Lhat route peaks near 3.5 n^2 doubles
+        n = bench_setup.omega.M * bench_setup.grid.Nt
+        resp_bytes = ndmap.fl_response(bench_setup).nbytes + ndmap.lhat_response(bench_setup).nbytes
+        tracemalloc.start()
+        try:
+            assemble_N(bench_setup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8 + resp_bytes
 
 
 def weighted_symmetrization(N: SpaceTimeOperator) -> np.ndarray:
