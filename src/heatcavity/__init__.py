@@ -2,7 +2,10 @@
 
 The package synthesizes boundary measurement operators for transient heat
 conduction with and without an interior cavity, and locates the cavity
-from those operators alone through a spectral probe indicator.
+through a spectral probe indicator on the modified operator N.  The
+reconstruction reads only N, and N is composed from the virtual maps FL
+and Lhat, which are built on the true cavity; no command derives N from
+the measured maps Lambda_D and Lambda_0.
 
 Layout
 ------
@@ -28,104 +31,23 @@ Layout
     The ``simulate`` / ``reconstruct`` / ``spectrum`` / ``verify`` driver.
 """
 
-from .forward import (
-    BoundaryField,
-    LayerDensity,
-    RetardedBlocks,
-    SolverError,
-    TimeGrid,
-    assemble_blocks,
-    green_probe_traces,
-    normal_derivative_on,
-    solve_neumann,
-    trace_on,
-)
-from .geometry import (
-    BoundaryCurve,
-    CurveSpec,
-    GeometryError,
-    OnBoundaryError,
-    distance_to_curve,
-    make_curve,
-    point_in_region,
-    winding_number,
-)
-from .ndmap import (
-    NoiseSpec,
-    ProblemSetup,
-    SpaceTimeOperator,
-    add_noise,
-    apply_FL,
-    apply_L,
-    apply_Lhat,
-    apply_Lprime,
-    assemble_FL,
-    assemble_L,
-    assemble_Lhat,
-    assemble_N,
-    assemble_lambda,
-    gram_weights,
-    lprime_from_duality,
-    symmetrize,
-    time_reversal,
-)
-from .recon import (
-    EigenSystem,
-    IndicatorGrid,
-    ProbePoint,
-    SamplingSpec,
-    eigendecompose,
-    jaccard,
-    picard_indicator,
-    reconstruct,
-    sampling_points,
-)
+from .forward import TimeGrid, assemble_blocks
+from .geometry import CurveSpec, make_curve
+from .ndmap import ProblemSetup, assemble_N, symmetrize
+from .recon import SamplingSpec, eigendecompose, jaccard, reconstruct
 
 __all__ = [
-    "BoundaryCurve",
-    "BoundaryField",
     "CurveSpec",
-    "EigenSystem",
-    "GeometryError",
-    "IndicatorGrid",
-    "LayerDensity",
-    "NoiseSpec",
-    "OnBoundaryError",
-    "ProbePoint",
     "ProblemSetup",
-    "RetardedBlocks",
     "SamplingSpec",
-    "SolverError",
-    "SpaceTimeOperator",
     "TimeGrid",
-    "add_noise",
-    "apply_FL",
-    "apply_L",
-    "apply_Lhat",
-    "apply_Lprime",
-    "assemble_FL",
-    "assemble_L",
-    "assemble_Lhat",
     "assemble_N",
     "assemble_blocks",
-    "assemble_lambda",
-    "distance_to_curve",
     "eigendecompose",
-    "gram_weights",
-    "green_probe_traces",
     "jaccard",
-    "lprime_from_duality",
     "make_curve",
-    "normal_derivative_on",
-    "picard_indicator",
-    "point_in_region",
     "reconstruct",
-    "sampling_points",
-    "solve_neumann",
     "symmetrize",
-    "time_reversal",
-    "trace_on",
-    "winding_number",
 ]
 
 __version__ = "0.1.0"

@@ -307,35 +307,19 @@ class LayerDensity:
     values: np.ndarray
 
 
-def _stack_flux(region: RetardedBlocks, flux) -> np.ndarray:
-    """Accept an array over stacked nodes or a list of per-curve fields."""
-    if isinstance(flux, np.ndarray):
-        values = flux
-    else:
-        if isinstance(flux, BoundaryField):
-            flux = [flux]
-        if len(flux) != len(region.curves):
-            raise ValueError("one flux field per boundary component required")
-        for f, c in zip(flux, region.curves):
-            if f.curve is not c:
-                raise ValueError("flux field curve does not match region component")
-        values = np.concatenate([f.values for f in flux], axis=0)
-    if values.shape[:2] != (region.M_total, region.grid.Nt):
-        raise ValueError(
-            f"flux shape {values.shape} incompatible with "
-            f"({region.M_total}, {region.grid.Nt})"
-        )
-    return np.asarray(values, dtype=float)
-
-
-def solve_neumann(region: RetardedBlocks, flux) -> LayerDensity:
+def solve_neumann(region: RetardedBlocks, flux: np.ndarray) -> LayerDensity:
     """March the second-kind system (sigma/2) rho + K' rho = flux in time.
 
-    flux: stacked (M_total, Nt[, R]) array, a BoundaryField on a one-curve
-    region, or a list of BoundaryFields (one per component).  Zero initial
-    temperature is built in; zero flux slices produce exactly zero density.
+    flux: (M_total, Nt[, R]) array over the region's stacked nodes, outer
+    curve first.  Zero initial temperature is built in; zero flux slices
+    produce exactly zero density.
     """
-    fvals = _stack_flux(region, flux)
+    fvals = np.asarray(flux, dtype=float)
+    if fvals.shape[:2] != (region.M_total, region.grid.Nt):
+        raise ValueError(
+            f"flux shape {fvals.shape} incompatible with "
+            f"({region.M_total}, {region.grid.Nt})"
+        )
     squeeze = fvals.ndim == 2
     if squeeze:
         fvals = fvals[:, :, None]
@@ -492,7 +476,6 @@ def green_probe_trace(
     grid: TimeGrid,
     *,
     region: RetardedBlocks | None = None,
-    include_correction: bool = True,
 ) -> BoundaryField:
     """Boundary trace of the backward Neumann Green function probe.
 
@@ -505,14 +488,7 @@ def green_probe_trace(
     and 0 for t >= s, with the smooth correction solved as a single-layer
     field whose flux cancels -dnu Gamma(. - y, .) on the outer boundary.
     """
-    out = green_probe_traces(
-        np.asarray(y, dtype=float)[None, :],
-        s,
-        omega,
-        grid,
-        region=region,
-        include_correction=include_correction,
-    )
+    out = green_probe_traces(np.asarray(y, dtype=float)[None, :], s, omega, grid, region=region)
     return BoundaryField(omega, grid, out[:, :, 0])
 
 
@@ -523,7 +499,6 @@ def green_probe_traces(
     grid: TimeGrid,
     *,
     region: RetardedBlocks | None = None,
-    include_correction: bool = True,
 ) -> np.ndarray:
     """Batched probe traces for P points and the probe times s (a scalar or
     S values); returns (M, Nt, S * P), column j * P + p for (s[j], point p).
@@ -549,7 +524,7 @@ def green_probe_traces(
     out = np.zeros((omega.M, grid.Nt, svals.size * npts))
     dx = omega.nodes[:, None, :] - points[None, :, :]
     rho = None
-    if include_correction and np.any(taus < svals.max()):
+    if np.any(taus < svals.max()):
         flux = -dnu_gamma(
             dx[:, :, None, :],
             omega.normals[:, None, None, :],

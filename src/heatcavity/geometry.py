@@ -128,7 +128,7 @@ def make_curve(spec: CurveSpec, M: int) -> BoundaryCurve:
     return BoundaryCurve(spec, M, x, normals, weights, curvature)
 
 
-_DIST_CHUNK = 256  # points per batch in signed_distance: temporaries stay a few MB
+_DIST_CHUNK = 32  # points per batch in signed_distance: temporaries stay below 1 MB
 
 
 def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -151,7 +151,10 @@ def signed_distance(spec: CurveSpec, points) -> np.ndarray:
     for lo in range(0, points.shape[0], _DIST_CHUNK):
         y = points[lo : lo + _DIST_CHUNK, None, :]  # (P, 1, 2)
         d2 = (x_seed[None, :, 0] - y[..., 0]) ** 2 + (x_seed[None, :, 1] - y[..., 1]) ** 2
-        t = t_seed[np.argsort(d2, axis=1)[:, :3]]  # (P, 3)
+        near = np.argpartition(d2, 3, axis=1)[:, :3]
+        # nearest first, the order a full argsort would give
+        near = np.take_along_axis(near, np.argsort(np.take_along_axis(d2, near, 1), axis=1), 1)
+        t = t_seed[near]  # (P, 3)
         active = np.ones(t.shape, dtype=bool)
         for _ in range(8):
             x, v, a = _eval_curve(spec, t)

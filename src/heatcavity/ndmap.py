@@ -35,11 +35,10 @@ from .geometry import BoundaryCurve
 
 @dataclass
 class SpaceTimeOperator:
-    """Dense operator between boundary-cylinder coefficient spaces."""
+    """Dense operator between boundary-cylinder coefficient spaces, with
+    the Gram weights of its domain and codomain."""
 
     matrix: np.ndarray
-    domain: tuple[BoundaryCurve, TimeGrid]
-    codomain: tuple[BoundaryCurve, TimeGrid]
     gram_domain: np.ndarray
     gram_codomain: np.ndarray
 
@@ -49,17 +48,6 @@ class SpaceTimeOperator:
             raise ValueError("gram weight lengths do not match the matrix")
         if np.any(self.gram_domain <= 0) or np.any(self.gram_codomain <= 0):
             raise ValueError("gram weights must be strictly positive")
-
-    @property
-    def is_square(self) -> bool:
-        return self.matrix.shape[0] == self.matrix.shape[1]
-
-    def apply(self, phi) -> BoundaryField:
-        vec = phi.flatten() if isinstance(phi, BoundaryField) else np.asarray(phi)
-        curve, grid = self.codomain
-        return BoundaryField(
-            curve, grid, (self.matrix @ vec).reshape(curve.M, grid.Nt)
-        )
 
 
 @dataclass(frozen=True)
@@ -111,11 +99,11 @@ def _toeplitz_expand(resp: np.ndarray) -> np.ndarray:
     return windows[..., ::-1].reshape(m_tgt * nt, m_src * nt)
 
 
-def _operator(matrix: np.ndarray, domain: tuple, codomain: tuple) -> SpaceTimeOperator:
-    """Operator between (curve, grid) spaces, each with its Gram weights."""
-    return SpaceTimeOperator(
-        matrix, domain, codomain, gram_weights(*domain), gram_weights(*codomain)
-    )
+def _operator(
+    matrix: np.ndarray, domain: BoundaryCurve, codomain: BoundaryCurve, grid: TimeGrid
+) -> SpaceTimeOperator:
+    """Operator between two curves' coefficient spaces on grid."""
+    return SpaceTimeOperator(matrix, gram_weights(domain, grid), gram_weights(codomain, grid))
 
 
 def _response(
@@ -149,7 +137,7 @@ def _flux_map(
     """The operator from source's coefficient space to target's whose
     impulse responses are resp."""
     curve = (setup.omega, setup.cavity)[source]
-    return _operator(_toeplitz_expand(resp), (curve, setup.grid), (target, setup.grid))
+    return _operator(_toeplitz_expand(resp), curve, target, setup.grid)
 
 
 def fl_response(setup: ProblemSetup) -> np.ndarray:
@@ -200,9 +188,8 @@ def assemble_N(setup: ProblemSetup) -> SpaceTimeOperator:
     """
     if setup.cavity is not None:
         return compose_N(setup, fl_response(setup), lhat_response(setup))
-    pair = (setup.omega, setup.grid)
     n = setup.omega.M * setup.grid.Nt
-    return _operator(np.zeros((n, n)), pair, pair)
+    return _operator(np.zeros((n, n)), setup.omega, setup.omega, setup.grid)
 
 
 def compose_N(setup: ProblemSetup, f: np.ndarray, h: np.ndarray) -> SpaceTimeOperator:
@@ -226,8 +213,7 @@ def compose_N(setup: ProblemSetup, f: np.ndarray, h: np.ndarray) -> SpaceTimeOpe
     cells = mat.reshape(m, nt, m, nt)
     for k in range(nt - 2, -1, -1):
         cells[:, k, :, :-1] += cells[:, k + 1, :, 1:]
-    pair = (setup.omega, setup.grid)
-    return _operator(mat, pair, pair)
+    return _operator(mat, setup.omega, setup.omega, setup.grid)
 
 
 def lprime_from_duality(L_op: SpaceTimeOperator) -> SpaceTimeOperator:
@@ -240,21 +226,12 @@ def lprime_from_duality(L_op: SpaceTimeOperator) -> SpaceTimeOperator:
     g_dom = L_op.gram_domain
     g_cod = L_op.gram_codomain
     mat = (L_op.matrix * g_cod[:, None]).T / g_dom[:, None]
-    return SpaceTimeOperator(
-        mat, L_op.codomain, L_op.domain, g_cod, g_dom
-    )
+    return SpaceTimeOperator(mat, g_cod, g_dom)
 
 
-def time_reversal(obj):
-    """Reverse the time cells of a field, or conjugate an operator by R."""
-    if isinstance(obj, BoundaryField):
-        return BoundaryField(obj.curve, obj.grid, obj.values[:, ::-1].copy())
-    if isinstance(obj, SpaceTimeOperator):
-        m_c, nt_c = obj.codomain[0].M, obj.codomain[1].Nt
-        m_d, nt_d = obj.domain[0].M, obj.domain[1].Nt
-        cells = obj.matrix.reshape(m_c, nt_c, m_d, nt_d)[:, ::-1, :, ::-1]
-        return replace(obj, matrix=cells.reshape(obj.matrix.shape))
-    raise TypeError(f"cannot time-reverse {type(obj).__name__}")
+def time_reversal(field: BoundaryField) -> BoundaryField:
+    """Reverse the time cells of a field."""
+    return BoundaryField(field.curve, field.grid, field.values[:, ::-1].copy())
 
 
 def apply_L(setup: ProblemSetup, phi: BoundaryField) -> BoundaryField:
@@ -298,7 +275,7 @@ def symmetrize(N_op: SpaceTimeOperator) -> np.ndarray:
     symmetric and has the spectrum of Ntilde in the weighted inner product;
     Ntilde itself is never formed.
     """
-    if not N_op.is_square:
+    if N_op.matrix.shape[0] != N_op.matrix.shape[1]:
         raise ValueError("symmetrization needs a square operator")
     sqrt_g = np.sqrt(N_op.gram_domain)
     b = N_op.matrix * (sqrt_g[:, None] / sqrt_g[None, :])

@@ -439,6 +439,13 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", "/no/such/file.cfg"]) == 1
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exits_1(self, tmp_path, capsys, threads):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--out", str(out), "--threads", threads]) == 1
+        assert capsys.readouterr().err == f"config error: --threads must be >= 1, got {threads}\n"
+        assert not out.exists()
+
     def test_master_seed_key_exits_1(self, tmp_path, capsys):
         # the noise draw reads noise_seed; there is no master seed to set
         cfg_path = write_cfg(tmp_path, SMALL_CFG + "seed=0\n")

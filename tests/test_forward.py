@@ -29,6 +29,7 @@ from heatcavity.forward import (
 )
 from heatcavity.geometry import CurveSpec, make_curve
 from heatcavity.kernels import (
+    dnu_gamma,
     dnu_gamma_time_integral,
     gamma,
     gamma_time_integral,
@@ -116,25 +117,17 @@ class TestSolveNeumann:
         with pytest.raises(SolverError, match="singular stepping matrix"):
             solve_neumann(region, uniform_flux(region))
 
-    def test_boundary_field_input_equivalent(self, disk_region):
-        curve = disk_region.curves[0]
-        vals = np.outer(np.cos(np.linspace(0, 2 * np.pi, 16, endpoint=False)), np.ones(8))
-        a = solve_neumann(disk_region, vals)
-        b = solve_neumann(disk_region, BoundaryField(curve, disk_region.grid, vals))
-        assert np.array_equal(a.values, b.values)
-
     def test_flux_shape_mismatch_rejected(self, disk_region):
         with pytest.raises(ValueError):
             solve_neumann(disk_region, np.zeros((5, 8)))
 
-    def test_two_component_region_accepts_field_list(self, small_setup):
+    def test_two_component_region_takes_stacked_flux(self, small_setup):
         region = small_setup.cavity_system
-        fo = BoundaryField(small_setup.omega, small_setup.grid, np.ones((16, 8)))
-        fc = BoundaryField(small_setup.cavity, small_setup.grid, np.zeros((12, 8)))
-        rho = solve_neumann(region, [fo, fc])
+        flux = np.concatenate([np.ones((16, 8)), np.zeros((12, 8))])
+        rho = solve_neumann(region, flux)
         assert rho.values.shape == (28, 8)
         with pytest.raises(ValueError):
-            solve_neumann(region, [fo])
+            solve_neumann(region, flux[:16])
 
 
 class TestDiskOracle:
@@ -291,10 +284,17 @@ class TestGreenProbe:
         grid = TimeGrid(0.5, 8)
         y = np.array([0.3, -0.1])
         s = 0.4
-        p = green_probe_trace(y, s, omega, grid, include_correction=False)
-        for k, t in enumerate(grid.times):
+        p = green_probe_trace(y, s, omega, grid)
+        # the correction: the field whose flux cancels -dnu Gamma(. - y, tau_k)
+        flux = -dnu_gamma(omega.nodes[:, None, :] - y, omega.normals[:, None, :], grid.times)
+        rho = solve_neumann(assemble_blocks(omega, grid), flux)
+        correction = forward.trace_at_times(rho, 0, s)
+        live = grid.times < s
+        free = p.values[:, live] - correction
+        eps = np.finfo(float).eps
+        for k, t in enumerate(grid.times[live]):
             want = gamma(omega.nodes - y, s - t)
-            assert np.allclose(p.values[:, k], want, rtol=0, atol=1e-15)
+            assert np.allclose(free[:, k], want, rtol=0, atol=4 * eps * np.abs(p.values).max())
 
     def test_full_probe_vs_series_oracle(self):
         omega = make_curve(UNIT_CIRCLE, 32)

@@ -9,6 +9,7 @@ from heatcavity.geometry import (
     CurveSpec,
     GeometryError,
     OnBoundaryError,
+    _dot,
     _eval_curve,
     distance_to_curve,
     make_curve,
@@ -44,6 +45,34 @@ def scalar_distance_reference(spec: CurveSpec, y) -> float:
         xk, _, _ = _eval_curve(spec, np.array([tk]))
         best = min(best, float(np.hypot(*(xk[0] - y))))
     return best
+
+
+def argsort_signed_distance(spec: CurveSpec, points) -> np.ndarray:
+    """signed_distance with its seeds taken from a full argsort of each
+    point's 2048 squared distances, in batches of 256 points."""
+    t_seed = 2 * np.pi * np.arange(2048) / 2048
+    x_seed, _, _ = _eval_curve(spec, t_seed)
+    out = np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], 256):
+        y = points[lo : lo + 256, None, :]
+        d2 = (x_seed[None, :, 0] - y[..., 0]) ** 2 + (x_seed[None, :, 1] - y[..., 1]) ** 2
+        t = t_seed[np.argsort(d2, axis=1)[:, :3]]
+        active = np.ones(t.shape, dtype=bool)
+        for _ in range(8):
+            x, v, a = _eval_curve(spec, t)
+            r = x - y
+            h = _dot(v, v) + _dot(r, a)
+            active &= h > 0
+            step = np.where(active, _dot(r, v) / np.where(active, h, 1.0), 0.0)
+            t = t - step
+            active &= np.abs(step) >= 1e-15
+        x, v, _ = _eval_curve(spec, t)
+        r = y - x
+        dist = np.hypot(r[..., 0], r[..., 1])
+        side = r[..., 0] * v[..., 1] - r[..., 1] * v[..., 0]
+        best = np.argmin(dist, axis=1)
+        out[lo : lo + 256] = np.where(side < 0, -dist, dist)[np.arange(t.shape[0]), best]
+    return out
 
 
 def arclength_oracle(spec: CurveSpec) -> float:
@@ -213,10 +242,17 @@ class TestSignedDistance:
 
     @pytest.mark.parametrize("spec", [ELLIPSE, KITE, PEANUT])
     def test_distance_equals_scalar_reference(self, spec):
-        # 600 points span three batches; same arithmetic, so equal bits
+        # 600 points span many batches; same arithmetic, so equal bits
         pts = np.random.default_rng(5).uniform(-0.8, 0.6, size=(600, 2))
         want = [scalar_distance_reference(spec, p) for p in pts]
         assert np.array_equal(np.abs(signed_distance(spec, pts)), want)
+
+    @pytest.mark.parametrize("spec", [CIRCLE, ELLIPSE, KITE, PEANUT])
+    def test_partitioned_seeds_equal_full_argsort(self, spec):
+        # the 3 nearest seeds, ordered by distance, start Newton exactly
+        # where a full argsort's first 3 do
+        pts = np.random.default_rng(17).uniform(-1.3, 1.3, size=(5000, 2))
+        assert np.array_equal(signed_distance(spec, pts), argsort_signed_distance(spec, pts))
 
     def test_batch_matches_single_point_calls(self):
         curve = make_curve(KITE, 32)

@@ -85,7 +85,7 @@ class TestLambda:
     def test_uniform_flux_matches_radial_oracle(self, no_cavity_setup):
         op = assemble_lambda(no_cavity_setup, False)
         f = uniform_field(no_cavity_setup.omega, no_cavity_setup.grid)
-        trace = op.apply(f).values.mean(axis=0)
+        trace = (op.matrix @ f.flatten()).reshape(16, 8).mean(axis=0)
         want = oracles.radial_disk_trace(no_cavity_setup.grid.times)
         assert np.linalg.norm(trace - want) <= 2e-2 * np.linalg.norm(want)
 
@@ -108,14 +108,16 @@ class TestLambda:
         assert out[:, 2:].min() >= -1e-10
 
     @pytest.mark.parametrize(
-        "name, apply",
-        [("L", apply_L), ("Lhat", apply_Lhat), ("FL", apply_FL)],
+        "name, apply, source",
+        [("L", apply_L, "omega"), ("Lhat", apply_Lhat, "cavity"), ("FL", apply_FL, "omega")],
         ids=["L", "Lhat", "FL"],
     )
-    def test_operator_route_matches_field_route(self, small_setup, small_ops, name, apply):
+    def test_operator_route_matches_field_route(
+        self, small_setup, small_ops, name, apply, source
+    ):
         rng = np.random.default_rng(3)
         op = small_ops[name]
-        phi = _smooth_field(op.domain[0], small_setup.grid, rng)
+        phi = _smooth_field(getattr(small_setup, source), small_setup.grid, rng)
         via_op = op.matrix @ phi.flatten()
         via_field = apply(small_setup, phi).flatten()
         scale = np.abs(via_field).max()
@@ -136,15 +138,6 @@ class TestTimeReversal:
         vals = np.tile(np.arange(8.0), (16, 1))
         f = field_on(small_setup.omega, small_setup.grid, vals)
         assert np.array_equal(time_reversal(f).values, vals[:, ::-1])
-
-    def test_operator_conjugation_consistent(self, small_ops, small_setup):
-        rng = np.random.default_rng(2)
-        f = field_on(small_setup.omega, small_setup.grid, rng.standard_normal((16, 8)))
-        op = small_ops["lambda_0"]
-        rop = time_reversal(op)
-        direct = rop.apply(f).values
-        via_fields = time_reversal(op.apply(time_reversal(f))).values
-        assert np.allclose(direct, via_fields, rtol=0, atol=1e-14)
 
 
 class TestVirtualMeasurements:
@@ -214,8 +207,10 @@ class TestDuality:
         rng = np.random.default_rng(8)
         phi = _smooth_field(small_setup.omega, small_setup.grid, rng)
         theta = _smooth_field(small_setup.cavity, small_setup.grid, rng)
-        a = field_inner(theta, L_op.apply(phi))
-        b = field_inner(phi, Lp.apply(theta))
+        l_phi = field_on(theta.curve, theta.grid, (L_op.matrix @ phi.flatten()).reshape(12, 8))
+        lp_theta = field_on(phi.curve, phi.grid, (Lp.matrix @ theta.flatten()).reshape(16, 8))
+        a = field_inner(theta, l_phi)
+        b = field_inner(phi, lp_theta)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -229,7 +224,7 @@ class TestFactorization:
         nt, m = 8, 16
         rng = np.random.default_rng(4)
         phi = _smooth_field(small_setup.omega, small_setup.grid, rng)
-        via_matrix = small_ops["N"].apply(phi).values
+        via_matrix = (small_ops["N"].matrix @ phi.flatten()).reshape(m, nt)
         inner = apply_FL(small_setup, phi)
         via_fields = -apply_Lprime(small_setup, inner).values
         assert np.allclose(via_matrix, via_fields, rtol=0, atol=1e-12 * np.abs(via_fields).max())
@@ -239,7 +234,7 @@ class TestFactorization:
         composed = ndmap.compose_N(small_setup, f, h)
         assert np.array_equal(composed.matrix, small_ops["N"].matrix)
         assert np.array_equal(composed.gram_domain, small_ops["N"].gram_domain)
-        assert composed.domain == small_ops["N"].domain
+        assert np.array_equal(composed.gram_codomain, small_ops["N"].gram_codomain)
 
     def test_no_cavity_N_is_zero(self, no_cavity_setup):
         op = assemble_N(no_cavity_setup)
@@ -336,8 +331,7 @@ class TestSymmetrize:
         sym = 0.5 * (sym + sym.T)
         # build a W-selfadjoint operator: A = G^{-1/2} sym G^{1/2}
         mat = sym * (1.0 / np.sqrt(g))[:, None] * np.sqrt(g)[None, :]
-        pair = (small_setup.omega, small_setup.grid)
-        op = SpaceTimeOperator(mat, pair, pair, g, g)
+        op = SpaceTimeOperator(mat, g, g)
         ntilde = weighted_symmetrization(op)
         assert np.linalg.norm(ntilde - mat) <= 1e-14 * np.linalg.norm(mat)
         S = symmetrize(op)

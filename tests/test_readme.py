@@ -2,16 +2,42 @@
 
 import re
 from pathlib import Path
+from types import ModuleType
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import heatcavity
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
-def test_minimal_in_process_pipeline_runs(capsys):
+def example_block() -> str:
     text = README.read_text()
     block = re.search(r"Minimal in-process pipeline:\s*```python\n(.*?)```", text, re.S)
     assert block is not None, "README lost its minimal in-process pipeline block"
-    exec(compile(block.group(1), str(README), "exec"), {})
+    return block.group(1)
+
+
+def test_minimal_in_process_pipeline_runs(capsys):
+    exec(compile(example_block(), str(README), "exec"), {})
     printed = capsys.readouterr().out
     overlap = re.fullmatch(r"overlap with truth: (\S+)\n", printed)
     assert overlap is not None, printed
     assert 0.0 < float(overlap.group(1)) <= 1.0
+
+
+def test_export_list_covers_the_documented_imports():
+    for name in heatcavity.__all__:
+        assert hasattr(heatcavity, name), name
+    public = {
+        name
+        for name, obj in vars(heatcavity).items()
+        if not name.startswith("_") and not isinstance(obj, ModuleType)
+    }
+    assert public == set(heatcavity.__all__)
+    readme = re.search(r"from heatcavity import \((.*?)\)", example_block(), re.S)
+    assert readme is not None, "README's example lost its top-level import"
+    # the reproducer in perfbench/NOTES.md imports from the top level too
+    notes = re.findall(r"^from heatcavity import (.*)$", (ROOT / "perfbench/NOTES.md").read_text(), re.M)
+    names = {n.strip() for text in [readme.group(1), *notes] for n in text.split(",")}
+    names.discard("")
+    assert names and names <= set(heatcavity.__all__)

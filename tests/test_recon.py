@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatcavity import recon
-from heatcavity.forward import BoundaryField, TimeGrid, assemble_blocks
+from heatcavity.forward import BoundaryField, TimeGrid
 from heatcavity.geometry import CurveSpec, OnBoundaryError, make_curve, point_in_region
 from heatcavity.ndmap import symmetrize
 from heatcavity.recon import (
