@@ -385,12 +385,13 @@ def _load_operator(cfg: RunConfig, name: str):
 
 
 def _spectral_data(cfg: RunConfig, timings: dict):
+    """The eigensystem of the symmetrized N, and N's symmetry defect."""
     with _timed(timings, "read"):
         nmat, gram = _load_operator(cfg, "N")
     with _timed(timings, "eigh"):
-        S = ndmap.symmetrize(ndmap.SpaceTimeOperator(nmat, gram, gram))
+        S, defect = ndmap.symmetrize(ndmap.SpaceTimeOperator(nmat, gram, gram), defect=True)
         del nmat  # eigh runs without N in memory
-        return recon.eigendecompose(S, gram, cfg.effective_tau)
+        return recon.eigendecompose(S, gram, cfg.effective_tau), defect
 
 
 def _scoring_lattice(cfg: RunConfig, omega, cavity):
@@ -410,7 +411,7 @@ def _scoring_lattice(cfg: RunConfig, omega, cavity):
 
 
 def cmd_spectrum(cfg: RunConfig, threads: int = 1) -> int:
-    eig = _spectral_data(cfg, {})
+    eig, _ = _spectral_data(cfg, {})
     io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
     print(
         f"[spectrum] lambda_1={eig.lambdas[0]:.6e}  retained n*={eig.retained} "
@@ -427,7 +428,7 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
     with _timed(timings, "probes"):
         # before the operator is read: a lattice that cannot score is refused
         lattice = _scoring_lattice(cfg, omega, cavity)
-    eig = _spectral_data(cfg, timings)
+    eig, defect = _spectral_data(cfg, timings)
     with _timed(timings, "write"):
         io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
     with _timed(timings, "probes"):
@@ -453,6 +454,8 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
         "command": "reconstruct",
         "lambda_1": io.format_float(eig.lambdas[0]),
         "lambda_min_ratio": io.format_float(eig.lambdas[-1] / eig.lambdas[0]),
+        # how far N is from Gram-self-adjoint: the part symmetrize discards
+        "symmetry_defect": io.format_float(defect),
         "retained": eig.retained,
         "tau_effective": io.format_float(cfg.effective_tau),
         "threshold": io.format_float(cfg.threshold),

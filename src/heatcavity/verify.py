@@ -96,11 +96,13 @@ def _polar_cells(r0: float, r1: float, n: int = 64):
 
 
 class VerifyContext:
-    """Shared lazily-built problem setups so checks can reuse solves."""
+    """Problem setups, impulse responses and N per resolution, built once
+    and shared by the checks; dense operators are built where they are read."""
 
     def __init__(self):
         self._setups: dict = {}
-        self._mats: dict = {}
+        self._responses: dict = {}
+        self._N: dict = {}
 
     def setup(self, resolution) -> ndmap.ProblemSetup:
         key = tuple(resolution)
@@ -112,30 +114,42 @@ class VerifyContext:
             cache[key] = ndmap.ProblemSetup.build(omega, cavity, TimeGrid(HORIZON, nt))
         return cache[key]
 
-    def operator_matrices(self, resolution) -> dict:
+    def responses(self, resolution) -> tuple[np.ndarray, np.ndarray]:
+        """Impulse responses (f, h) of FL and Lhat: one set of impulse
+        solves serves the dense FL and Lhat and N."""
         key = tuple(resolution)
-        cache = self._mats
-        if key not in cache:
+        if key not in self._responses:
             st = self.setup(key)
-            # one set of impulse solves serves the dense FL and Lhat and N
-            f, h = ndmap.fl_response(st), ndmap.lhat_response(st)
-            cache[key] = {
-                "lambda_D": ndmap.assemble_lambda(st, True).matrix,
-                "lambda_0": ndmap.assemble_lambda(st, False).matrix,
-                "L": ndmap.assemble_L(st),
-                "Lhat": ndmap._toeplitz_expand(h),
-                "FL": ndmap._toeplitz_expand(f),
-                "N": ndmap.compose_N(st, f, h),
-            }
-        return cache[key]
+            self._responses[key] = ndmap.fl_response(st), ndmap.lhat_response(st)
+        return self._responses[key]
+
+    def modified_operator(self, resolution) -> ndmap.SpaceTimeOperator:
+        """The modified operator N, composed from the cached responses."""
+        key = tuple(resolution)
+        if key not in self._N:
+            self._N[key] = ndmap.compose_N(self.setup(key), *self.responses(key))
+        return self._N[key]
+
+    def operator_matrices(self, resolution) -> dict:
+        """All six dense operators at resolution, built afresh on each call."""
+        st = self.setup(resolution)
+        f, h = self.responses(resolution)
+        return {
+            "lambda_D": ndmap.assemble_lambda(st, True).matrix,
+            "lambda_0": ndmap.assemble_lambda(st, False).matrix,
+            "L": ndmap.assemble_L(st),
+            "Lhat": ndmap._toeplitz_expand(h),
+            "FL": ndmap._toeplitz_expand(f),
+            "N": self.modified_operator(resolution),
+        }
 
     @cached_property
     def benchmark_S(self) -> np.ndarray:
-        return ndmap.symmetrize(self.operator_matrices(DOUBLED_RESOLUTION)["N"])
+        return ndmap.symmetrize(self.modified_operator(DOUBLED_RESOLUTION))
 
     @cached_property
     def benchmark_eigensystem(self) -> recon.EigenSystem:
-        N = self.operator_matrices(DOUBLED_RESOLUTION)["N"]
+        N = self.modified_operator(DOUBLED_RESOLUTION)
         return recon.eigendecompose(self.benchmark_S, N.gram_domain, 1e-8)
 
 
@@ -213,12 +227,22 @@ def check_factorization(ctx: VerifyContext | None = None) -> CheckReport:
     ctx = ctx or VerifyContext()
     res35, res37 = [], []
     for resolution in (BASE_RESOLUTION, DOUBLED_RESOLUTION):
-        mats = ctx.operator_matrices(resolution)
-        diff = mats["lambda_D"] - mats["lambda_0"]
-        r35 = np.linalg.norm(diff - mats["Lhat"] @ mats["FL"]) / np.linalg.norm(diff)
-        lp = ndmap.lprime_from_duality(mats["L"]).matrix
-        nmat = mats["N"].matrix
-        r37 = np.linalg.norm(nmat + lp @ mats["FL"]) / np.linalg.norm(nmat)
+        # each dense operator is built where its residual reads it and
+        # dropped once read; only N stays, in the context
+        st = ctx.setup(resolution)
+        f, h = ctx.responses(resolution)
+        diff = ndmap.assemble_lambda(st, True).matrix
+        diff -= ndmap.assemble_lambda(st, False).matrix
+        norm_diff = np.linalg.norm(diff)
+        fl = ndmap._toeplitz_expand(f)
+        diff -= ndmap._toeplitz_expand(h) @ fl
+        r35 = np.linalg.norm(diff) / norm_diff
+        del diff
+        prod = ndmap.lprime_from_duality(ndmap.assemble_L(st)).matrix @ fl
+        del fl
+        nmat = ctx.modified_operator(resolution).matrix
+        prod += nmat
+        r37 = np.linalg.norm(prod) / np.linalg.norm(nmat)
         res35.append(float(r35))
         res37.append(float(r37))
     # cavity-free path: the modified map vanishes identically
@@ -324,7 +348,7 @@ def check_spectrum(ctx: VerifyContext | None = None) -> CheckReport:
     """
     ctx = ctx or VerifyContext()
     S = ctx.benchmark_S
-    sym_rel = float(np.linalg.norm(S - S.T) / np.linalg.norm(S))
+    sym_rel = float(ndmap.asymmetry(S) / np.linalg.norm(S))
     lam = ctx.benchmark_eigensystem.lambdas
     lam1 = float(lam[0])
     min_ratio = float(lam[-1] / lam1)

@@ -136,8 +136,7 @@ def test_criterion_7_noise_robustness(verify_ctx, benchmark_reconstruction):
 
     st = verify_ctx.setup(verify.DOUBLED_RESOLUTION)
     noisy = ndmap.add_noise(
-        verify_ctx.operator_matrices(verify.DOUBLED_RESOLUTION)["N"],
-        NoiseSpec(1e-3, 1),
+        verify_ctx.modified_operator(verify.DOUBLED_RESOLUTION), NoiseSpec(1e-3, 1)
     )
     S = ndmap.symmetrize(noisy)
     eig = recon.eigendecompose(S, noisy.gram_domain, 1e-3)

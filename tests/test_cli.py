@@ -266,6 +266,14 @@ class TestPipelineArtifacts:
         summary = hio.read_kv(pipeline["out"] / "summary")
         assert float(summary["lambda_min_ratio"]) == lams[-1] / lams[0]
 
+    def test_summary_symmetry_defect_matches_N(self, pipeline):
+        nmat, _ = hio.read_stop1(pipeline["out"] / "N.stop1")
+        sqrt_g = np.sqrt(hio.read_gram(pipeline["out"] / "N.gram"))
+        b = nmat * (sqrt_g[:, None] / sqrt_g[None, :])
+        summary = hio.read_kv(pipeline["out"] / "summary")
+        want = np.linalg.norm(b - b.T) / np.linalg.norm(b)
+        assert float(summary["symmetry_defect"]) == pytest.approx(want, rel=1e-12)
+
     def test_summary_jaccard_matches_columns(self, pipeline):
         from heatcavity.recon import jaccard
 

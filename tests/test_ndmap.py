@@ -334,8 +334,9 @@ class TestSymmetrize:
         op = SpaceTimeOperator(mat, g, g)
         ntilde = weighted_symmetrization(op)
         assert np.linalg.norm(ntilde - mat) <= 1e-14 * np.linalg.norm(mat)
-        S = symmetrize(op)
+        S, defect = symmetrize(op, defect=True)
         assert np.linalg.norm(S - sym) <= 1e-13 * np.linalg.norm(sym)
+        assert defect <= 1e-15
 
     def test_S_exactly_symmetric(self, small_ops):
         S = symmetrize(small_ops["N"])
@@ -346,6 +347,41 @@ class TestSymmetrize:
         sqrt_g = np.sqrt(N.gram_domain)
         b = N.matrix * (sqrt_g[:, None] / sqrt_g[None, :])
         assert np.array_equal(symmetrize(N), 0.5 * (b + b.T))
+
+    @pytest.mark.parametrize("n", [1, 7, ndmap.TILE, ndmap.TILE + 37, 2 * ndmap.TILE + 3])
+    def test_tiled_bits_match_dense_formula(self, n):
+        # n off the tile size leaves ragged edge tiles; zeros of both signs
+        # must come out with the signs of 0.5 * (b + b.T)
+        rng = np.random.default_rng(n)
+        mat = rng.standard_normal((n, n))
+        mat[rng.random((n, n)) < 0.2] = 0.0
+        mat[rng.random((n, n)) < 0.2] = -0.0
+        g = rng.uniform(0.1, 2.0, n)
+        sqrt_g = np.sqrt(g)
+        b = mat * (sqrt_g[:, None] / sqrt_g[None, :])
+        want = 0.5 * (b + b.T)
+        op = SpaceTimeOperator(mat, g, g)
+        S, defect = symmetrize(op, defect=True)
+        assert S.tobytes() == want.tobytes() == symmetrize(op).tobytes()
+        dense = np.linalg.norm(b - b.T) / np.linalg.norm(b) if n > 1 else 0.0
+        assert defect == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+    def test_defect_is_relative_gram_asymmetry_of_N(self, small_ops):
+        N = small_ops["N"]
+        ntilde = weighted_symmetrization(N)
+        skew = N.matrix - ntilde  # (N - N')/2
+        g = N.gram_domain
+        # ||A||_G = ||G^{1/2} A G^{-1/2}||_F
+        gnorm = lambda a: np.linalg.norm(a * (np.sqrt(g)[:, None] / np.sqrt(g)[None, :]))
+        _, defect = symmetrize(N, defect=True)
+        assert defect == pytest.approx(2.0 * gnorm(skew) / gnorm(N.matrix), rel=1e-10)
+        assert 0.0 < defect < 2.0
+
+    @pytest.mark.parametrize("n", [1, 5, ndmap.TILE + 1, 2 * ndmap.TILE + 3])
+    def test_asymmetry_is_dense_norm(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        assert ndmap.asymmetry(a) == pytest.approx(np.linalg.norm(a - a.T), rel=1e-12)
+        assert ndmap.asymmetry(a + a.T) == 0.0
 
     def test_eigenvalues_match_generalized_oracle(self, small_ops):
         from heatcavity.recon import eigendecompose

@@ -1,11 +1,15 @@
 """Cross-route verification suite: clean runs pass, seeded defects are caught."""
 
+import gc
 import json
+import operator
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from heatcavity import forward, verify
+from heatcavity import forward, ndmap, verify
 
 
 class TestHelpers:
@@ -38,6 +42,64 @@ class TestContext:
         dim = verify.BASE_RESOLUTION[0] * verify.BASE_RESOLUTION[2]
         assert bench_ops["lambda_D"].shape == (dim, dim)
         assert bench_ops["N"].matrix.shape == (dim, dim)
+
+
+@pytest.fixture
+def coarse_verify(monkeypatch):
+    """A fresh context with the refinement pair scaled down to (16,12,16) and
+    (32,24,32), and the operator dimension n at the finer one."""
+    monkeypatch.setattr(verify, "BASE_RESOLUTION", (16, 12, 16))
+    monkeypatch.setattr(verify, "DOUBLED_RESOLUTION", (32, 24, 32))
+    return verify.VerifyContext(), 32 * 32
+
+
+class TestMemory:
+    def test_factorization_leaves_no_dense_operator_alive(self, coarse_verify, monkeypatch):
+        ctx, _ = coarse_verify
+        built = []
+
+        def tracking(fn, array_of=lambda r: r):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                built.append(weakref.ref(array_of(result)))
+                return result
+
+            return wrapper
+
+        as_matrix = operator.attrgetter("matrix")
+        monkeypatch.setattr(ndmap, "_toeplitz_expand", tracking(ndmap._toeplitz_expand))
+        monkeypatch.setattr(ndmap, "assemble_lambda", tracking(ndmap.assemble_lambda, as_matrix))
+        monkeypatch.setattr(ndmap, "assemble_L", tracking(ndmap.assemble_L, as_matrix))
+        verify.check_factorization(ctx)
+        gc.collect()
+        # Lambda_D, Lambda_0, L, Lhat and FL at both resolutions (Lambda and
+        # L also pass their matrices through _toeplitz_expand)
+        assert len(built) == 2 * (3 + 5)
+        assert all(ref() is None for ref in built)
+        assert set(vars(ctx)) == {"_setups", "_responses", "_N"}
+        for res in (verify.BASE_RESOLUTION, verify.DOUBLED_RESOLUTION):
+            assert all(r.ndim == 3 for r in ctx.responses(res))
+
+    def test_factorization_and_spectrum_traced_peak(self, coarse_verify):
+        # Holding all six dense operators per resolution, as the context once
+        # did, peaked near 8.9 n^2 doubles here; one at a time it is near 4.
+        ctx, n = coarse_verify
+        tracemalloc.start()
+        try:
+            verify.check_factorization(ctx)
+            verify.check_spectrum(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * n * n * 8
+
+    def test_operator_matrices_are_built_afresh(self, coarse_verify):
+        ctx, _ = coarse_verify
+        a = ctx.operator_matrices(verify.BASE_RESOLUTION)
+        b = ctx.operator_matrices(verify.BASE_RESOLUTION)
+        assert a["lambda_D"] is not b["lambda_D"]
+        assert np.array_equal(a["lambda_D"], b["lambda_D"])
+        assert a["N"] is b["N"] is ctx.modified_operator(verify.BASE_RESOLUTION)
 
 
 class TestChecksPass:
