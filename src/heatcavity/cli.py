@@ -389,8 +389,10 @@ def _spectral_data(cfg: RunConfig, timings: dict):
     with _timed(timings, "read"):
         nmat, gram = _load_operator(cfg, "N")
     with _timed(timings, "eigh"):
-        S, defect = ndmap.symmetrize(ndmap.SpaceTimeOperator(nmat, gram, gram), defect=True)
-        del nmat  # eigh runs without N in memory
+        op = ndmap.SpaceTimeOperator(nmat, gram, gram)
+        defect = ndmap.symmetry_defect(op)
+        S = ndmap.symmetrize(op)
+        del nmat, op  # eigh runs without N in memory
         return recon.eigendecompose(S, gram, cfg.effective_tau), defect
 
 
@@ -411,11 +413,11 @@ def _scoring_lattice(cfg: RunConfig, omega, cavity):
 
 
 def cmd_spectrum(cfg: RunConfig, threads: int = 1) -> int:
-    eig, _ = _spectral_data(cfg, {})
+    eig, defect = _spectral_data(cfg, {})
     io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
     print(
         f"[spectrum] lambda_1={eig.lambdas[0]:.6e}  retained n*={eig.retained} "
-        f"at tau={cfg.effective_tau:g}"
+        f"at tau={cfg.effective_tau:g}  symmetry defect={defect:.3e}"
     )
     return EXIT_OK
 
@@ -454,7 +456,8 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
         "command": "reconstruct",
         "lambda_1": io.format_float(eig.lambdas[0]),
         "lambda_min_ratio": io.format_float(eig.lambdas[-1] / eig.lambdas[0]),
-        # how far N is from Gram-self-adjoint: the part symmetrize discards
+        # ||N - N'|| / ||N|| in the Gram norm: twice the relative size of
+        # the part that symmetrize discards
         "symmetry_defect": io.format_float(defect),
         "retained": eig.retained,
         "tau_effective": io.format_float(cfg.effective_tau),

@@ -26,7 +26,6 @@ from .forward import (
     green_probe_traces,
 )
 from .geometry import TOL_GEOM, BoundaryCurve, signed_distance
-from .ndmap import TILE, asymmetry
 
 #: Sum values at or below this are treated as "probe orthogonal to the
 #: retained span" and reported as an infinite indicator.
@@ -114,7 +113,7 @@ def eigendecompose(S: np.ndarray, gram: np.ndarray, tau: float) -> EigenSystem:
     norm = np.linalg.norm(S)
     if not np.isfinite(norm):
         raise ValueError("S has a non-finite norm: nan or inf entries")
-    if norm > 0 and asymmetry(S) > 1e-10 * norm:
+    if norm > 0 and np.linalg.norm(S - S.T) > 1e-10 * norm:
         raise ValueError("S is not symmetric to the required tolerance")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"cutoff ratio must be in (0, 1), got {tau}")
@@ -123,23 +122,12 @@ def eigendecompose(S: np.ndarray, gram: np.ndarray, tau: float) -> EigenSystem:
 
     lam, vec = np.linalg.eigh(S)
     lam = lam[::-1]
+    vec = vec[:, ::-1]
     if not lam[0] > 0:
         raise ValueError("operator not positive — check symmetrization/noise level")
     retained = int(np.sum((lam >= tau * lam[0]) & (lam > 0)))
-    _reverse_columns(vec)
-    vec /= np.sqrt(gram)[:, None]
-    return EigenSystem(lam, vec, retained, gram)
-
-
-def _reverse_columns(a: np.ndarray) -> None:
-    """Reverse the column order of a in place, TILE columns per side at a
-    time.  a stays C-contiguous, so products with it keep their bits."""
-    n = a.shape[1]
-    for lo in range(0, n // 2, TILE):
-        hi = min(lo + TILE, n // 2)
-        left = a[:, lo:hi].copy()
-        a[:, lo:hi] = a[:, n - hi : n - lo][:, ::-1]
-        a[:, n - hi : n - lo] = left[:, ::-1]
+    vectors = vec / np.sqrt(gram)[:, None]
+    return EigenSystem(lam, vectors, retained, gram)
 
 
 def _normalized_probe_matrix(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:

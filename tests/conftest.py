@@ -85,11 +85,6 @@ def bench_setup(verify_ctx) -> ndmap.ProblemSetup:
 
 
 @pytest.fixture(scope="session")
-def bench_ops(verify_ctx) -> dict:
-    return verify_ctx.operator_matrices(verify.BASE_RESOLUTION)
-
-
-@pytest.fixture(scope="session")
 def small_setup() -> ndmap.ProblemSetup:
     """Coarse concentric pair for fast operator-level unit tests."""
     omega = make_curve(CurveSpec("circle", (0.0, 0.0, 1.0)), 16)

@@ -23,6 +23,7 @@ from heatcavity.ndmap import (
     gram_weights,
     lprime_from_duality,
     symmetrize,
+    symmetry_defect,
     time_reversal,
 )
 from heatcavity.verify import _smooth_field
@@ -99,10 +100,13 @@ class TestLambda:
             for k_in in range(k_out + 1, nt):
                 assert np.abs(blocks[:, k_out, :, k_in]).max() <= 1e-12 * scale
 
-    def test_cavity_effect_sign_after_transient(self, bench_ops, bench_setup):
+    def test_cavity_effect_sign_after_transient(self, bench_setup):
         # a nonnegative flux heats the cavity domain at least as much as
         # the intact one, up to a short startup transient
-        diff = bench_ops["lambda_D"] - bench_ops["lambda_0"]
+        diff = (
+            assemble_lambda(bench_setup, True).matrix
+            - assemble_lambda(bench_setup, False).matrix
+        )
         f = uniform_field(bench_setup.omega, bench_setup.grid)
         out = (diff @ f.flatten()).reshape(32, 32)
         assert out[:, 2:].min() >= -1e-10
@@ -334,9 +338,9 @@ class TestSymmetrize:
         op = SpaceTimeOperator(mat, g, g)
         ntilde = weighted_symmetrization(op)
         assert np.linalg.norm(ntilde - mat) <= 1e-14 * np.linalg.norm(mat)
-        S, defect = symmetrize(op, defect=True)
+        S = symmetrize(op)
         assert np.linalg.norm(S - sym) <= 1e-13 * np.linalg.norm(sym)
-        assert defect <= 1e-15
+        assert symmetry_defect(op) <= 1e-15
 
     def test_S_exactly_symmetric(self, small_ops):
         S = symmetrize(small_ops["N"])
@@ -361,10 +365,9 @@ class TestSymmetrize:
         b = mat * (sqrt_g[:, None] / sqrt_g[None, :])
         want = 0.5 * (b + b.T)
         op = SpaceTimeOperator(mat, g, g)
-        S, defect = symmetrize(op, defect=True)
-        assert S.tobytes() == want.tobytes() == symmetrize(op).tobytes()
+        assert symmetrize(op).tobytes() == want.tobytes()
         dense = np.linalg.norm(b - b.T) / np.linalg.norm(b) if n > 1 else 0.0
-        assert defect == pytest.approx(dense, rel=1e-12, abs=0.0)
+        assert symmetry_defect(op) == pytest.approx(dense, rel=1e-12, abs=0.0)
 
     def test_defect_is_relative_gram_asymmetry_of_N(self, small_ops):
         N = small_ops["N"]
@@ -373,15 +376,9 @@ class TestSymmetrize:
         g = N.gram_domain
         # ||A||_G = ||G^{1/2} A G^{-1/2}||_F
         gnorm = lambda a: np.linalg.norm(a * (np.sqrt(g)[:, None] / np.sqrt(g)[None, :]))
-        _, defect = symmetrize(N, defect=True)
+        defect = symmetry_defect(N)
         assert defect == pytest.approx(2.0 * gnorm(skew) / gnorm(N.matrix), rel=1e-10)
         assert 0.0 < defect < 2.0
-
-    @pytest.mark.parametrize("n", [1, 5, ndmap.TILE + 1, 2 * ndmap.TILE + 3])
-    def test_asymmetry_is_dense_norm(self, n):
-        a = np.random.default_rng(n).standard_normal((n, n))
-        assert ndmap.asymmetry(a) == pytest.approx(np.linalg.norm(a - a.T), rel=1e-12)
-        assert ndmap.asymmetry(a + a.T) == 0.0
 
     def test_eigenvalues_match_generalized_oracle(self, small_ops):
         from heatcavity.recon import eigendecompose
@@ -399,6 +396,8 @@ class TestSymmetrize:
     def test_non_square_rejected(self, small_ops):
         with pytest.raises(ValueError):
             symmetrize(small_ops["L"])
+        with pytest.raises(ValueError):
+            symmetry_defect(small_ops["L"])
 
 
 class TestNoise:

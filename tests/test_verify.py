@@ -37,12 +37,6 @@ class TestContext:
         b = verify_ctx.setup(verify.BASE_RESOLUTION)
         assert a is b
 
-    def test_operator_matrices_complete(self, bench_ops):
-        assert set(bench_ops) == {"lambda_D", "lambda_0", "L", "Lhat", "FL", "N"}
-        dim = verify.BASE_RESOLUTION[0] * verify.BASE_RESOLUTION[2]
-        assert bench_ops["lambda_D"].shape == (dim, dim)
-        assert bench_ops["N"].matrix.shape == (dim, dim)
-
 
 @pytest.fixture
 def coarse_verify(monkeypatch):
@@ -82,7 +76,8 @@ class TestMemory:
 
     def test_factorization_and_spectrum_traced_peak(self, coarse_verify):
         # Holding all six dense operators per resolution, as the context once
-        # did, peaked near 8.9 n^2 doubles here; one at a time it is near 4.
+        # did, peaked near 8.9 n^2 doubles here; one at a time it is near 4.4,
+        # set by eigendecompose's scaled eigenvectors next to eigh's, N and S.
         ctx, n = coarse_verify
         tracemalloc.start()
         try:
@@ -92,14 +87,6 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * n * n * 8
-
-    def test_operator_matrices_are_built_afresh(self, coarse_verify):
-        ctx, _ = coarse_verify
-        a = ctx.operator_matrices(verify.BASE_RESOLUTION)
-        b = ctx.operator_matrices(verify.BASE_RESOLUTION)
-        assert a["lambda_D"] is not b["lambda_D"]
-        assert np.array_equal(a["lambda_D"], b["lambda_D"])
-        assert a["N"] is b["N"] is ctx.modified_operator(verify.BASE_RESOLUTION)
 
 
 class TestChecksPass:
