@@ -267,26 +267,32 @@ def apply_FL(setup: ProblemSetup, phi: BoundaryField) -> BoundaryField:
     return BoundaryField(setup.cavity, setup.grid, resp)
 
 
-#: Side of the square tiles that symmetrize and symmetry_defect walk: an
-#: n x n pass then needs a few TILE x TILE temporaries, not n x n ones.
+#: Side of the square tiles that symmetrize, symmetry_defect and the
+#: in-place eigensolver walk: an n x n pass then needs a few TILE x TILE
+#: temporaries, not n x n ones.
 TILE = 256
 
 
+def _tile_pairs(n: int):
+    """Yield (I, J) slices over the TILE x TILE tiles of an n x n array on
+    and above the tile diagonal, row by row."""
+    cuts = [slice(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
+    for k, rows in enumerate(cuts):
+        for cols in cuts[k:]:
+            yield rows, cols
+
+
 def _scaled_tile_pairs(N_op: SpaceTimeOperator):
-    """Yield (I, J, b_IJ, b_JI) over the TILE x TILE tiles on and above the
-    tile diagonal of b = G^{1/2} N G^{-1/2}, each tile scaled by its own
-    ratio sqrt(g_I) / sqrt(g_J)."""
+    """Yield (I, J, b_IJ, b_JI) over the tile pairs of b = G^{1/2} N G^{-1/2},
+    each tile scaled by its own ratio sqrt(g_I) / sqrt(g_J)."""
     mat = N_op.matrix
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("symmetrization needs a square operator")
     sqrt_g = np.sqrt(N_op.gram_domain)
-    n = len(sqrt_g)
-    cuts = [slice(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
-    for k, rows in enumerate(cuts):
-        for cols in cuts[k:]:
-            b_rc = mat[rows, cols] * (sqrt_g[rows, None] / sqrt_g[None, cols])
-            b_cr = mat[cols, rows] * (sqrt_g[cols, None] / sqrt_g[None, rows])
-            yield rows, cols, b_rc, b_cr
+    for rows, cols in _tile_pairs(len(sqrt_g)):
+        b_rc = mat[rows, cols] * (sqrt_g[rows, None] / sqrt_g[None, cols])
+        b_cr = mat[cols, rows] * (sqrt_g[cols, None] / sqrt_g[None, rows])
+        yield rows, cols, b_rc, b_cr
 
 
 def symmetrize(N_op: SpaceTimeOperator) -> np.ndarray:

@@ -14,6 +14,8 @@ cavity region.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ from .forward import (
     green_probe_traces,
 )
 from .geometry import TOL_GEOM, BoundaryCurve, signed_distance
+from .ndmap import TILE, _tile_pairs
 
 #: Sum values at or below this are treated as "probe orthogonal to the
 #: retained span" and reported as an infinite indicator.
@@ -41,8 +44,9 @@ class EigenSystem:
     """Descending eigenpairs of the symmetrized operator in the W-product.
 
     vectors holds one W-orthonormal coefficient vector per column (all of
-    them, not only the retained head); retained counts the leading columns
-    that survive the relative cutoff.
+    them, not only the retained head), C-contiguous; eigendecompose builds
+    it in the buffer of the S it was given.  retained counts the leading
+    columns that survive the relative cutoff.
     """
 
     lambdas: np.ndarray
@@ -97,6 +101,80 @@ class IndicatorGrid:
         return len(self.points)
 
 
+@functools.cache
+def _lapack_syevd():
+    """numpy's own LAPACK dsyevd with 64-bit integers, or None where the
+    library numpy links exports no such symbol."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    # numpy >= 2 wheels prefix scipy-openblas's symbols; 1.x ILP64 wheels do not
+    for name in ("scipy_dsyevd_64_", "dsyevd_64_"):
+        syevd = getattr(lib, name, None)
+        if syevd is not None:
+            i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+            # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO, and
+            # the hidden lengths of the two character arguments
+            syevd.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr, ptr, i64, ptr, i64, i64]
+            syevd.argtypes += [ctypes.c_size_t] * 2
+            syevd.restype = None
+            return syevd
+    return None
+
+
+def eigh_route() -> str:
+    """How eigendecompose solves: "lapack-inplace" on S's own buffer, or
+    "numpy" (np.linalg.eigh, then a copy into S) without the symbol."""
+    return "numpy" if _lapack_syevd() is None else "lapack-inplace"
+
+
+def _transpose_in_place(a: np.ndarray) -> None:
+    """a <- a.T for a square array, one tile pair at a time."""
+    for rows, cols in _tile_pairs(a.shape[0]):
+        if rows == cols:
+            a[rows, rows] = a[rows, rows].T.copy()
+        else:
+            upper = a[rows, cols].copy()
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = upper.T
+
+
+def _syevd_in_place(syevd, a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the C-contiguous a, which ends up holding
+    its orthonormal eigenvectors, one per column.
+
+    dsyevd (jobz='V', uplo='L') works on a column-major array, so a is
+    transposed in place before and after the call: LAPACK sees the buffer
+    numpy's eigh would hand it, with the workspace LAPACK's own query asks
+    for, as numpy's does, and returns the same bits.
+    """
+    n = a.shape[0]
+    w = np.empty(n)
+    info = ctypes.c_int64(0)
+
+    def call(work, lwork, iwork, liwork):
+        def ref(value):
+            return ctypes.byref(ctypes.c_int64(value))
+
+        syevd(
+            b"V", b"L", ref(n), a.ctypes.data, ref(max(n, 1)), w.ctypes.data,
+            work.ctypes.data, ref(lwork), iwork.ctypes.data, ref(liwork),
+            ctypes.byref(info), 1, 1,
+        )  # fmt: skip
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"LAPACK dsyevd failed with info={info.value}")
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    call(work, -1, iwork, -1)  # the workspace query
+    lwork, liwork = int(work[0]), int(iwork[0])
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    _transpose_in_place(a)
+    call(work, lwork, iwork, liwork)
+    _transpose_in_place(a)
+    return w
+
+
 def eigendecompose(S: np.ndarray, gram: np.ndarray, tau: float) -> EigenSystem:
     """Full symmetric eigendecomposition with a relative spectral cutoff.
 
@@ -105,8 +183,14 @@ def eigendecompose(S: np.ndarray, gram: np.ndarray, tau: float) -> EigenSystem:
     G^{-1/2}.  Retained pairs are those with lambda_n >= tau * lambda_1
     and lambda_n > 0; trailing pairs are kept for diagnostics but excluded
     from the indicator series.
+
+    S is overwritten: its buffer becomes the returned vectors, so the
+    solve needs S plus LAPACK's 2n^2 workspace and no other n x n array.
+    An S that is not a writeable C-contiguous float64 array is copied
+    first and left as it was.  A failed LAPACK solve raises
+    np.linalg.LinAlgError, a ValueError.
     """
-    S = np.asarray(S, dtype=float)
+    S = np.require(S, dtype=np.float64, requirements=["C", "A", "W"])
     gram = np.asarray(gram, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S must be a square matrix")
@@ -120,14 +204,22 @@ def eigendecompose(S: np.ndarray, gram: np.ndarray, tau: float) -> EigenSystem:
     if gram.shape != (S.shape[0],) or np.any(gram <= 0):
         raise ValueError("gram must be a positive weight vector matching S")
 
-    lam, vec = np.linalg.eigh(S)
+    syevd = _lapack_syevd()
+    if syevd is None:
+        lam, vec = np.linalg.eigh(S)
+        S[...] = vec
+    else:
+        lam = _syevd_in_place(syevd, S)
     lam = lam[::-1]
-    vec = vec[:, ::-1]
     if not lam[0] > 0:
         raise ValueError("operator not positive — check symmetrization/noise level")
     retained = int(np.sum((lam >= tau * lam[0]) & (lam > 0)))
-    vectors = vec / np.sqrt(gram)[:, None]
-    return EigenSystem(lam, vectors, retained, gram)
+    # vectors = vec[:, ::-1] / sqrt(g)[:, None], formed in S a block of rows at a time
+    sqrt_g = np.sqrt(gram)
+    for lo in range(0, S.shape[0], TILE):
+        rows = slice(lo, lo + TILE)
+        S[rows] = S[rows, ::-1] / sqrt_g[rows, None]
+    return EigenSystem(lam, S, retained, gram)
 
 
 def _normalized_probe_matrix(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:

@@ -131,13 +131,13 @@ class VerifyContext:
         return self._N[key]
 
     @cached_property
-    def benchmark_S(self) -> np.ndarray:
-        return ndmap.symmetrize(self.modified_operator(DOUBLED_RESOLUTION))
-
-    @cached_property
     def benchmark_eigensystem(self) -> recon.EigenSystem:
         N = self.modified_operator(DOUBLED_RESOLUTION)
-        return recon.eigendecompose(self.benchmark_S, N.gram_domain, 1e-8)
+        S, gram = ndmap.symmetrize(N), N.gram_domain
+        # eigh runs on S and its workspace alone: N leaves the cache (a
+        # later call composes it again) and S's buffer becomes the vectors
+        del self._N[tuple(DOUBLED_RESOLUTION)], N
+        return recon.eigendecompose(S, gram, 1e-8)
 
 
 def check_forward_convergence(ctx: VerifyContext | None = None) -> CheckReport:
@@ -334,8 +334,9 @@ def check_spectrum(ctx: VerifyContext | None = None) -> CheckReport:
     which the compactness of the underlying maps predicts to be fast.
     """
     ctx = ctx or VerifyContext()
-    S = ctx.benchmark_S
+    S = ndmap.symmetrize(ctx.modified_operator(DOUBLED_RESOLUTION))
     sym_rel = float(np.linalg.norm(S - S.T) / np.linalg.norm(S))
+    del S  # freed before the eigensystem symmetrizes its own S
     lam = ctx.benchmark_eigensystem.lambdas
     lam1 = float(lam[0])
     min_ratio = float(lam[-1] / lam1)

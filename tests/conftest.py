@@ -52,6 +52,23 @@ def pool_spy(monkeypatch):
     return lambda cpus: PoolSpy(monkeypatch, cpus)
 
 
+@pytest.fixture
+def failing_syevd(monkeypatch):
+    """Stand in for numpy's LAPACK dsyevd a C-callable stub that sets
+    info=3, as a solve that fails to converge does."""
+    import ctypes
+
+    from heatcavity import recon
+
+    def stub(*args):
+        ctypes.c_int64.from_address(args[10]).value = 3  # INFO
+
+    proto = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11, ctypes.c_size_t, ctypes.c_size_t)
+    fn = proto(stub)
+    monkeypatch.setattr(recon, "_lapack_syevd", lambda: fn)
+    return fn
+
+
 @pytest.fixture(scope="session")
 def verify_ctx() -> verify.VerifyContext:
     return verify.VerifyContext()

@@ -230,8 +230,12 @@ class TestPipelineArtifacts:
 
     def test_summary_stage_timings(self, pipeline):
         summary = hio.read_kv(pipeline["out"] / "summary")
-        for stage in ("read", "eigh", "probes", "write", "total"):
+        for stage in ("read", "symmetrize", "eigh", "probes", "write", "total"):
             assert float(summary[f"seconds.{stage}"]) >= 0.0
+
+    def test_summary_records_eigh_route(self, pipeline):
+        summary = hio.read_kv(pipeline["out"] / "summary")
+        assert summary["eigh_route"] == recon.eigh_route()
 
     def test_meta_operator_hash_ignores_reconstruct_keys(self, pipeline):
         meta = hio.read_kv(pipeline["out"] / "meta")
@@ -373,6 +377,16 @@ class TestDeterminism:
         )
         assert code == 0
         assert (out / "indicator.csv").read_bytes() == before
+
+    def test_eigh_routes_write_the_same_bytes(self, pipeline, tmp_path, monkeypatch):
+        # the pipeline took the in-place LAPACK route where numpy exports it
+        out = tmp_path / "numpy_route"
+        shutil.copytree(pipeline["out"], out)
+        monkeypatch.setattr(recon, "_lapack_syevd", lambda: None)
+        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 0
+        assert hio.read_kv(out / "summary")["eigh_route"] == "numpy"
+        for name in ("spectrum.csv", "indicator.csv"):
+            assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes()
 
     def test_threads_do_not_change_bits_across_chunks(self, tmp_path):
         # 129 probe points fill three probe chunks, so worker threads solve
@@ -582,6 +596,12 @@ class TestExitCodes:
         other = write_cfg(tmp_path, SMALL_CFG.replace(old, new), "other.cfg")
         assert cli.main(["reconstruct", "--config", other, "--out", str(pipeline["out"])]) == 1
         assert message in capsys.readouterr().err
+
+    def test_failed_eigensolve_exits_2(self, pipeline, tmp_path, capsys, failing_syevd):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_no_cavity_data_has_no_spectrum_exits_2(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("cavity_kind=circle", "cavity_kind=none"))

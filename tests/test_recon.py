@@ -45,7 +45,85 @@ def toy_eig():
     return eigendecompose(s, gram, 1e-8)
 
 
+def numpy_eigh_formula(S, gram):
+    """eigendecompose's lambdas and vectors by numpy's eigh, reversed and
+    scaled out of place."""
+    lam, vec = np.linalg.eigh(S)
+    return lam[::-1], vec[:, ::-1] / np.sqrt(gram)[:, None]
+
+
+def spectral_case(n, kind):
+    rng = np.random.default_rng(n)
+    gram = rng.uniform(0.5, 2.0, n)
+    if kind == "degenerate":
+        return np.eye(n), gram
+    a = rng.standard_normal((n, n))
+    s = a @ a.T + n * np.eye(n)
+    if kind == "near_symmetric":
+        # eigh reads the lower triangle, so that is where S gives way
+        s[n - 1, 0] += 5e-11 * np.linalg.norm(s)
+    return s, gram
+
+
+def read_only_copy(s):
+    s = s.copy()
+    s.flags.writeable = False
+    return s
+
+
+@pytest.fixture(params=["lapack-inplace", "numpy"])
+def eigh_route(request, monkeypatch):
+    """Run the test on each route eigendecompose can take."""
+    if request.param == "numpy":
+        monkeypatch.setattr(recon, "_lapack_syevd", lambda: None)
+    elif recon._lapack_syevd() is None:
+        pytest.skip("numpy's LAPACK exports no 64-bit dsyevd")
+    assert recon.eigh_route() == request.param
+    return request.param
+
+
 class TestEigendecompose:
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    @pytest.mark.parametrize("kind", ["random", "degenerate", "near_symmetric"])
+    def test_bits_match_numpy_eigh(self, eigh_route, n, kind):
+        s, gram = spectral_case(n, kind)
+        want_lam, want_vec = numpy_eigh_formula(s, gram)
+        eig = eigendecompose(s, gram, 1e-8)
+        assert eig.lambdas.tobytes() == want_lam.tobytes()
+        assert eig.vectors.flags.c_contiguous
+        assert eig.vectors.tobytes() == want_vec.tobytes()
+
+    def test_vectors_are_written_into_S(self, eigh_route):
+        s, gram = spectral_case(300, "random")
+        eig = eigendecompose(s, gram, 1e-8)
+        assert np.shares_memory(eig.vectors, s)
+
+    @pytest.mark.parametrize(
+        "prepare",
+        [
+            np.asfortranarray,
+            lambda s: s.astype(np.float32),
+            lambda s: np.repeat(s, 2, axis=1)[:, ::2],
+            read_only_copy,
+        ],
+        ids=["fortran", "float32", "strided", "read_only"],
+    )
+    def test_other_layouts_are_copied_not_overwritten(self, eigh_route, prepare):
+        s, gram = spectral_case(40, "random")
+        given = prepare(s)
+        kept = given.copy()
+        want_lam, want_vec = numpy_eigh_formula(np.asarray(given, dtype=float), gram)
+        eig = eigendecompose(given, gram, 1e-8)
+        assert np.array_equal(given, kept)
+        assert not np.shares_memory(eig.vectors, given)
+        assert eig.vectors.tobytes() == want_vec.tobytes()
+
+    def test_lapack_failure_raises_linalg_error(self, failing_syevd):
+        with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+            eigendecompose(np.eye(3), np.ones(3), 1e-8)
+        # a ValueError, so the CLI reports it as a numerical failure
+        assert issubclass(np.linalg.LinAlgError, ValueError)
+
     def test_identity_retains_all(self):
         eig = eigendecompose(np.eye(2), np.ones(2), 1e-8)
         assert np.allclose(eig.lambdas, [1.0, 1.0])
@@ -61,7 +139,7 @@ class TestEigendecompose:
         a = rng.standard_normal((40, 40))
         s = 0.5 * (a + a.T) + 40 * np.eye(40)
         gram = np.ones(40)
-        eig = eigendecompose(s, gram, 1e-8)
+        eig = eigendecompose(s.copy(), gram, 1e-8)  # the copy is overwritten
         psi = eig.vectors  # gram = 1 so these are the raw eigenvectors
         rebuilt = psi @ np.diag(eig.lambdas) @ psi.T
         assert np.linalg.norm(rebuilt - s) <= 1e-12 * np.linalg.norm(s)

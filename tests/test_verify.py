@@ -76,8 +76,9 @@ class TestMemory:
 
     def test_factorization_and_spectrum_traced_peak(self, coarse_verify):
         # Holding all six dense operators per resolution, as the context once
-        # did, peaked near 8.9 n^2 doubles here; one at a time it is near 4.4,
-        # set by eigendecompose's scaled eigenvectors next to eigh's, N and S.
+        # did, peaked near 8.9 n^2 doubles here; one at a time it is near 4.0,
+        # set by the factorization check.  The spectrum check peaks near 3.5:
+        # S and LAPACK's 2n^2 workspace, which tracemalloc sees, plus setups.
         ctx, n = coarse_verify
         tracemalloc.start()
         try:
