@@ -17,13 +17,13 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import io, ndmap, recon
 from .forward import SolverError, TimeGrid, assemble_blocks
-from .geometry import CurveSpec, GeometryError, OnBoundaryError, make_curve, points_in_region
+from .geometry import CurveSpec, make_curve, points_in_region
 from .ndmap import NoiseSpec
 from .recon import SamplingSpec
 
@@ -43,115 +43,108 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    omega: CurveSpec
-    cavity: CurveSpec | None
-    M_omega: int
-    M_cavity: int
-    Nt: int
-    T: float
-    tau: float | None          # None means "auto" (see effective_tau)
-    noise: NoiseSpec
-    sampling: SamplingSpec
-    threshold: float
-    out_dir: str
+    """One run's config: a field per key, in canonical order, with its default.
+
+    A field's annotation says how its value is written (see ``_parse_value``).
+    """
+
+    omega_kind: str = "circle"
+    omega_params: tuple[float, ...] = (0.0, 0.0, 1.0)
+    cavity_kind: str = "circle"    # "none" for a cavity-free conductor
+    cavity_params: tuple[float, ...] = (0.0, 0.0, 0.35)
+    M_omega: int = 32
+    M_cavity: int = 24
+    Nt: int = 32
+    T: float = 0.5
+    tau: float | None = None       # None means "auto" (see effective_tau)
+    noise_level: float = 0.0
+    noise_seed: int = 0
+    nx: int = 21
+    ny: int = 21
+    s_slices: int = 1
+    margin: float | None = None    # None means "auto" (see SamplingSpec)
+    threshold: float = 0.2
+    out_dir: str = "out"
+
+    def __post_init__(self):
+        if self.cavity_kind == "none":
+            # a cavity-free config has no cavity parameters to echo
+            object.__setattr__(self, "cavity_params", ())
+
+    @property
+    def omega(self) -> CurveSpec:
+        return CurveSpec(self.omega_kind, self.omega_params)
+
+    @property
+    def cavity(self) -> CurveSpec | None:
+        if self.cavity_kind == "none":
+            return None
+        return CurveSpec(self.cavity_kind, self.cavity_params)
+
+    @property
+    def noise(self) -> NoiseSpec:
+        return NoiseSpec(self.noise_level, self.noise_seed)
+
+    @property
+    def sampling(self) -> SamplingSpec:
+        return SamplingSpec(self.nx, self.ny, self.s_slices, self.margin)
 
     def validate(self) -> None:
-        counts = {
-            "M_omega": self.M_omega,
-            "M_cavity": self.M_cavity,
-            "Nt": self.Nt,
-            "nx": self.sampling.nx,
-            "ny": self.sampling.ny,
-        }
-        for name, val in counts.items():
-            if val < 8:
-                raise ConfigError(f"{name} must be >= 8, got {val}")
-        if self.sampling.s_slices < 1:
-            raise ConfigError("s_slices must be >= 1")
-        if self.T <= 0:
-            raise ConfigError(f"T must be positive, got {self.T}")
+        for name in ("M_omega", "M_cavity", "Nt", "nx", "ny"):
+            if getattr(self, name) < 8:
+                raise ConfigError(f"{name} must be >= 8, got {getattr(self, name)}")
         if self.tau is not None and not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must be in (0, 1) or auto, got {self.tau}")
-        if not 0.0 <= self.noise.level < 1.0:
-            raise ConfigError(f"noise_level must be in [0, 1), got {self.noise.level}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.cavity is not None:
-            cavity = make_curve(self.cavity, max(self.M_cavity, 64))
-            omega = make_curve(self.omega, max(self.M_omega, 64))
-            try:
-                inside = points_in_region(cavity.nodes, omega).all()
-            except (GeometryError, OnBoundaryError) as exc:
-                raise ConfigError(str(exc)) from exc
-            if not inside:
-                raise ConfigError("cavity must lie strictly inside the conductor")
+        try:
+            # each spec refuses the values it cannot take
+            _ = TimeGrid(self.T, self.Nt), self.noise, self.sampling
+            omega, cavity = self.omega, self.cavity
+            if cavity is not None:
+                inside = points_in_region(
+                    make_curve(cavity, max(self.M_cavity, 64)).nodes,
+                    make_curve(omega, max(self.M_omega, 64)),
+                ).all()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if cavity is not None and not inside:
+            raise ConfigError("cavity must lie strictly inside the conductor")
 
     @property
     def effective_tau(self) -> float:
         if self.tau is not None:
             return self.tau
-        return self.noise.level if self.noise.level > 0 else TAU_CLEAN
+        return self.noise_level if self.noise_level > 0 else TAU_CLEAN
 
 
-DEFAULT_CONFIG = RunConfig(
-    omega=CurveSpec("circle", (0.0, 0.0, 1.0)),
-    cavity=CurveSpec("circle", (0.0, 0.0, 0.35)),
-    M_omega=32,
-    M_cavity=24,
-    Nt=32,
-    T=0.5,
-    tau=None,
-    noise=NoiseSpec(0.0, 0),
-    sampling=SamplingSpec(21, 21, 1, None),
-    threshold=0.2,
-    out_dir="out",
-)
+DEFAULT_CONFIG = RunConfig()
 
-_CONFIG_KEYS = (
-    "omega_kind",
-    "omega_params",
-    "cavity_kind",
-    "cavity_params",
-    "M_omega",
-    "M_cavity",
-    "Nt",
-    "T",
-    "tau",
-    "noise_level",
-    "noise_seed",
-    "nx",
-    "ny",
-    "s_slices",
-    "margin",
-    "threshold",
-    "out_dir",
-)
+#: The annotation of each RunConfig field, by config key.
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _parse_value(kind: str, text: str):
+    """The value of a config key from its text, by its field's annotation:
+    ``auto`` for None, a comma list for a float tuple."""
+    if kind == "float | None":
+        return None if text == "auto" else float(text)
+    if kind == "tuple[float, ...]":
+        return tuple(float(p) for p in text.split(",")) if text else ()
+    return {"int": int, "float": float, "str": str}[kind](text)
+
+
+def _format_value(value) -> str:
+    """The canonical text of a config value; floats keep 17 digits."""
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ",".join(io.format_float(p) for p in value)
+    return io.format_float(value) if isinstance(value, float) else str(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    def params(spec):
-        return ",".join(io.format_float(p) for p in spec.params)
-
-    vals = {
-        "omega_kind": cfg.omega.kind,
-        "omega_params": params(cfg.omega),
-        "cavity_kind": cfg.cavity.kind if cfg.cavity else "none",
-        "cavity_params": params(cfg.cavity) if cfg.cavity else "",
-        "M_omega": cfg.M_omega,
-        "M_cavity": cfg.M_cavity,
-        "Nt": cfg.Nt,
-        "T": io.format_float(cfg.T),
-        "tau": "auto" if cfg.tau is None else io.format_float(cfg.tau),
-        "noise_level": io.format_float(cfg.noise.level),
-        "noise_seed": cfg.noise.seed,
-        "nx": cfg.sampling.nx,
-        "ny": cfg.sampling.ny,
-        "s_slices": cfg.sampling.s_slices,
-        "margin": "auto" if cfg.sampling.margin is None else io.format_float(cfg.sampling.margin),
-        "threshold": io.format_float(cfg.threshold),
-        "out_dir": cfg.out_dir,
-    }
-    return "".join(f"{k}={vals[k]}\n" for k in _CONFIG_KEYS)
+    return "".join(f"{f.name}={_format_value(getattr(cfg, f.name))}\n" for f in fields(cfg))
 
 
 def _config_keys(text: str) -> dict[str, str]:
@@ -165,41 +158,16 @@ def _config_keys(text: str) -> dict[str, str]:
             raise ConfigError(f"line {ln}: expected key=value, got {line!r}")
         key, val = stripped.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {ln}: unknown config key {key!r}")
         raw[key] = val.strip()
     return raw
 
 
 def _config_from_keys(raw: dict[str, str]) -> RunConfig:
-    """Parse and validate a key map; absent keys take their canonical text
-    from the default config."""
-    vals = dict(ln.split("=", 1) for ln in serialize_config(DEFAULT_CONFIG).splitlines())
-    vals.update(raw)
-
-    def curve(name):
-        params = tuple(float(p) for p in vals[f"{name}_params"].split(","))
-        return CurveSpec(vals[f"{name}_kind"], params)
-
+    """Parse and validate a key map; absent keys take their defaults."""
     try:
-        cfg = RunConfig(
-            omega=curve("omega"),
-            cavity=None if vals["cavity_kind"] == "none" else curve("cavity"),
-            M_omega=int(vals["M_omega"]),
-            M_cavity=int(vals["M_cavity"]),
-            Nt=int(vals["Nt"]),
-            T=float(vals["T"]),
-            tau=None if vals["tau"] == "auto" else float(vals["tau"]),
-            noise=NoiseSpec(float(vals["noise_level"]), int(vals["noise_seed"])),
-            sampling=SamplingSpec(
-                int(vals["nx"]),
-                int(vals["ny"]),
-                int(vals["s_slices"]),
-                None if vals["margin"] == "auto" else float(vals["margin"]),
-            ),
-            threshold=float(vals["threshold"]),
-            out_dir=vals["out_dir"],
-        )
+        cfg = RunConfig(**{key: _parse_value(_FIELD_TYPES[key], val) for key, val in raw.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg.validate()
@@ -303,11 +271,9 @@ def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
             ops[name] = build()
         print(f"[simulate] {name}: {ops[name].matrix.shape[0]} columns ({timings[name]:.1f}s)")
 
-    if cfg.noise.level > 0:
-        ops["lambda_D"] = ndmap.add_noise(
-            ops["lambda_D"], NoiseSpec(cfg.noise.level, cfg.noise.seed)
-        )
-        ops["N"] = ndmap.add_noise(ops["N"], NoiseSpec(cfg.noise.level, cfg.noise.seed + 1))
+    if cfg.noise_level > 0:
+        ops["lambda_D"] = ndmap.add_noise(ops["lambda_D"], cfg.noise)
+        ops["N"] = ndmap.add_noise(ops["N"], NoiseSpec(cfg.noise_level, cfg.noise_seed + 1))
 
     meta_path = _out_path(cfg, "meta")
     if os.path.exists(meta_path):
@@ -407,7 +373,7 @@ def _scoring_lattice(cfg: RunConfig, omega, cavity):
     if len(pts) == 0 or (cavity is not None and inside.all() == inside.any()):
         need = "" if cavity is None else f", {int(inside.sum())} inside the cavity"
         raise ConfigError(
-            f"sampling lattice nx={cfg.sampling.nx}, ny={cfg.sampling.ny} with margin "
+            f"sampling lattice nx={cfg.nx}, ny={cfg.ny} with margin "
             f"{margin:.6g} keeps {len(pts)} probe points{need}, too few to score a mask: "
             "raise nx and ny or lower margin"
         )

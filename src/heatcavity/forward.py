@@ -64,8 +64,8 @@ class TimeGrid:
     Nt: int
 
     def __post_init__(self):
-        if self.Nt < 4 or self.T <= 0:
-            raise ValueError(f"need Nt >= 4 and T > 0, got Nt={self.Nt}, T={self.T}")
+        if self.Nt < 4 or not 0.0 < self.T < np.inf:
+            raise ValueError(f"need Nt >= 4 and a finite T > 0, got Nt={self.Nt}, T={self.T}")
 
     @property
     def dt(self) -> float:

@@ -104,12 +104,10 @@ def gamma(dx: np.ndarray, dt) -> np.ndarray:
     dx = np.asarray(dx, dtype=float)
     dt = np.asarray(dt, dtype=float)
     r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    out = np.zeros(np.broadcast_shapes(r2.shape, dt.shape))
-    pos = np.broadcast_to(dt > 0, out.shape)
-    r2b = np.broadcast_to(r2, out.shape)[pos]
-    dtb = np.broadcast_to(dt, out.shape)[pos]
-    out[pos] = np.exp(-r2b / (4.0 * dtb)) / (_FOUR_PI * dtb)
-    return out
+    # entries at dt <= 0 may overflow or divide by zero; np.where drops them
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        val = np.exp(-r2 / (4.0 * dt)) / (_FOUR_PI * dt)
+    return np.where(dt > 0, val, 0.0)
 
 
 def dnu_gamma(dx: np.ndarray, nu: np.ndarray, dt) -> np.ndarray:
@@ -122,11 +120,9 @@ def dnu_gamma(dx: np.ndarray, nu: np.ndarray, dt) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     dt = np.asarray(dt, dtype=float)
     dot = dx[..., 0] * nu[..., 0] + dx[..., 1] * nu[..., 1]
-    g = gamma(dx, dt)
-    out = np.zeros_like(g)
-    pos = np.broadcast_to(dt > 0, out.shape)
-    out[pos] = -(np.broadcast_to(dot, out.shape)[pos] / (2.0 * np.broadcast_to(dt, out.shape)[pos])) * g[pos]
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = -(dot / (2.0 * dt)) * gamma(dx, dt)
+    return np.where(dt > 0, val, 0.0)
 
 
 def gamma_time_integral(r2, a, b) -> np.ndarray:

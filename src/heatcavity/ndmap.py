@@ -58,6 +58,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.level < 1.0:
             raise ValueError(f"noise level must be in [0, 1), got {self.level}")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be >= 0, got {self.seed}")
 
 
 @dataclass

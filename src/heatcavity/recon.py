@@ -85,8 +85,8 @@ class SamplingSpec:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1 or self.s_slices < 1:
             raise ValueError("sampling grid sizes must be positive")
-        if self.margin is not None and self.margin < 0:
-            raise ValueError("sampling margin must be nonnegative")
+        if self.margin is not None and not self.margin >= 0:  # nan too
+            raise ValueError(f"sampling margin must be nonnegative, got {self.margin}")
 
 
 @dataclass

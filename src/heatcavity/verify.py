@@ -45,26 +45,13 @@ class CheckReport:
     seconds: float | None = None  # wall time of the check, when timed
 
     def to_record(self) -> dict:
-        def clean(x):
-            if isinstance(x, dict):
-                return {k: clean(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple, np.ndarray)):
-                return [clean(v) for v in np.asarray(x).tolist()] if isinstance(
-                    x, np.ndarray
-                ) else [clean(v) for v in x]
-            if isinstance(x, (np.floating, float)):
-                return float(x)
-            if isinstance(x, (np.integer, int)):
-                return int(x)
-            if isinstance(x, (np.bool_, bool)):
-                return bool(x)
-            return x
-
+        # the checks store Python numbers, lists, tuples and dicts, which
+        # json writes as they are (a tuple as a list)
         record = {
             "name": self.name,
             "passed": bool(self.passed),
-            "values": clean(self.values),
-            "resolutions": clean(self.resolutions),
+            "values": self.values,
+            "resolutions": self.resolutions,
         }
         if self.seconds is not None:
             # milliseconds: more digits would only lengthen verify.json

@@ -1,5 +1,6 @@
 """Pipeline driver: config handling, artifacts, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -80,7 +81,7 @@ class TestConfigRoundTrip:
         cfg = parse_config("cavity_kind=none\n")
         assert cfg.cavity is None
         text = serialize_config(cfg)
-        assert "cavity_kind=none" in text
+        assert "cavity_kind=none\ncavity_params=\n" in text
         assert parse_config(text).cavity is None
 
 
@@ -94,12 +95,16 @@ class TestConfigValidation:
             "nx=3",
             "ny=0",
             "s_slices=0",
+            "margin=nan",
             "T=-0.5",
             "T=0",
+            "T=nan",
+            "T=inf",
             "tau=0",
             "tau=1.5",
             "noise_level=-0.1",
             "noise_level=1.0",
+            "noise_seed=-1",
             "threshold=1.5",
             "threshold=-0.2",
             "cavity_params=0,0,1.5",
@@ -164,6 +169,28 @@ class TestLoadConfig:
         assert calls == [cfg]
 
 
+#: A valid value other than SMALL_CFG's for every config key.
+OTHER_VALUE = {
+    "omega_kind": "kite",
+    "omega_params": "0,0,1.1",
+    "cavity_kind": "peanut",
+    "cavity_params": "0.1,0,0.3",
+    "M_omega": "17",
+    "M_cavity": "13",
+    "Nt": "9",
+    "T": "0.6",
+    "tau": "0.01",
+    "noise_level": "0.001",
+    "noise_seed": "1",
+    "nx": "10",
+    "ny": "10",
+    "s_slices": "2",
+    "margin": "0.25",
+    "threshold": "0.5",
+    "out_dir": "other",
+}
+
+
 class TestConfigHash:
     def test_matches_git_blob_oracle(self, tmp_path):
         cfg = parse_config(SMALL_CFG)
@@ -178,6 +205,14 @@ class TestConfigHash:
         base = parse_config(SMALL_CFG)
         assert config_hash(base) == config_hash(parse_config(SMALL_CFG))
         assert config_hash(base) != config_hash(parse_config(SMALL_CFG + "out_dir=other\n"))
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_operator_hash_follows_exactly_the_operator_keys(self, key):
+        base = parse_config(SMALL_CFG)
+        moved = parse_config(SMALL_CFG + f"{key}={OTHER_VALUE[key]}\n")
+        assert getattr(moved, key) != getattr(base, key)
+        changed = cli._operator_hash(moved) != cli._operator_hash(base)
+        assert changed == (key in cli._OPERATOR_KEYS)
 
 
 @pytest.fixture(scope="module")
@@ -456,6 +491,14 @@ class TestExitCodes:
         cfg_path = write_cfg(tmp_path, SMALL_CFG + "M_omega=4\n")
         assert cli.main(["simulate", "--config", cfg_path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", ["T=nan\n", "T=inf\n", "noise_level=0.01\nnoise_seed=-1\n"])
+    def test_bad_value_exits_1_before_any_operator_is_written(self, tmp_path, capsys, lines):
+        out = tmp_path / "out"
+        cfg_path = write_cfg(tmp_path, SMALL_CFG + lines)
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list(tmp_path.rglob("*.stop1"))
 
     def test_missing_config_exits_1(self, capsys):
         assert cli.main(["simulate", "--config", "/no/such/file.cfg"]) == 1

@@ -439,6 +439,11 @@ class TestConventions:
         # ||1||_W^2 = perimeter * T
         assert field_norm(f) == pytest.approx(np.sqrt(2 * np.pi * 0.5), rel=1e-12)
 
+    @pytest.mark.parametrize("T", [0.0, -0.5, np.nan, np.inf])
+    def test_time_grid_refuses_a_horizon_that_is_not_finite_and_positive(self, T):
+        with pytest.raises(ValueError, match="finite T > 0"):
+            TimeGrid(T, 8)
+
 
 class TestSelfHalfBlock:
     """Row 0 of the unit circle's self half block against adaptive

@@ -1,10 +1,12 @@
 """The README's documented library example runs as written."""
 
+import dataclasses
 import re
 from pathlib import Path
 from types import ModuleType
 
 import heatcavity
+from heatcavity import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -41,3 +43,19 @@ def test_export_list_covers_the_documented_imports():
     names = {n.strip() for text in [readme.group(1), *notes] for n in text.split(",")}
     names.discard("")
     assert names and names <= set(heatcavity.__all__)
+
+
+def test_config_table_lists_every_key_with_its_default():
+    table = re.search(r"### Config keys\n\n(.*?)\n\n", README.read_text(), re.S)
+    assert table is not None, "README lost its config-keys table"
+    documented = {}
+    for row in table.group(1).splitlines()[2:]:
+        keys, defaults = row.split(" | ")[:2]
+        names = re.findall(r"`(\w+)`", keys)
+        texts = [d.strip("` ") for d in defaults.split(", ")]
+        assert len(names) == len(texts), row
+        documented.update(zip(names, texts))
+    fields = dataclasses.fields(cli.RunConfig)
+    assert list(documented) == [f.name for f in fields]
+    for f in fields:
+        assert cli._parse_value(f.type, documented[f.name]) == f.default, f.name
