@@ -1,8 +1,7 @@
 """Pipeline driver: simulate, reconstruct, spectrum, and verify commands.
 
 Runs are described by a flat ``key=value`` config file; every artifact a
-command writes is reproducible bit for bit from the config, no matter how
-many worker threads evaluate probe batches.
+command writes is reproducible bit for bit from the config.
 
 Exit codes: 0 success, 1 config or file error, 2 numerical failure, 3 check
 failure.
@@ -15,14 +14,13 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import io, ndmap, recon
-from .forward import SolverError, TimeGrid, assemble_blocks
+from .forward import SolverError, TimeGrid
 from .geometry import CurveSpec, make_curve, points_in_region
 from .ndmap import NoiseSpec
 from .recon import SamplingSpec
@@ -252,7 +250,7 @@ def _peak_rss_mb() -> str:
     return f"{kib / 1024:.1f}"
 
 
-def cmd_simulate(cfg: RunConfig, threads: int = 1) -> int:
+def cmd_simulate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
     with _timed(timings, "blocks"):
@@ -380,7 +378,7 @@ def _scoring_lattice(cfg: RunConfig, omega, cavity):
     return lattice
 
 
-def cmd_spectrum(cfg: RunConfig, threads: int = 1) -> int:
+def cmd_spectrum(cfg: RunConfig) -> int:
     eig, defect = _spectral_data(cfg, {})
     io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
     print(
@@ -390,7 +388,7 @@ def cmd_spectrum(cfg: RunConfig, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
+def cmd_reconstruct(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
     omega = make_curve(cfg.omega, cfg.M_omega)
@@ -403,19 +401,9 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
         io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
     with _timed(timings, "probes"):
         grid = TimeGrid(cfg.T, cfg.Nt)
-        region = assemble_blocks(omega, grid)
-        with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-            grid_out = recon.reconstruct(
-                eig,
-                omega,
-                grid,
-                cfg.sampling,
-                cfg.threshold,
-                cavity=cavity,
-                region=region,
-                chunk_map=map if pool is None else pool.map,
-                lattice=lattice,
-            )
+        grid_out = recon.reconstruct(
+            eig, omega, grid, cfg.sampling, cfg.threshold, cavity=cavity, lattice=lattice
+        )
     with _timed(timings, "write"):
         io.write_indicator_csv(_out_path(cfg, "indicator.csv"), grid_out)
 
@@ -456,7 +444,7 @@ def cmd_reconstruct(cfg: RunConfig, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, threads: int = 1) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     from . import verify  # its oracles need scipy; no other command loads it
 
     ctx = verify.VerifyContext()
@@ -485,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     parser.add_argument("--out", metavar="DIR", help="override output directory")
     parser.add_argument("--noise", metavar="LEVEL", type=float, help="override noise level")
+    # kept, with its >= 1 check, so that existing command lines still parse
     parser.add_argument(
-        "--threads", metavar="N", type=int, default=1, help="worker threads for probe batches"
+        "--threads", metavar="N", type=int, default=1, help="has no effect: probes run serially"
     )
     return parser
 
@@ -509,7 +498,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](cfg, threads=args.threads)
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

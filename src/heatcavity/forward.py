@@ -516,7 +516,7 @@ def green_probe_traces(
         raise ValueError(f"probe point {tuple(points[np.argmax(outside)])} outside the conductor")
     if region is None:
         region = assemble_blocks(omega, grid)
-    elif region.curves != (omega,):
+    elif len(region.curves) != 1 or region.curves[0] is not omega:
         raise ValueError("region must be the single-curve conductor system")
 
     taus = grid.times

@@ -46,8 +46,9 @@ class SpaceTimeOperator:
         n_c, n_d = self.matrix.shape
         if self.gram_codomain.shape != (n_c,) or self.gram_domain.shape != (n_d,):
             raise ValueError("gram weight lengths do not match the matrix")
-        if np.any(self.gram_domain <= 0) or np.any(self.gram_codomain <= 0):
-            raise ValueError("gram weights must be strictly positive")
+        for g in (self.gram_domain, self.gram_codomain):
+            if not np.all((g > 0) & (g < np.inf)):  # nan fails both
+                raise ValueError("gram weights must be strictly positive and finite")
 
 
 @dataclass(frozen=True)

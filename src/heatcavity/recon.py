@@ -34,8 +34,9 @@ from .ndmap import TILE, _tile_pairs
 #: retained span" and reported as an infinite indicator.
 SUM_FLOOR = 1e-300
 
-#: Probe points are evaluated in fixed-size batches so that results do not
-#: depend on how batches are scheduled across workers.
+#: Probe points are evaluated in fixed-size batches.  The batch size fixes
+#: the row counts of the BLAS products, and so the bits of every value, and
+#: bounds the memory of a batch's traces.
 PROBE_CHUNK = 64
 
 
@@ -201,8 +202,8 @@ def eigendecompose(S: np.ndarray, gram: np.ndarray, tau: float) -> EigenSystem:
         raise ValueError("S is not symmetric to the required tolerance")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"cutoff ratio must be in (0, 1), got {tau}")
-    if gram.shape != (S.shape[0],) or np.any(gram <= 0):
-        raise ValueError("gram must be a positive weight vector matching S")
+    if gram.shape != (S.shape[0],) or not np.all((gram > 0) & (gram < np.inf)):
+        raise ValueError("gram must be a positive finite weight vector matching S")
 
     syevd = _lapack_syevd()
     if syevd is None:
@@ -319,19 +320,16 @@ def reconstruct(
     threshold: float,
     cavity: BoundaryCurve | None = None,
     region: RetardedBlocks | None = None,
-    chunk_map=map,
     lattice: tuple | None = None,
 ) -> IndicatorGrid:
     """Indicator values, normalized grid, and mask over the sampling grid.
 
     Points on the cavity boundary (within the geometric tolerance) are
     excluded.  Values are normalized by the largest finite value over the
-    whole grid; infinite sentinels map to 1.  chunk_map may be replaced by
-    a parallel map over probe batches — batches are fixed-size, so results
-    are identical no matter how they are scheduled.  lattice is the result
-    of probe_lattice for these arguments, when the caller has it already.
+    whole grid; infinite sentinels map to 1.  lattice is the result of
+    probe_lattice for these arguments, when the caller has it already.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # nan too
         raise ValueError("threshold must be nonnegative")
     pts, inside, _ = lattice or probe_lattice(omega, sampling, cavity)
     svals = slice_times(grid, sampling.s_slices)
@@ -349,7 +347,7 @@ def reconstruct(
         return _indicators(eig, traces.reshape(omega.M * grid.Nt, -1)).reshape(len(svals), -1)
 
     # chunks hold every time of their points; values run s-major like points
-    values = np.concatenate(list(chunk_map(run_chunk, jobs)), axis=1).ravel()
+    values = np.concatenate(list(map(run_chunk, jobs)), axis=1).ravel()
 
     finite = np.isfinite(values)
     vmax = values[finite].max() if np.any(finite) else 1.0

@@ -118,13 +118,20 @@ class VerifyContext:
         return self._N[key]
 
     @cached_property
-    def benchmark_eigensystem(self) -> recon.EigenSystem:
+    def benchmark_spectrum(self) -> tuple[recon.EigenSystem, float]:
+        """The eigensystem of S at DOUBLED_RESOLUTION, and ||S - S.T|| / ||S||
+        measured on that S before its buffer becomes the eigenvectors."""
         N = self.modified_operator(DOUBLED_RESOLUTION)
         S, gram = ndmap.symmetrize(N), N.gram_domain
         # eigh runs on S and its workspace alone: N leaves the cache (a
         # later call composes it again) and S's buffer becomes the vectors
         del self._N[tuple(DOUBLED_RESOLUTION)], N
-        return recon.eigendecompose(S, gram, 1e-8)
+        sym_rel = float(np.linalg.norm(S - S.T) / np.linalg.norm(S))
+        return recon.eigendecompose(S, gram, 1e-8), sym_rel
+
+    @property
+    def benchmark_eigensystem(self) -> recon.EigenSystem:
+        return self.benchmark_spectrum[0]
 
 
 def check_forward_convergence(ctx: VerifyContext | None = None) -> CheckReport:
@@ -321,10 +328,8 @@ def check_spectrum(ctx: VerifyContext | None = None) -> CheckReport:
     which the compactness of the underlying maps predicts to be fast.
     """
     ctx = ctx or VerifyContext()
-    S = ndmap.symmetrize(ctx.modified_operator(DOUBLED_RESOLUTION))
-    sym_rel = float(np.linalg.norm(S - S.T) / np.linalg.norm(S))
-    del S  # freed before the eigensystem symmetrizes its own S
-    lam = ctx.benchmark_eigensystem.lambdas
+    eig, sym_rel = ctx.benchmark_spectrum
+    lam = eig.lambdas
     lam1 = float(lam[0])
     min_ratio = float(lam[-1] / lam1)
     decades = {

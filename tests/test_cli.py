@@ -403,16 +403,6 @@ class TestDeterminism:
             }
         assert blobs["a"] == blobs["b"]
 
-    def test_threads_do_not_change_bits(self, pipeline, tmp_path):
-        out = tmp_path / "threaded"
-        shutil.copytree(pipeline["out"], out)
-        before = (out / "indicator.csv").read_bytes()
-        code = cli.main(
-            ["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out), "--threads", "3"]
-        )
-        assert code == 0
-        assert (out / "indicator.csv").read_bytes() == before
-
     def test_eigh_routes_write_the_same_bytes(self, pipeline, tmp_path, monkeypatch):
         # the pipeline took the in-place LAPACK route where numpy exports it
         out = tmp_path / "numpy_route"
@@ -422,35 +412,6 @@ class TestDeterminism:
         assert hio.read_kv(out / "summary")["eigh_route"] == "numpy"
         for name in ("spectrum.csv", "indicator.csv"):
             assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes()
-
-    def test_threads_do_not_change_bits_across_chunks(self, tmp_path):
-        # 129 probe points fill three probe chunks, so worker threads solve
-        # concurrently on the shared lag-block factorization
-        cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("nx=9\nny=9", "nx=17\nny=17"))
-        out = tmp_path / "serial"
-        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
-        shutil.copytree(out, tmp_path / "threaded")
-        for name, threads in (("serial", "1"), ("threaded", "2")):
-            args = ["--config", cfg_path, "--out", str(tmp_path / name), "--threads", threads]
-            assert cli.main(["reconstruct", *args]) == 0
-        assert hio.read_kv(out / "summary")["points"] == "129"
-        serial = (out / "indicator.csv").read_bytes()
-        assert (tmp_path / "threaded" / "indicator.csv").read_bytes() == serial
-
-    def test_threads_do_not_change_bits_with_shared_window_cache(self, tmp_path):
-        # 258 probes: three chunks of points, each at two off-grid s values;
-        # worker threads store the region's per-s lag-block stacks concurrently
-        cfg_text = SMALL_CFG.replace("nx=9\nny=9", "nx=17\nny=17")
-        cfg_path = write_cfg(tmp_path, cfg_text.replace("s_slices=1", "s_slices=2"))
-        out = tmp_path / "serial"
-        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
-        shutil.copytree(out, tmp_path / "threaded")
-        for name, threads in (("serial", "1"), ("threaded", "2")):
-            args = ["--config", cfg_path, "--out", str(tmp_path / name), "--threads", threads]
-            assert cli.main(["reconstruct", *args]) == 0
-        assert hio.read_kv(out / "summary")["points"] == "258"
-        serial = (out / "indicator.csv").read_bytes()
-        assert (tmp_path / "threaded" / "indicator.csv").read_bytes() == serial
 
     def test_noise_reproducible_and_seed_sensitive(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SMALL_CFG + "noise_level=0.01\n")
@@ -829,10 +790,12 @@ print(json.dumps(seen))
         assert seen == {"import": [], "pipeline": []}
 
     def test_cli_import_loads_no_multiprocessing(self):
-        # the fork pool is imported when a large STOP1 job first needs it
+        # the fork pool is imported when a large STOP1 job first needs it, and
+        # no command needs concurrent.futures (with its logging and queue)
         script = (
             "import json, sys\nfrom heatcavity import cli\n"
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'multiprocessing']\n"
+            "packages = ('multiprocessing', 'concurrent')\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] in packages]\n"
             "print(json.dumps(sorted(loaded)))"
         )
         assert self.run(script) == []

@@ -415,6 +415,13 @@ class TestGreenProbe:
         assert sorted(shared._probe_blocks) == svals
         assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
+    def test_region_on_an_equal_but_distinct_curve_rejected(self):
+        omega = make_curve(UNIT_CIRCLE, 16)
+        grid = TimeGrid(0.5, 8)
+        region = assemble_blocks(make_curve(UNIT_CIRCLE, 16), grid)
+        with pytest.raises(ValueError, match="single-curve conductor system"):
+            green_probe_traces(np.array([[0.1, 0.0]]), 0.3, omega, grid, region=region)
+
     def test_invalid_probe_inputs(self):
         omega = make_curve(UNIT_CIRCLE, 16)
         grid = TimeGrid(0.5, 8)

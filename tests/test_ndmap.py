@@ -68,6 +68,14 @@ class TestGram:
         direct = float(np.sum(g * u.flatten() * v.flatten()))
         assert direct == pytest.approx(field_inner(u, v), rel=1e-14)
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
+    def test_operator_refuses_weights_not_positive_and_finite(self, weight):
+        good = np.ones(3)
+        bad = np.array([1.0, weight, 1.0])
+        for domain, codomain in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="strictly positive and finite"):
+                SpaceTimeOperator(np.eye(3), domain, codomain)
+
 
 class TestLambda:
     def test_zero_vector_maps_to_zero(self, small_ops):

@@ -149,6 +149,11 @@ class TestEigendecompose:
         overlap = toy_eig.vectors.T @ (gm[:, None] * toy_eig.vectors)
         assert np.allclose(overlap, np.eye(TOY_DIM), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
+    def test_gram_weight_not_positive_and_finite_rejected(self, weight):
+        with pytest.raises(ValueError, match="positive finite weight"):
+            eigendecompose(np.diag([2.0, 1.0]), np.array([weight, 1.0]), 1e-8)
+
     def test_nonpositive_operator_rejected(self):
         with pytest.raises(ValueError, match="operator not positive"):
             eigendecompose(-np.eye(2), np.ones(2), 1e-8)
@@ -328,6 +333,12 @@ class TestReconstruct:
         )
         assert np.all(grid_out.mask)
 
+    @pytest.mark.parametrize("threshold", [np.nan, -0.1])
+    def test_threshold_not_nonnegative_rejected(self, tiny_pipeline, threshold):
+        st, eig = tiny_pipeline
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            reconstruct(eig, st.omega, st.grid, SamplingSpec(7, 7, 1, 0.25), threshold)
+
     def test_identical_probes_all_equal(self, tiny_pipeline, monkeypatch):
         st, eig = tiny_pipeline
         fixed = None
@@ -380,24 +391,6 @@ class TestReconstruct:
         )
         for pt, truth in zip(grid_out.points, grid_out.truth):
             assert truth == (np.hypot(*pt.y) < 0.35)
-
-    def test_chunk_map_scheduling_invariance(self, tiny_pipeline):
-        st, eig = tiny_pipeline
-        kw = dict(cavity=st.cavity, region=st.omega_system)
-        ref = reconstruct(eig, st.omega, st.grid, SamplingSpec(9, 9, 1, 0.2), 0.2, **kw)
-
-        def scrambled_map(fn, jobs):
-            jobs = list(jobs)
-            order = list(reversed(range(len(jobs))))
-            results = {i: fn(jobs[i]) for i in order}
-            return [results[i] for i in range(len(jobs))]
-
-        alt = reconstruct(
-            eig, st.omega, st.grid, SamplingSpec(9, 9, 1, 0.2), 0.2,
-            chunk_map=scrambled_map, **kw,
-        )
-        assert np.array_equal(ref.values, alt.values)
-        assert np.array_equal(ref.mask, alt.mask)
 
     def test_values_follow_points_across_time_slices(self, tiny_pipeline):
         # each chunk computes all slices of its points; values stay s-major

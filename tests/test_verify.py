@@ -138,6 +138,15 @@ class TestChecksPass:
         assert rep.values["top_eigenvalues"] == lam[:8].tolist()
         assert rep.values["min_eig_over_lambda_1"] == lam[-1] / lam[0]
 
+    def test_spectrum_values_do_not_depend_on_check_order(self, coarse_verify):
+        # symmetry_rel is measured on the S the eigensystem is built from,
+        # whichever check builds it
+        ctx, _ = coarse_verify
+        first = verify.check_spectrum(ctx).values
+        later = verify.VerifyContext()
+        verify.check_probe_dichotomy(later)
+        assert verify.check_spectrum(later).values == first
+
     def test_probe_dichotomy(self, check_reports):
         rep = check_reports(verify.check_probe_dichotomy)
         assert rep.passed
