@@ -3,9 +3,12 @@
 The package synthesizes boundary measurement operators for transient heat
 conduction with and without an interior cavity, and locates the cavity
 through a spectral probe indicator on the modified operator N.  The
-reconstruction reads only N, and N is composed from the virtual maps FL
-and Lhat, which are built on the true cavity; no command derives N from
-the measured maps Lambda_D and Lambda_0.
+reconstruction reads only N, and N is composed from the impulse responses
+of the virtual maps FL and Lhat, which are built on the true cavity; no
+command derives N from the measured maps Lambda_D and Lambda_0.
+``simulate`` hands those responses to ``reconstruct`` and ``spectrum`` in
+``N_responses.npz``, and exports the dense operators as STOP1 text that
+no command reads back.
 
 Layout
 ------
@@ -26,7 +29,8 @@ Layout
 ``verify``
     Self-contained checks of the discrete theory on a benchmark geometry.
 ``io``
-    On-disk formats for operators, spectra, indicator grids, and records.
+    On-disk formats for operators, spectra, indicator grids, and records;
+    operator files are written by a fork pool and read in one process.
 ``cli``
     The ``simulate`` / ``reconstruct`` / ``spectrum`` / ``verify`` driver.
 """

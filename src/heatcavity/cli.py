@@ -200,6 +200,10 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha1(b"blob %d\0" % len(body) + body).hexdigest()
 
 
+#: The file in which ``simulate`` hands N's impulse responses to
+#: ``reconstruct`` and ``spectrum``, with the ``operator_hash`` they were made for.
+RESPONSES_FILE = "N_responses.npz"
+
 #: Config keys that determine the operators ``simulate`` writes.
 _OPERATOR_KEYS = (
     "omega_kind",
@@ -250,6 +254,13 @@ def _peak_rss_mb() -> str:
     return f"{kib / 1024:.1f}"
 
 
+def _add_N_noise(cfg: RunConfig, N: ndmap.SpaceTimeOperator) -> ndmap.SpaceTimeOperator:
+    """N with the noise of the config: its level, drawn with noise_seed + 1."""
+    if cfg.noise_level == 0:
+        return N
+    return ndmap.add_noise(N, NoiseSpec(cfg.noise_level, cfg.noise_seed + 1))
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
@@ -258,11 +269,18 @@ def cmd_simulate(cfg: RunConfig) -> int:
     print(f"[simulate] assembled lag blocks ({timings['blocks']:.1f}s)")
 
     ops = {}
+    responses = {}
+
+    def modified_operator():
+        # reconstruct and spectrum compose N again from these stacks
+        responses["f"], responses["h"] = ndmap.n_responses(setup)
+        return ndmap.compose_N(setup.omega, setup.grid, responses["f"], responses["h"])
+
     stages = [
         ("lambda_0", lambda: ndmap.assemble_lambda(setup, False)),
         # without a cavity the measured map is the cavity-free one
         ("lambda_D", lambda: ndmap.assemble_lambda(setup, True) if cfg.cavity else ops["lambda_0"]),
-        ("N", lambda: ndmap.assemble_N(setup)),
+        ("N", modified_operator),
     ]
     for name, build in stages:
         with _timed(timings, name):
@@ -271,7 +289,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     if cfg.noise_level > 0:
         ops["lambda_D"] = ndmap.add_noise(ops["lambda_D"], cfg.noise)
-        ops["N"] = ndmap.add_noise(ops["N"], NoiseSpec(cfg.noise_level, cfg.noise_seed + 1))
+    ops["N"] = _add_N_noise(cfg, ops["N"])
 
     meta_path = _out_path(cfg, "meta")
     if os.path.exists(meta_path):
@@ -282,6 +300,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         costliest_first = ("N", "lambda_D", "lambda_0")
         operators = {n: (ops[n].matrix, ops[n].gram_domain) for n in costliest_first}
         seconds, writers = io.write_operators(cfg.out_dir, operators, cfg.M_omega, cfg.Nt, cfg.T)
+        # np.savez stamps no time, so the file's bytes follow from the config
+        np.savez(
+            _out_path(cfg, RESPONSES_FILE), **responses, operator_hash=np.array(_operator_hash(cfg))
+        )
     timings.update({f"write.{name}": dt for name, dt in seconds.items()})
 
     meta = {
@@ -302,61 +324,51 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_operator(cfg: RunConfig, name: str):
-    """Read an operator and its gram, refusing files made for another problem
-    or without the meta that records their provenance.
+def _load_operator(cfg: RunConfig, omega) -> ndmap.SpaceTimeOperator:
+    """N composed from the impulse responses ``simulate`` handed off, with the
+    config's noise drawn again as ``simulate`` drew it.
 
-    The header, the provenance hash and the gram are checked before the
-    operator body is parsed.
+    The file is refused when it is missing or unreadable, lacks a key, was
+    simulated for another problem (its ``operator_hash``), or holds stacks
+    of the wrong shape or non-finite entries.
     """
-    mpath = os.path.join(cfg.out_dir, f"{name}.stop1")
-    gpath = os.path.join(cfg.out_dir, f"{name}.gram")
-    if not os.path.exists(mpath) or not os.path.exists(gpath):
-        raise ConfigError(f"missing operator files {mpath} / {gpath}; run simulate first")
+    import zipfile  # for np.load's archive errors; not needed at start-up
+
+    path = os.path.join(cfg.out_dir, RESPONSES_FILE)
+    if not os.path.exists(path):
+        raise ConfigError(f"missing {path}; run simulate first")
     try:
-        head = io.read_stop1_header(mpath)
-        if (head["M"], head["Nt"]) != (cfg.M_omega, cfg.Nt) or head["T"] != cfg.T:
+        # np.load leaves a file it opened itself open when it is no zip
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            made_by, f, h = str(data["operator_hash"]), data["f"], data["h"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if made_by != _operator_hash(cfg):
+        raise ConfigError(
+            f"{path} was simulated for another geometry, resolution or noise "
+            f"(operator_hash {made_by}); run simulate with this config"
+        )
+    m, m_c, nt = cfg.M_omega, cfg.M_cavity if cfg.cavity else 0, cfg.Nt
+    for name, stack, shape in (("f", f, (m_c, nt, m)), ("h", h, (m, nt, m_c))):
+        if stack.dtype != np.float64 or stack.shape != shape:
             raise ConfigError(
-                f"{mpath} was produced at (M={head['M']}, Nt={head['Nt']}, T={head['T']}), "
-                f"config wants (M={cfg.M_omega}, Nt={cfg.Nt}, T={cfg.T})"
+                f"{path}: {name} is {stack.dtype} {stack.shape}, expected float64 {shape}"
             )
-        n = cfg.M_omega * cfg.Nt
-        if (head["rows"], head["cols"]) != (n, n):
-            raise ConfigError(f"{mpath} has unexpected shape ({head['rows']}, {head['cols']})")
-        meta_path = os.path.join(cfg.out_dir, "meta")
-        if not os.path.exists(meta_path):
-            raise ConfigError(
-                f"missing {meta_path}: {mpath} has no provenance to check; "
-                "copy the meta simulate wrote with it, or run simulate"
-            )
-        made_by = io.read_kv(meta_path).get("operator_hash")
-        if made_by != _operator_hash(cfg):
-            raise ConfigError(
-                f"{mpath} was simulated for another geometry, resolution or noise "
-                f"(operator_hash {made_by} in {meta_path}); run simulate with this config"
-            )
-        gram = io.read_gram(gpath)
-        if gram.shape != (n,):
-            raise ConfigError(f"{gpath} holds {gram.size} gram weights, expected {n}")
-        matrix, _ = io.read_stop1(mpath)
-        # min and max are nan or infinite exactly when some entry is, and
-        # need no temporary the size of the matrix
-        if not np.isfinite([matrix.min(), matrix.max()]).all():
-            raise ConfigError(f"{mpath} holds non-finite operator entries")
-    except io.FormatError as exc:
-        raise ConfigError(str(exc)) from exc
-    return matrix, gram
+        if not np.isfinite(stack).all():
+            raise ConfigError(f"{path}: {name} holds non-finite entries")
+    N = ndmap.compose_N(omega, TimeGrid(cfg.T, cfg.Nt), f, h)
+    return _add_N_noise(cfg, N)
 
 
-def _spectral_data(cfg: RunConfig, timings: dict):
+def _spectral_data(cfg: RunConfig, omega, timings: dict):
     """The eigensystem of the symmetrized N, and N's symmetry defect."""
     with _timed(timings, "read"):
-        nmat, gram = _load_operator(cfg, "N")
+        op = _load_operator(cfg, omega)
     with _timed(timings, "symmetrize"):
-        op = ndmap.SpaceTimeOperator(nmat, gram, gram)
         defect = ndmap.symmetry_defect(op)
         S = ndmap.symmetrize(op)
-        del nmat, op  # eigh runs without N in memory
+        gram = op.gram_domain
+        del op  # eigh runs without N in memory
     with _timed(timings, "eigh"):
         # S's buffer becomes the eigenvectors
         return recon.eigendecompose(S, gram, cfg.effective_tau), defect
@@ -379,7 +391,7 @@ def _scoring_lattice(cfg: RunConfig, omega, cavity):
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    eig, defect = _spectral_data(cfg, {})
+    eig, defect = _spectral_data(cfg, make_curve(cfg.omega, cfg.M_omega), {})
     io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
     print(
         f"[spectrum] lambda_1={eig.lambdas[0]:.6e}  retained n*={eig.retained} "
@@ -394,9 +406,9 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     omega = make_curve(cfg.omega, cfg.M_omega)
     cavity = make_curve(cfg.cavity, cfg.M_cavity) if cfg.cavity else None
     with _timed(timings, "probes"):
-        # before the operator is read: a lattice that cannot score is refused
+        # before N is composed: a lattice that cannot score is refused
         lattice = _scoring_lattice(cfg, omega, cavity)
-    eig, defect = _spectral_data(cfg, timings)
+    eig, defect = _spectral_data(cfg, omega, timings)
     with _timed(timings, "write"):
         io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
     with _timed(timings, "probes"):

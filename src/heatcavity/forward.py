@@ -518,6 +518,8 @@ def green_probe_traces(
         region = assemble_blocks(omega, grid)
     elif len(region.curves) != 1 or region.curves[0] is not omega:
         raise ValueError("region must be the single-curve conductor system")
+    elif region.grid != grid:
+        raise ValueError(f"region was assembled on {region.grid}, not on {grid}")
 
     taus = grid.times
     npts = points.shape[0]

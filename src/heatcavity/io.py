@@ -14,14 +14,11 @@ formats each distinct bit pattern once: the Λ maps are lag operators whose
 rows repeat the same few lags.  Telling values apart by bit pattern keeps
 the sign of ``-0.0``.
 
-Large jobs run in a pool of forked processes, one per usable CPU, and
-the work is always split by the data, never by the worker count.
 ``write_operators`` writes each operator's STOP1 file and gram whole in one
-worker, straight to disk, so no text crosses a pipe and every byte is that
-of ``write_stop1`` and ``write_gram``.  ``read_stop1`` parses bodies of
-``PARALLEL_MIN_VALUES`` entries or more one line-aligned range of about
-``RANGE_BYTES`` per task, and takes the results in order, so the arrays
-read do not depend on how many CPUs ran them.
+worker of a pool of forked processes, one per usable CPU, straight to
+disk, so no text crosses a pipe and every byte is that of ``write_stop1``
+and ``write_gram``.  ``read_stop1`` parses in the calling process: no
+command reads STOP1 back, so it serves tests and export checks.
 
 Formats:
   * STOP1 — dense operator matrix: ASCII header ``STOP1 <rows> <cols> <M>
@@ -40,19 +37,15 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from io import BytesIO
 from typing import NamedTuple
 
 import numpy as np
 
 FLOAT_FMT = "%.17g"
 
-#: Jobs with fewer entries run in this process: a STOP1 body to parse, or
-#: all the matrices of one ``write_operators`` call.
+#: ``write_operators`` calls with fewer entries in all their matrices run
+#: in this process.
 PARALLEL_MIN_VALUES = 1 << 18
-
-#: Nominal size of one parse task; each range ends at the next line end.
-RANGE_BYTES = 1 << 20
 
 
 def format_float(x: float) -> str:
@@ -402,59 +395,32 @@ def _read_header(fh, path) -> dict:
     return {"rows": rows, "cols": cols, "M": m, "Nt": nt, "T": horizon}
 
 
-def read_stop1_header(path) -> dict:
-    """The STOP1 header fields, without reading the body."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
-
-
-def _parse_range(span: tuple) -> np.ndarray:
-    """Parse the lines in bytes ``[start, stop)`` of a file as a 2-D array."""
-    path, start, stop = span
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        lines = BytesIO(fh.read(stop - start))
-    try:
-        return np.loadtxt(lines, ndmin=2)
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed line in bytes {start}-{stop}: {exc}") from exc
-
-
 def read_stop1(path) -> tuple[np.ndarray, dict]:
     with open(path, "rb") as fh:
         head = _read_header(fh, path)
         rows, cols = head["rows"], head["cols"]
         expected = f"{path}: expected {rows}x{cols} entries"
-        bounds = [fh.tell()]
-        end = fh.seek(0, os.SEEK_END)
+        start = fh.tell()
+        size = fh.seek(0, os.SEEK_END) - start
         # every entry takes a digit and a separator; refuse before allocating
-        if rows < 0 or cols < 0 or 2 * rows * cols > end - bounds[0]:
-            raise FormatError(f"{expected}, found {end - bounds[0]} bytes of rows")
+        if rows < 0 or cols < 0 or 2 * rows * cols > size:
+            raise FormatError(f"{expected}, found {size} bytes of rows")
+        fh.seek(start)
         if cols == 0:
             # a row without entries is an empty line
-            fh.seek(bounds[0])
             if fh.read(rows + 1) != b"\n" * rows:
                 raise FormatError(f"{expected}, found a body other than {rows} empty lines")
             return np.empty((rows, 0)), head
-        while bounds[-1] < end:
-            fh.seek(min(bounds[-1] + RANGE_BYTES, end) - 1)
-            fh.readline()
-            bounds.append(fh.tell())
-    data = np.empty((rows, cols))
-    filled = 0
-    spans = [(path, start, stop) for start, stop in zip(bounds, bounds[1:])]
-    with _task_map(len(spans), rows * cols) as task_map:
-        for part in task_map(_parse_range, spans):
-            if part.size == 0:
-                continue
-            if part.shape[1] != cols:
-                raise FormatError(f"{expected}, found a row of {part.shape[1]} values")
-            if filled + len(part) > rows:
-                raise FormatError(f"{expected}, found more than {rows} rows")
-            data[filled : filled + len(part)] = part
-            filled += len(part)
-    if filled != rows:
-        raise FormatError(f"{expected}, found {filled} rows")
+        try:
+            data = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed line: {exc}") from exc
+    if data.size and data.shape[1] != cols:
+        raise FormatError(f"{expected}, found a row of {data.shape[1]} values")
+    if len(data) > rows:
+        raise FormatError(f"{expected}, found more than {rows} rows")
+    if len(data) != rows:
+        raise FormatError(f"{expected}, found {len(data)} rows")
     return data, head
 
 

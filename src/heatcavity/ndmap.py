@@ -182,6 +182,15 @@ def assemble_FL(setup: ProblemSetup) -> SpaceTimeOperator:
     return _flux_map(setup, 0, setup.cavity, fl_response(setup))
 
 
+def n_responses(setup: ProblemSetup) -> tuple[np.ndarray, np.ndarray]:
+    """The impulse responses f of FL and h of Lhat that N is composed from;
+    without a cavity both stacks are empty (M_c = 0)."""
+    if setup.cavity is None:
+        m, nt = setup.omega.M, setup.grid.Nt
+        return np.zeros((0, nt, m)), np.zeros((m, nt, 0))
+    return fl_response(setup), lhat_response(setup)
+
+
 def assemble_N(setup: ProblemSetup) -> SpaceTimeOperator:
     """Modified flux-to-temperature map N on the outer boundary.
 
@@ -189,15 +198,15 @@ def assemble_N(setup: ProblemSetup) -> SpaceTimeOperator:
     the backward-projected composition L'(-F)L without ever inverting the
     auxiliary bridge operator.  Without a cavity, N = 0 identically.
     """
-    if setup.cavity is not None:
-        return compose_N(setup, fl_response(setup), lhat_response(setup))
-    n = setup.omega.M * setup.grid.Nt
-    return _operator(np.zeros((n, n)), setup.omega, setup.omega, setup.grid)
+    return compose_N(setup.omega, setup.grid, *n_responses(setup))
 
 
-def compose_N(setup: ProblemSetup, f: np.ndarray, h: np.ndarray) -> SpaceTimeOperator:
-    """N = R Lhat R FL from the impulse responses f of FL, shape (M_c, Nt, M),
-    and h of Lhat, shape (M, Nt, M_c); neither map is expanded.
+def compose_N(
+    omega: BoundaryCurve, grid: TimeGrid, f: np.ndarray, h: np.ndarray
+) -> SpaceTimeOperator:
+    """N = R Lhat R FL on omega from the impulse responses f of FL, shape
+    (M_c, Nt, M), and h of Lhat, shape (M, Nt, M_c); neither map is expanded,
+    and no lag block is needed.  Empty stacks (M_c = 0) give N = 0.
 
     Entry ((i, k), (j, l)) of N is the sum over cells m >= max(k, l) of
     h[i, m-k, :] @ f[:, m-l, j].  In reversed cells a = Nt-1-k, b = Nt-1-l
@@ -216,7 +225,7 @@ def compose_N(setup: ProblemSetup, f: np.ndarray, h: np.ndarray) -> SpaceTimeOpe
     cells = mat.reshape(m, nt, m, nt)
     for k in range(nt - 2, -1, -1):
         cells[:, k, :, :-1] += cells[:, k + 1, :, 1:]
-    return _operator(mat, setup.omega, setup.omega, setup.grid)
+    return _operator(mat, omega, omega, grid)
 
 
 def lprime_from_duality(L_op: SpaceTimeOperator) -> SpaceTimeOperator:

@@ -106,15 +106,15 @@ class VerifyContext:
         solves serves the dense FL and Lhat and N."""
         key = tuple(resolution)
         if key not in self._responses:
-            st = self.setup(key)
-            self._responses[key] = ndmap.fl_response(st), ndmap.lhat_response(st)
+            self._responses[key] = ndmap.n_responses(self.setup(key))
         return self._responses[key]
 
     def modified_operator(self, resolution) -> ndmap.SpaceTimeOperator:
         """The modified operator N, composed from the cached responses."""
         key = tuple(resolution)
         if key not in self._N:
-            self._N[key] = ndmap.compose_N(self.setup(key), *self.responses(key))
+            st = self.setup(key)
+            self._N[key] = ndmap.compose_N(st.omega, st.grid, *self.responses(key))
         return self._N[key]
 
     @cached_property

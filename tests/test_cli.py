@@ -23,6 +23,7 @@ from heatcavity.cli import (
     parse_config,
     serialize_config,
 )
+from heatcavity.geometry import make_curve
 from heatcavity.ndmap import NoiseSpec
 
 SMALL_CFG = """\
@@ -59,6 +60,7 @@ POOLED_CFG = (
     .replace("Nt=8", "Nt=32")
 )
 OPERATOR_FILES = [f"{n}.{ext}" for n in ("lambda_D", "lambda_0", "N") for ext in ("stop1", "gram")]
+RESPONSES = cli.RESPONSES_FILE
 
 
 class TestConfigRoundTrip:
@@ -232,6 +234,14 @@ class TestPipelineArtifacts:
             assert (pipeline["out"] / f"{name}.stop1").exists()
             assert (pipeline["out"] / f"{name}.gram").exists()
         assert (pipeline["out"] / "meta").exists()
+        assert (pipeline["out"] / RESPONSES).exists()
+
+    def test_hand_off_holds_the_responses_and_operator_hash(self, pipeline):
+        cfg = load_config(pipeline["cfg_path"], {})
+        with np.load(pipeline["out"] / RESPONSES, allow_pickle=False) as data:
+            assert sorted(data.files) == ["f", "h", "operator_hash"]
+            assert data["f"].shape == (12, 8, 16) and data["h"].shape == (16, 8, 12)
+            assert str(data["operator_hash"]) == cli._operator_hash(cfg)
 
     def test_meta_contents(self, pipeline):
         meta = hio.read_kv(pipeline["out"] / "meta")
@@ -370,7 +380,7 @@ class TestOperatorWriteWorkers:
         assert code == 0 and not other.is_alive()
         assert spy.starts == starts
         assert hio.read_kv(tmp_path / "meta")["write_workers"] == str(writers)
-        for name in OPERATOR_FILES:
+        for name in OPERATOR_FILES + [RESPONSES]:
             assert (tmp_path / name).read_bytes() == (pooled_simulate / name).read_bytes(), name
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -389,6 +399,44 @@ class TestOperatorWriteWorkers:
         assert hio._WRITE_JOBS == {}
 
 
+class TestHandOff:
+    """reconstruct and spectrum compose N from the hand-off file alone."""
+
+    def test_reconstruct_starts_no_process(self, tmp_path, pool_spy, pooled_simulate):
+        # N.stop1 here holds 1024² entries, past io.PARALLEL_MIN_VALUES
+        out = tmp_path / "out"
+        shutil.copytree(pooled_simulate, out)
+        spy = pool_spy(2)
+        argv = ["reconstruct", "--config", write_cfg(tmp_path, POOLED_CFG), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert spy.starts == 0
+
+    def test_reconstruct_needs_no_operator_file(self, pipeline, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        for path in out.iterdir():
+            if path.suffix in (".stop1", ".gram", ".csv") or path.name in ("meta", "summary"):
+                path.unlink()
+        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 0
+        for name in ("spectrum.csv", "indicator.csv"):
+            assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "lines",
+        ["", "noise_level=0.01\nnoise_seed=3\n", "cavity_kind=none\n"],
+        ids=["clean", "noisy", "no_cavity"],
+    )
+    def test_composed_N_is_the_exported_N(self, tmp_path, lines):
+        cfg_path = write_cfg(tmp_path, SMALL_CFG + lines)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        cfg = load_config(cfg_path, {"out": str(out)})
+        op = cli._load_operator(cfg, make_curve(cfg.omega, cfg.M_omega))
+        exported, _ = hio.read_stop1(out / "N.stop1")
+        assert np.array_equal(op.matrix.view(np.uint64), exported.view(np.uint64))
+        assert np.array_equal(op.gram_domain, hio.read_gram(out / "N.gram"))
+
+
 class TestDeterminism:
     def test_outputs_independent_of_out_dir_and_rerun(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
@@ -399,7 +447,7 @@ class TestDeterminism:
             assert cli.main(["reconstruct", "--config", cfg_path, "--out", out]) == 0
             blobs[run] = {
                 name: (tmp_path / run / name).read_bytes()
-                for name in ("N.stop1", "N.gram", "spectrum.csv", "indicator.csv")
+                for name in ("N.stop1", "N.gram", RESPONSES, "spectrum.csv", "indicator.csv")
             }
         assert blobs["a"] == blobs["b"]
 
@@ -490,7 +538,7 @@ class TestExitCodes:
             ["reconstruct", "--config", mismatched, "--out", str(pipeline["out"])]
         )
         assert code == 1
-        assert "was produced at" in capsys.readouterr().err
+        assert "simulated for another" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "old, new",
@@ -515,91 +563,84 @@ class TestExitCodes:
         assert cli.main(["reconstruct", *args]) == 1
         assert "simulated for another" in capsys.readouterr().err
 
-    def test_meta_without_operator_hash_exits_1(self, pipeline, tmp_path, capsys):
+    @staticmethod
+    def hand_off_dir(pipeline, tmp_path, **changes):
+        """A directory holding only the pipeline's hand-off file, with the
+        given keys replaced; a None value drops the key."""
         out = tmp_path / "out"
-        shutil.copytree(pipeline["out"], out)
-        meta = hio.read_kv(out / "meta")
-        del meta["operator_hash"]
-        hio.write_kv(out / "meta", meta)
-        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
-        assert "simulated for another" in capsys.readouterr().err
-
-    def test_operators_copied_without_meta_exit_1(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "bare"
         out.mkdir()
-        for name in ("N.stop1", "N.gram"):
-            shutil.copy(pipeline["out"] / name, out / name)
+        with np.load(pipeline["out"] / RESPONSES, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays.update(changes)
+        np.savez(out / RESPONSES, **{k: v for k, v in arrays.items() if v is not None})
+        return out
+
+    def refused(self, pipeline, out, capsys) -> str:
+        """Run reconstruct and spectrum on out; both exit 1 and write nothing."""
+        errs = []
         for command in ("reconstruct", "spectrum"):
             assert cli.main([command, "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
-            err = capsys.readouterr().err
-            assert "config error" in err and f"missing {out / 'meta'}" in err
-        assert not (out / "spectrum.csv").exists()
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and errs[0].startswith("config error: ")
+        assert str(out / RESPONSES) in errs[0]
+        assert [p.name for p in out.iterdir()] == [RESPONSES]
+        return errs[0]
 
-    def test_truncated_operator_exits_1_naming_the_file(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        shutil.copytree(pipeline["out"], out)
-        body = (out / "N.stop1").read_bytes()
-        (out / "N.stop1").write_bytes(body[: len(body) // 2])
-        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "config error" in err and "N.stop1" in err
+    def test_truncated_hand_off_exits_1_naming_the_file(self, pipeline, tmp_path, capsys):
+        out = self.hand_off_dir(pipeline, tmp_path)
+        body = (out / RESPONSES).read_bytes()
+        (out / RESPONSES).write_bytes(body[: len(body) // 2])
+        self.refused(pipeline, out, capsys)
+
+    @pytest.mark.parametrize("key", ["f", "h", "operator_hash"])
+    def test_hand_off_missing_a_key_exits_1(self, pipeline, tmp_path, capsys, key):
+        out = self.hand_off_dir(pipeline, tmp_path, **{key: None})
+        assert f"{key} is not a file" in self.refused(pipeline, out, capsys)
+
+    def test_foreign_operator_hash_exits_1(self, pipeline, tmp_path, capsys):
+        out = self.hand_off_dir(pipeline, tmp_path, operator_hash=np.array("0" * 64))
+        assert "simulated for another" in self.refused(pipeline, out, capsys)
+
+    def test_pickled_hand_off_exits_1(self, pipeline, tmp_path, capsys):
+        made_for = np.array([cli._operator_hash(load_config(pipeline["cfg_path"], {}))], object)
+        out = self.hand_off_dir(pipeline, tmp_path, operator_hash=made_for)
+        assert "pickled" in self.refused(pipeline, out, capsys)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "key, stack",
         [
-            lambda lines: lines[:2] + ["abc"] + lines[3:],
-            lambda lines: lines[: len(lines) // 2],
-            lambda lines: lines[:2],
-            lambda lines: lines[:2] + ["nan"] + lines[3:],
-            lambda lines: lines[:2] + ["inf"] + lines[3:],
+            ("f", np.zeros((12, 8, 15))),
+            ("h", np.zeros((16, 7, 12))),
+            ("f", np.zeros((12, 8))),
+            ("h", np.zeros((16, 8, 12), np.int64)),
         ],
-        ids=["bad_value_on_line_3", "truncated", "two_lines", "nan_on_line_3", "inf_on_line_3"],
+        ids=["f_nodes", "h_cells", "f_2d", "h_integer"],
     )
-    def test_bad_gram_exits_1_naming_the_file(
-        self, pipeline, tmp_path, capsys, monkeypatch, corrupt
-    ):
-        def parse(path):
-            raise AssertionError(f"{path} parsed before its gram was checked")
-
-        out = tmp_path / "out"
-        shutil.copytree(pipeline["out"], out)
-        lines = (out / "N.gram").read_text().splitlines()
-        (out / "N.gram").write_text("\n".join(corrupt(lines)) + "\n")
-        monkeypatch.setattr(hio, "read_stop1", parse)
-        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "config error" in err and str(out / "N.gram") in err
+    def test_wrong_shape_exits_1(self, pipeline, tmp_path, capsys, key, stack):
+        out = self.hand_off_dir(pipeline, tmp_path, **{key: stack})
+        assert f"{key} is {stack.dtype} {stack.shape}, expected float64" in self.refused(
+            pipeline, out, capsys
+        )
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_operator_entry_exits_1_naming_the_file(
-        self, pipeline, tmp_path, capsys, value
-    ):
-        out = tmp_path / "out"
-        shutil.copytree(pipeline["out"], out)
-        mat, head = hio.read_stop1(out / "N.stop1")
-        mat[3, 5] = value
-        hio.write_stop1(out / "N.stop1", mat, head["M"], head["Nt"], head["T"])
-        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "config error" in err and str(out / "N.stop1") in err and "non-finite" in err
+    @pytest.mark.parametrize("key", ["f", "h"])
+    def test_non_finite_entry_exits_1(self, pipeline, tmp_path, capsys, key, value):
+        with np.load(pipeline["out"] / RESPONSES, allow_pickle=False) as data:
+            stack = data[key]
+        stack[3, 5, 7] = value
+        out = self.hand_off_dir(pipeline, tmp_path, **{key: stack})
+        assert f"{key} holds non-finite entries" in self.refused(pipeline, out, capsys)
 
-    @pytest.mark.parametrize(
-        "old, new, message",
-        [
-            ("Nt=8", "Nt=16", "was produced at"),
-            ("cavity_params=0,0,0.35", "cavity_params=0.1,0,0.3", "simulated for another"),
-        ],
-    )
-    def test_mismatch_refused_before_parsing(
-        self, pipeline, tmp_path, capsys, monkeypatch, old, new, message
-    ):
-        def parse(path):
-            raise AssertionError(f"{path} parsed before the checks")
-
-        monkeypatch.setattr(hio, "read_stop1", parse)
-        other = write_cfg(tmp_path, SMALL_CFG.replace(old, new), "other.cfg")
-        assert cli.main(["reconstruct", "--config", other, "--out", str(pipeline["out"])]) == 1
-        assert message in capsys.readouterr().err
+    def test_hand_off_copied_alone_vouches_only_for_its_config(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "bare"
+        out.mkdir()
+        shutil.copy(pipeline["out"] / RESPONSES, out / RESPONSES)
+        other = write_cfg(tmp_path, SMALL_CFG.replace("0,0,0.35", "0.1,0,0.3"), "other.cfg")
+        for command in ("reconstruct", "spectrum"):
+            assert cli.main([command, "--config", other, "--out", str(out)]) == 1
+            assert "simulated for another" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [RESPONSES]
+        assert cli.main(["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]) == 0
 
     def test_failed_eigensolve_exits_2(self, pipeline, tmp_path, capsys, failing_syevd):
         out = tmp_path / "out"
@@ -622,8 +663,7 @@ class TestSpectrumCommand:
     def test_spectrum_matches_reconstruct_output(self, pipeline, tmp_path):
         out = tmp_path / "spec_only"
         out.mkdir()
-        for name in ("N.stop1", "N.gram", "meta"):
-            shutil.copy(pipeline["out"] / name, out / name)
+        shutil.copy(pipeline["out"] / RESPONSES, out / RESPONSES)
         code = cli.main(["spectrum", "--config", pipeline["cfg_path"], "--out", str(out)])
         assert code == 0
         assert (out / "spectrum.csv").read_bytes() == (
@@ -636,8 +676,7 @@ class TestThresholdEdge:
         cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("threshold=0.2", "threshold=0"))
         out = tmp_path / "thr0"
         out.mkdir()
-        for name in ("N.stop1", "N.gram", "meta"):
-            shutil.copy(pipeline["out"] / name, out / name)
+        shutil.copy(pipeline["out"] / RESPONSES, out / RESPONSES)
         assert cli.main(["reconstruct", "--config", cfg_path, "--out", str(out)]) == 0
         table = hio.read_indicator_csv(out / "indicator.csv")
         assert np.all(table["mask"])
@@ -657,10 +696,10 @@ class TestSamplingLattice:
     def test_lattice_that_cannot_score_exits_1_before_reading(
         self, pipeline, tmp_path, capsys, monkeypatch, edits, kept
     ):
-        def parse(path):
-            raise AssertionError(f"{path} parsed before the lattice check")
+        def compose(cfg, omega):
+            raise AssertionError("N composed before the lattice check")
 
-        monkeypatch.setattr(hio, "read_stop1", parse)
+        monkeypatch.setattr(cli, "_load_operator", compose)
         lines = (ln.split("=", 1) for ln in SMALL_CFG.splitlines())
         cfg_path = write_cfg(tmp_path, "".join(f"{k}={edits.get(k, v)}\n" for k, v in lines))
         out = tmp_path / "out"
@@ -790,7 +829,7 @@ print(json.dumps(seen))
         assert seen == {"import": [], "pipeline": []}
 
     def test_cli_import_loads_no_multiprocessing(self):
-        # the fork pool is imported when a large STOP1 job first needs it, and
+        # the fork pool is imported when a large STOP1 write first needs it, and
         # no command needs concurrent.futures (with its logging and queue)
         script = (
             "import json, sys\nfrom heatcavity import cli\n"

@@ -1,5 +1,6 @@
 """Space-time boundary solver: causality, oracles, and probe traces."""
 
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -420,6 +421,17 @@ class TestGreenProbe:
         grid = TimeGrid(0.5, 8)
         region = assemble_blocks(make_curve(UNIT_CIRCLE, 16), grid)
         with pytest.raises(ValueError, match="single-curve conductor system"):
+            green_probe_traces(np.array([[0.1, 0.0]]), 0.3, omega, grid, region=region)
+
+    @pytest.mark.parametrize(
+        "built_on, probed_on", [((1.0, 8), (0.5, 8)), ((0.5, 8), (0.5, 16))], ids=["T", "Nt"]
+    )
+    def test_region_on_another_grid_is_refused(self, built_on, probed_on):
+        omega = make_curve(UNIT_CIRCLE, 16)
+        region = assemble_blocks(omega, TimeGrid(*built_on))
+        grid = TimeGrid(*probed_on)
+        expected = re.escape(f"region was assembled on {TimeGrid(*built_on)}, not on {grid}")
+        with pytest.raises(ValueError, match=expected):
             green_probe_traces(np.array([[0.1, 0.0]]), 0.3, omega, grid, region=region)
 
     def test_invalid_probe_inputs(self):

@@ -243,7 +243,7 @@ class TestFactorization:
 
     def test_compose_N_from_responses_is_assemble_N(self, small_ops, small_setup):
         f, h = ndmap.fl_response(small_setup), ndmap.lhat_response(small_setup)
-        composed = ndmap.compose_N(small_setup, f, h)
+        composed = ndmap.compose_N(small_setup.omega, small_setup.grid, f, h)
         assert np.array_equal(composed.matrix, small_ops["N"].matrix)
         assert np.array_equal(composed.gram_domain, small_ops["N"].gram_domain)
         assert np.array_equal(composed.gram_codomain, small_ops["N"].gram_codomain)
@@ -252,6 +252,7 @@ class TestFactorization:
         op = assemble_N(no_cavity_setup)
         assert op.matrix.shape == (16 * 8, 16 * 8)
         assert not np.any(op.matrix)
+        assert not np.signbit(op.matrix).any()  # written as "0", not "-0"
 
     def test_dual_consistency_of_N(self, small_ops, small_setup):
         N = small_ops["N"]
@@ -312,7 +313,7 @@ class TestImpulseAssembly:
         assert f.shape == (m_c, nt, m) and h.shape == (m, nt, m_c)
         fl, lhat = toeplitz_expand_by_cells(f), toeplitz_expand_by_cells(h)
         dense = reversal(m, nt) @ lhat @ reversal(m_c, nt) @ fl
-        got = ndmap.compose_N(st, f, h).matrix
+        got = ndmap.compose_N(st.omega, st.grid, f, h).matrix
         assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
 
     def test_assemble_N_peak_memory_is_one_matrix(self, bench_setup):

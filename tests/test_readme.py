@@ -59,3 +59,33 @@ def test_config_table_lists_every_key_with_its_default():
     assert list(documented) == [f.name for f in fields]
     for f in fields:
         assert cli._parse_value(f.type, documented[f.name]) == f.default, f.name
+
+
+#: The acceptance gate's coarse case.
+GATE_CFG = """\
+omega_kind=circle
+omega_params=0,0,1
+cavity_kind=circle
+cavity_params=0,0,0.35
+M_omega=16
+M_cavity=12
+Nt=8
+T=0.5
+nx=9
+ny=9
+margin=0.2
+threshold=0.2
+"""
+
+
+def test_artifacts_list_names_every_file_the_commands_write(tmp_path):
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text(GATE_CFG)
+    out = tmp_path / "out"
+    for command in ("simulate", "reconstruct"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    section = re.search(r"### Artifacts\n(.*?)\n## ", README.read_text(), re.S)
+    assert section is not None, "README lost its Artifacts section"
+    documented = set(re.findall(r"`([^`\s]+)`", section.group(1)))
+    missing = sorted(p.name for p in out.iterdir() if p.name not in documented)
+    assert not missing, f"README's Artifacts list does not name {missing}"
