@@ -4,7 +4,7 @@ All numeric text uses 17 significant digits, which round-trips IEEE
 doubles exactly; reading back a written file therefore reproduces the
 original arrays bit for bit.
 
-The operator and gram writers format a block of rows at a time (one
+The operator, gram and CSV writers format a block of rows at a time (one
 node's ``Nt`` rows for STOP1) with a numpy kernel that produces the bytes
 of ``%.17g`` for a whole array (see ``_fill_records``); values it cannot
 prove exact, such as nan, infinities, subnormals and decimal ties, go
@@ -36,7 +36,7 @@ import functools
 import os
 import threading
 import time
-from contextlib import contextmanager
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -54,29 +54,6 @@ def format_float(x: float) -> str:
 
 class FormatError(ValueError):
     """Malformed artifact file."""
-
-
-@contextmanager
-def _task_map(tasks: int, values: int):
-    """Yield an in-order ``map`` for ``tasks`` independent tasks.
-
-    Large jobs of more than one task go to a fork-based pool with one worker
-    per usable CPU; everything else runs on the builtin ``map`` in this
-    process.  So does a job on a host with one CPU or no ``fork``, and one
-    started while other Python threads run, since a forked child could
-    inherit a lock one of them holds.  Forked workers start in milliseconds
-    without importing anything again.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, tasks)
-    if values >= PARALLEL_MIN_VALUES and workers >= 2 and threading.active_count() == 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                yield pool.imap
-            return
-    yield map
 
 
 #: Magnitudes the kernel formats itself; others take the ``%`` fallback.
@@ -272,8 +249,9 @@ def _fill_records(x: np.ndarray, out: np.ndarray, tab: _FormatTables) -> None:
         out[slow, :_SEP] = np.frombuffer(text, np.uint8).reshape(-1, _SEP)
 
 
-def _format_block(block: np.ndarray) -> bytes:
-    """Lines of one C-contiguous block of rows, byte for byte ``FLOAT_FMT``.
+def _format_block(block: np.ndarray, delimiter: str = " ") -> bytes:
+    """Lines of one C-contiguous block of rows, byte for byte ``FLOAT_FMT``
+    with ``delimiter`` between the values of a row.
 
     When at most half of the block's bit patterns are distinct, each is
     formatted once into a record as wide as the longest text plus the
@@ -312,15 +290,15 @@ def _format_block(block: np.ndarray) -> bytes:
         else:
             index = np.searchsorted(distinct, bits[start:stop])
             known.take(index, axis=0, out=out, mode="clip")
-        out[:, sep] = ord(" ")
+        out[:, sep] = ord(delimiter)
         out[(cols - 1 - start) % cols :: cols, sep] = ord("\n")
         chunk[stop - start :] = 0  # a short last chunk leaves no stale bytes
         parts.append(buf.translate(None, b"\0"))
     return b"".join(parts)
 
 
-def _write_rows(fh, matrix: np.ndarray, block_rows: int) -> None:
-    """Write each row of a 2-D array as one line of space-separated values.
+def _write_rows(fh, matrix: np.ndarray, block_rows: int, delimiter: str = " ") -> None:
+    """Write each row of a 2-D array as one line of values split by ``delimiter``.
 
     The text goes straight to ``fh`` from the process that formats it:
     handing it to another process through a pipe would cost about as much
@@ -328,7 +306,7 @@ def _write_rows(fh, matrix: np.ndarray, block_rows: int) -> None:
     """
     matrix = np.ascontiguousarray(matrix, dtype=float)
     for start in range(0, matrix.shape[0], block_rows):
-        fh.write(_format_block(matrix[start : start + block_rows]))
+        fh.write(_format_block(matrix[start : start + block_rows], delimiter))
 
 
 def write_stop1(path, matrix: np.ndarray, M: int, Nt: int, T: float) -> None:
@@ -361,21 +339,36 @@ def write_operators(
 ) -> tuple[dict[str, float], int]:
     """Write ``<name>.stop1`` and ``<name>.gram`` for each ``name: (matrix, gram)``.
 
-    Each operator is one task: a worker of ``_task_map`` formats and writes
-    both of its files itself, so the bytes do not depend on the CPU count.
-    Tasks start in the dict's order, so list the costliest first.  Returns
-    each name's seconds, measured in the process that wrote its files, and
-    the number of processes that wrote.
+    Each operator is one task, which formats and writes both of its files
+    itself, so the bytes do not depend on the CPU count.  With at least
+    ``PARALLEL_MIN_VALUES`` entries in all, tasks run on a fork-based pool
+    of one worker per usable CPU, which start in milliseconds without
+    importing anything again; they run in this process on a host with one
+    CPU or no ``fork``, and while other Python threads run, since a forked
+    child could inherit a lock one of them holds.  Tasks start in the dict's
+    order, so list the costliest first.  Returns each name's seconds,
+    measured in the process that wrote them, and the number of processes.
     """
     jobs = {
         os.path.join(directory, name): (matrix, gram, M, Nt, T)
         for name, (matrix, gram) in operators.items()
     }
-    _WRITE_JOBS.update(jobs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(jobs))
+    values = sum(np.size(job[0]) for job in jobs.values())
+    fork = None
+    if values >= PARALLEL_MIN_VALUES and workers >= 2 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+    _WRITE_JOBS.update(jobs)  # before the workers fork, so they inherit it
     try:
-        values = sum(np.size(job[0]) for job in jobs.values())
-        with _task_map(len(jobs), values) as task_map:
-            done = list(task_map(_write_operator, jobs))
+        if fork is None:
+            done = list(map(_write_operator, jobs))
+        else:
+            with fork.Pool(workers) as pool:
+                done = pool.map(_write_operator, jobs)
     finally:
         for stem in jobs:
             _WRITE_JOBS.pop(stem, None)
@@ -383,22 +376,16 @@ def write_operators(
     return seconds, len({pid for _, pid in done})
 
 
-def _read_header(fh, path) -> dict:
-    header = fh.readline().split()
-    if len(header) != 6 or header[0] != b"STOP1":
-        raise FormatError(f"{path}: not a STOP1 header")
-    try:
-        rows, cols, m, nt = (int(v) for v in header[1:5])
-        horizon = float(header[5])
-    except ValueError as exc:
-        raise FormatError(f"{path}: not a STOP1 header") from exc
-    return {"rows": rows, "cols": cols, "M": m, "Nt": nt, "T": horizon}
-
-
 def read_stop1(path) -> tuple[np.ndarray, dict]:
     with open(path, "rb") as fh:
-        head = _read_header(fh, path)
-        rows, cols = head["rows"], head["cols"]
+        try:
+            magic, *sizes, horizon = fh.readline().split()
+            rows, cols, m, nt = map(int, sizes)
+            head = {"rows": rows, "cols": cols, "M": m, "Nt": nt, "T": float(horizon)}
+        except ValueError as exc:
+            raise FormatError(f"{path}: not a STOP1 header") from exc
+        if magic != b"STOP1":
+            raise FormatError(f"{path}: not a STOP1 header")
         expected = f"{path}: expected {rows}x{cols} entries"
         start = fh.tell()
         size = fh.seek(0, os.SEEK_END) - start
@@ -412,7 +399,10 @@ def read_stop1(path) -> tuple[np.ndarray, dict]:
                 raise FormatError(f"{expected}, found a body other than {rows} empty lines")
             return np.empty((rows, 0)), head
         try:
-            data = np.loadtxt(fh, ndmin=2)
+            with warnings.catch_warnings():
+                # a body of blank lines is refused below as too few rows
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, ndmin=2)
         except ValueError as exc:
             raise FormatError(f"{path}: malformed line: {exc}") from exc
     if data.size and data.shape[1] != cols:
@@ -442,11 +432,19 @@ def read_gram(path) -> np.ndarray:
     return out
 
 
+def _write_csv(path, header: str, columns: list) -> None:
+    """Write ``header`` and the table of ``columns`` side by side (arrays of
+    equal length), one comma-separated ``FLOAT_FMT`` row per line; integers
+    and booleans print as such."""
+    table = np.column_stack(columns)
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        _write_rows(fh, table, max(len(table), 1), ",")
+
+
 def write_spectrum_csv(path, lambdas: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("n,lambda\n")
-        for i, lam in enumerate(np.asarray(lambdas, dtype=float), start=1):
-            fh.write(f"{i},{format_float(lam)}\n")
+    lambdas = np.asarray(lambdas, dtype=float)
+    _write_csv(path, "n,lambda", [np.arange(1, lambdas.size + 1), lambdas])
 
 
 def read_spectrum_csv(path) -> np.ndarray:
@@ -460,23 +458,9 @@ def read_spectrum_csv(path) -> np.ndarray:
 
 def write_indicator_csv(path, grid) -> None:
     """Write an indicator grid; columns y1,y2,s,W,normalized,mask,truth."""
-    with open(path, "w") as fh:
-        fh.write("y1,y2,s,W,normalized,mask,truth\n")
-        for p, w, nv, mk, tr in zip(grid.points, grid.values, grid.normalized, grid.mask, grid.truth):
-            fh.write(
-                ",".join(
-                    (
-                        format_float(p.y[0]),
-                        format_float(p.y[1]),
-                        format_float(p.s),
-                        format_float(w),
-                        format_float(nv),
-                        str(int(mk)),
-                        str(int(tr)),
-                    )
-                )
-                + "\n"
-            )
+    points = np.array([(*p.y, p.s) for p in grid.points], dtype=float).reshape(-1, 3)
+    columns = [points, grid.values, grid.normalized, grid.mask, grid.truth]
+    _write_csv(path, "y1,y2,s,W,normalized,mask,truth", columns)
 
 
 def read_indicator_csv(path) -> dict:

@@ -84,7 +84,7 @@ def _polar_cells(r0: float, r1: float, n: int = 64):
 
 class VerifyContext:
     """Problem setups, impulse responses and N per resolution, built once
-    and shared by the checks; dense operators are built where they are read."""
+    and shared by the checks; N is the one dense operator kept."""
 
     def __init__(self):
         self._setups: dict = {}
@@ -103,7 +103,7 @@ class VerifyContext:
 
     def responses(self, resolution) -> tuple[np.ndarray, np.ndarray]:
         """Impulse responses (f, h) of FL and Lhat: one set of impulse
-        solves serves the dense FL and Lhat and N."""
+        solves serves N and both factorization residuals."""
         key = tuple(resolution)
         if key not in self._responses:
             self._responses[key] = ndmap.n_responses(self.setup(key))
@@ -197,35 +197,49 @@ def check_duality(ctx: VerifyContext | None = None) -> CheckReport:
     )
 
 
+def _toeplitz_norm(resp: np.ndarray) -> float:
+    """Frobenius norm of the block lower-Toeplitz map with impulse responses
+    resp (M_tgt, Nt, M_src), whose lag a fills Nt - a blocks."""
+    nt = resp.shape[1]
+    return float(np.sqrt(np.dot(nt - np.arange(nt), np.einsum("iaj,iaj->a", resp, resp))))
+
+
+def _data_responses(st: ndmap.ProblemSetup, f: np.ndarray, h: np.ndarray):
+    """Responses of Lambda_D - Lambda_0 and of its residual against Lhat.FL,
+    whose responses are the lag convolution of h and f."""
+    diff = ndmap._impulse_response(st, st.cavity_system, 0, st.omega)
+    diff -= ndmap._impulse_response(st, st.omega_system, 0, st.omega)
+    return diff, diff - forward._convolve(h.transpose(1, 0, 2), f)
+
+
+def _dual_route_sum(st: ndmap.ProblemSetup, f: np.ndarray, h: np.ndarray):
+    """N + L'.FL, L' the weighted-transpose dual of L: L' = R E_L R with E_L
+    causal of responses e_L[i, a, c] = r_L[c, a, i] w_c / w_i (r_L those of
+    L, w the node weights), so the sum is R (Lhat + E_L) R FL."""
+    r_L = ndmap._impulse_response(st, st.cavity_system, 0, st.cavity)
+    e_L = r_L.transpose(2, 1, 0) * (st.cavity.weights / st.omega.weights[:, None, None])
+    return ndmap.compose_N(st.omega, st.grid, f, h + e_L)
+
+
 def check_factorization(ctx: VerifyContext | None = None) -> CheckReport:
     """Both operator factorizations of the boundary-data difference.
 
-    Route pair one: Lambda_D - Lambda_0 assembled from two independent
-    solve sets vs the composition Lhat . FL.  Route pair two: the
-    assembled N (time-reversal route) vs -L'.FL with L' realized through
-    the weighted-transpose duality of L — a different discrete object.
+    Route pair one: Lambda_D - Lambda_0 from two independent solve sets vs
+    the composition Lhat . FL, compared as impulse responses (all three maps
+    are block lower-Toeplitz).  Route pair two: N (time-reversal route) vs
+    -L'.FL with L' realized through the weighted-transpose duality of L — a
+    different discrete object.  The only dense maps are N and N + L'.FL,
+    never alive together.
     """
     ctx = ctx or VerifyContext()
     res35, res37 = [], []
     for resolution in (BASE_RESOLUTION, DOUBLED_RESOLUTION):
-        # each dense operator is built where its residual reads it and
-        # dropped once read; only N stays, in the context
         st = ctx.setup(resolution)
         f, h = ctx.responses(resolution)
-        diff = ndmap.assemble_lambda(st, True).matrix
-        diff -= ndmap.assemble_lambda(st, False).matrix
-        norm_diff = np.linalg.norm(diff)
-        fl = ndmap._toeplitz_expand(f)
-        diff -= ndmap._toeplitz_expand(h) @ fl
-        r35 = np.linalg.norm(diff) / norm_diff
-        del diff
-        prod = ndmap.lprime_from_duality(ndmap.assemble_L(st)).matrix @ fl
-        del fl
-        nmat = ctx.modified_operator(resolution).matrix
-        prod += nmat
-        r37 = np.linalg.norm(prod) / np.linalg.norm(nmat)
-        res35.append(float(r35))
-        res37.append(float(r37))
+        diff, resid = _data_responses(st, f, h)
+        res35.append(_toeplitz_norm(resid) / _toeplitz_norm(diff))
+        dual = np.linalg.norm(_dual_route_sum(st, f, h).matrix)
+        res37.append(float(dual / np.linalg.norm(ctx.modified_operator(resolution).matrix)))
     # cavity-free path: the modified map vanishes identically
     omega16 = make_curve(OMEGA_SPEC, 16)
     st_empty = ndmap.ProblemSetup.build(omega16, None, TimeGrid(HORIZON, 16))

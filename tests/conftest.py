@@ -110,6 +110,14 @@ def small_setup() -> ndmap.ProblemSetup:
 
 
 @pytest.fixture(scope="session")
+def kite_setup() -> ndmap.ProblemSetup:
+    """Ellipse conductor with an off-centre kite cavity, M != M_cavity."""
+    omega = make_curve(CurveSpec("ellipse", (0.0, 0.0, 1.2, 0.9)), 20)
+    cavity = make_curve(CurveSpec("kite", (0.1, 0.05, 0.3)), 14)
+    return ndmap.ProblemSetup.build(omega, cavity, TimeGrid(0.5, 10))
+
+
+@pytest.fixture(scope="session")
 def small_ops(small_setup) -> dict:
     return {
         "lambda_D": ndmap.assemble_lambda(small_setup, True),

@@ -92,6 +92,13 @@ class TestStop1:
         with pytest.raises(hio.FormatError, match="wide.stop1.*a row of 3 values"):
             hio.read_stop1(path)
 
+    def test_blank_body_names_the_file(self, tmp_path):
+        # eight newlines pass the size check of a 2x2 body
+        path = tmp_path / "blank.stop1"
+        path.write_text("STOP1 2 2 1 2 0.5\n" + "\n" * 8)
+        with pytest.raises(hio.FormatError, match="blank.stop1.*found 0 rows"):
+            hio.read_stop1(path)
+
     def test_no_columns_round_trip(self, tmp_path):
         path = tmp_path / "op.stop1"
         hio.write_stop1(path, np.zeros((3, 0)), M=1, Nt=2, T=0.5)
@@ -291,6 +298,15 @@ class TestSpectrumCsv:
         assert lines[0] == "n,lambda"
         assert lines[1].startswith("1,")
 
+    @pytest.mark.parametrize(
+        "lams", [_SPECIALS, _EDGE_ROW, np.zeros(0)], ids=["specials", "edges", "empty"]
+    )
+    def test_bytes_match_per_value(self, tmp_path, lams):
+        path = tmp_path / "spectrum.csv"
+        hio.write_spectrum_csv(path, lams)
+        rows = "".join(f"{i},{hio.format_float(v)}\n" for i, v in enumerate(lams, start=1))
+        assert path.read_bytes() == ("n,lambda\n" + rows).encode()
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "spectrum.csv"
         path.write_text("idx,val\n1,2.0\n")
@@ -321,6 +337,19 @@ class TestIndicatorCsv:
         assert np.array_equal(back["normalized"], grid.normalized)
         assert np.array_equal(back["mask"], grid.mask)
         assert np.array_equal(back["truth"], grid.truth)
+
+    def test_bytes_match_per_value(self, tmp_path):
+        grid = self.fake_grid()
+        grid.normalized[1] = -0.0
+        path = tmp_path / "indicator.csv"
+        hio.write_indicator_csv(path, grid)
+        fields = zip(grid.points, grid.values, grid.normalized, grid.mask, grid.truth)
+        rows = "".join(
+            ",".join([*map(hio.format_float, (*p.y, p.s, w, nv)), str(int(mk)), str(int(tr))])
+            + "\n"
+            for p, w, nv, mk, tr in fields
+        )
+        assert path.read_bytes() == ("y1,y2,s,W,normalized,mask,truth\n" + rows).encode()
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "indicator.csv"

@@ -280,14 +280,6 @@ def reversal(m: int, nt: int) -> np.ndarray:
     return np.kron(np.eye(m), np.eye(nt)[::-1])
 
 
-@pytest.fixture(scope="module")
-def kite_setup():
-    """Ellipse conductor with an off-centre kite cavity, M != M_cavity."""
-    omega = make_curve(CurveSpec("ellipse", (0.0, 0.0, 1.2, 0.9)), 20)
-    cavity = make_curve(CurveSpec("kite", (0.1, 0.05, 0.3)), 14)
-    return ProblemSetup.build(omega, cavity, TimeGrid(0.5, 10))
-
-
 class TestImpulseAssembly:
     @pytest.mark.parametrize(
         "shape",
