@@ -268,19 +268,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
         setup = _build_problem(cfg)
     print(f"[simulate] assembled lag blocks ({timings['blocks']:.1f}s)")
 
+    with _timed(timings, "responses"):
+        setup.responses  # every impulse solve: the stages below only expand or compose
+    print(f"[simulate] impulse responses ({timings['responses']:.1f}s)")
+
     ops = {}
-    responses = {}
-
-    def modified_operator():
-        # reconstruct and spectrum compose N again from these stacks
-        responses["f"], responses["h"] = ndmap.n_responses(setup)
-        return ndmap.compose_N(setup.omega, setup.grid, responses["f"], responses["h"])
-
     stages = [
         ("lambda_0", lambda: ndmap.assemble_lambda(setup, False)),
         # without a cavity the measured map is the cavity-free one
         ("lambda_D", lambda: ndmap.assemble_lambda(setup, True) if cfg.cavity else ops["lambda_0"]),
-        ("N", modified_operator),
+        ("N", lambda: ndmap.assemble_N(setup)),
     ]
     for name, build in stages:
         with _timed(timings, name):
@@ -300,9 +297,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         costliest_first = ("N", "lambda_D", "lambda_0")
         operators = {n: (ops[n].matrix, ops[n].gram_domain) for n in costliest_first}
         seconds, writers = io.write_operators(cfg.out_dir, operators, cfg.M_omega, cfg.Nt, cfg.T)
-        # np.savez stamps no time, so the file's bytes follow from the config
+        # reconstruct and spectrum compose N again from these stacks; np.savez
+        # stamps no time, so the file's bytes follow from the config
+        f, h = ndmap.n_responses(setup)
         np.savez(
-            _out_path(cfg, RESPONSES_FILE), **responses, operator_hash=np.array(_operator_hash(cfg))
+            _out_path(cfg, RESPONSES_FILE), f=f, h=h, operator_hash=np.array(_operator_hash(cfg))
         )
     timings.update({f"write.{name}": dt for name, dt in seconds.items()})
 

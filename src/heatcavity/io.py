@@ -424,7 +424,10 @@ def write_gram(path, gram: np.ndarray) -> None:
 
 def read_gram(path) -> np.ndarray:
     try:
-        out = np.loadtxt(path, ndmin=1)
+        with warnings.catch_warnings():
+            # an empty file, or one of blank lines, holds no weights
+            warnings.simplefilter("ignore", UserWarning)
+            out = np.loadtxt(path, ndmin=1)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if out.ndim != 1 or not np.all(np.isfinite(out) & (out > 0)):
@@ -447,46 +450,43 @@ def write_spectrum_csv(path, lambdas: np.ndarray) -> None:
     _write_csv(path, "n,lambda", [np.arange(1, lambdas.size + 1), lambdas])
 
 
-def read_spectrum_csv(path) -> np.ndarray:
+def _read_csv(path, header: str) -> np.ndarray:
+    """The rows under ``header`` of a file ``_write_csv`` wrote, as a float
+    array with one column per header field; blank lines are skipped."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "n,lambda":
-            raise FormatError(f"{path}: unexpected spectrum header {header!r}")
-        vals = [float(line.split(",")[1]) for line in fh if line.strip()]
-    return np.asarray(vals)
+        found = fh.readline().strip()
+        if found != header:
+            raise FormatError(f"{path}: unexpected header {found!r}, expected {header!r}")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    width = header.count(",") + 1
+    try:
+        if any(len(row) != width for row in rows):
+            raise ValueError(f"a row without {width} entries")
+        return np.array([[float(v) for v in row] for row in rows]).reshape(-1, width)
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed row: {exc}") from exc
+
+
+def read_spectrum_csv(path) -> np.ndarray:
+    return _read_csv(path, "n,lambda")[:, 1]
+
+
+#: The columns of indicator.csv.
+_INDICATOR_HEADER = "y1,y2,s,W,normalized,mask,truth"
 
 
 def write_indicator_csv(path, grid) -> None:
-    """Write an indicator grid; columns y1,y2,s,W,normalized,mask,truth."""
+    """Write an indicator grid, one _INDICATOR_HEADER row per probe point."""
     points = np.array([(*p.y, p.s) for p in grid.points], dtype=float).reshape(-1, 3)
     columns = [points, grid.values, grid.normalized, grid.mask, grid.truth]
-    _write_csv(path, "y1,y2,s,W,normalized,mask,truth", columns)
+    _write_csv(path, _INDICATOR_HEADER, columns)
 
 
 def read_indicator_csv(path) -> dict:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "y1,y2,s,W,normalized,mask,truth":
-            raise FormatError(f"{path}: unexpected indicator header {header!r}")
-        cols = [[], [], [], [], [], [], []]
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise FormatError(f"{path}: malformed indicator row {line!r}")
-            for c, v in zip(cols, parts):
-                c.append(float(v))
-    y1, y2, s, w, nv, mk, tr = (np.asarray(c) for c in cols)
-    return {
-        "y1": y1,
-        "y2": y2,
-        "s": s,
-        "W": w,
-        "normalized": nv,
-        "mask": mk.astype(bool),
-        "truth": tr.astype(bool),
-    }
+    table = dict(zip(_INDICATOR_HEADER.split(","), _read_csv(path, _INDICATOR_HEADER).T))
+    for flag in ("mask", "truth"):
+        table[flag] = table[flag].astype(bool)
+    return table
 
 
 def write_kv(path, record: dict) -> None:

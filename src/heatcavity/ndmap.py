@@ -10,19 +10,21 @@ The flux-to-temperature maps are block-Toeplitz in time (the underlying
 problems are autonomous), so each one is determined by its impulse
 responses: M impulse solves, one per source node, all with flux
 concentrated in time cell 0, give a (M_tgt, Nt, M_src) stack whose lag-a
-slice is the map's block on the a-th causal diagonal.  The dense matrices
-expand that stack; the modified operator N is composed from the stacks of
-FL and Lhat directly (see compose_N) and never forms either matrix.
+slice is the map's block on the a-th causal diagonal: ProblemSetup.responses
+holds every map's stack.  The dense matrices expand those stacks; N is
+composed from the stacks of FL and Lhat (see compose_N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .forward import (
     BoundaryField,
+    LayerDensity,
     RetardedBlocks,
     TimeGrid,
     _trace_values,
@@ -86,6 +88,26 @@ class ProblemSetup:
             raise ValueError("operation requires a cavity in the geometry")
         return self.cavity_system
 
+    @cached_property
+    def responses(self) -> dict[str, np.ndarray]:
+        """Impulse responses (M_tgt, Nt, M_src) of the flux maps, keyed
+        lambda_0, FL, lambda_D, L and Lhat; without a cavity only lambda_0.
+        One impulse solve set per flux source, traced on every curve a map
+        reads: outer flux on the conductor gives lambda_0 and FL, outer flux
+        on the region with the cavity lambda_D and L, cavity flux Lhat."""
+        omega, cavity = self.omega, self.cavity
+        density = _density(self.omega_system, 0)
+        table = {"lambda_0": _trace_values(density, omega)}
+        if cavity is None:
+            return table
+        table["FL"] = -_trace_values(density, cavity, normal=True)
+        density = _density(self.cavity_system, 0)
+        table["lambda_D"] = _trace_values(density, omega)
+        table["L"] = _trace_values(density, cavity)
+        density = _density(self.cavity_system, 1)
+        table["Lhat"] = _trace_values(density, omega)
+        return table
+
 
 def _toeplitz_expand(resp: np.ndarray) -> np.ndarray:
     """Expand impulse responses (M_tgt, Nt, M_src) along causal diagonals.
@@ -109,66 +131,53 @@ def _operator(
     return SpaceTimeOperator(matrix, gram_weights(domain, grid), gram_weights(codomain, grid))
 
 
+def _density(region: RetardedBlocks, source: int, values=None) -> LayerDensity:
+    """Density of the field driven by flux values (M_src, Nt[, R]) on region
+    component source and zero flux on the other component; without values,
+    of the impulse solves: one right-hand side per source node, flux 1 in
+    time cell 0."""
+    if values is None:
+        m = region.curves[source].M
+        values = np.zeros((m, region.grid.Nt, m))
+        values[np.arange(m), 0, np.arange(m)] = 1.0
+    flux = np.zeros((region.M_total,) + values.shape[1:])
+    flux[region.component_slice(source)] = values
+    return solve_neumann(region, flux)
+
+
 def _response(
     region: RetardedBlocks, source: int, values: np.ndarray, target: BoundaryCurve, normal=False
 ) -> np.ndarray:
     """Trace on target, or with normal minus its normal derivative, of the
-    field driven by flux values (M_src, Nt[, R]) on region component source
-    and zero flux on the other component."""
-    flux = np.zeros((region.M_total,) + values.shape[1:])
-    flux[region.component_slice(source)] = values
-    resp = _trace_values(solve_neumann(region, flux), target, normal)
+    field driven by flux values (M_src, Nt[, R]) on region component source."""
+    resp = _trace_values(_density(region, source, values), target, normal)
     return -resp if normal else resp
 
 
-def _impulse_response(
-    setup: ProblemSetup, region: RetardedBlocks, source: int, target: BoundaryCurve, normal=False
-) -> np.ndarray:
-    """Impulse responses (M_tgt, Nt, M_src) of the map from flux on region
-    component source to the trace on target, or with normal to minus its
-    normal derivative: one right-hand side per source node, flux 1 in time
-    cell 0."""
-    m_src = (setup.omega, setup.cavity)[source].M
-    impulses = np.zeros((m_src, setup.grid.Nt, m_src))
-    impulses[np.arange(m_src), 0, np.arange(m_src)] = 1.0
-    return _response(region, source, impulses, target, normal)
-
-
 def _flux_map(
-    setup: ProblemSetup, source: int, target: BoundaryCurve, resp: np.ndarray
+    setup: ProblemSetup, name: str, source: BoundaryCurve, target: BoundaryCurve
 ) -> SpaceTimeOperator:
     """The operator from source's coefficient space to target's whose
-    impulse responses are resp."""
-    curve = (setup.omega, setup.cavity)[source]
-    return _operator(_toeplitz_expand(resp), curve, target, setup.grid)
-
-
-def fl_response(setup: ProblemSetup) -> np.ndarray:
-    """Impulse responses f of FL, shape (M_cavity, Nt, M_omega)."""
-    setup.require_cavity()
-    return _impulse_response(setup, setup.omega_system, 0, setup.cavity, normal=True)
-
-
-def lhat_response(setup: ProblemSetup) -> np.ndarray:
-    """Impulse responses of Lhat, shape (M_omega, Nt, M_cavity)."""
-    return _impulse_response(setup, setup.require_cavity(), 1, setup.omega)
+    impulse responses are setup.responses[name]; all but lambda_0 need the
+    cavity."""
+    if name != "lambda_0":
+        setup.require_cavity()
+    return _operator(_toeplitz_expand(setup.responses[name]), source, target, setup.grid)
 
 
 def assemble_lambda(setup: ProblemSetup, with_cavity: bool) -> SpaceTimeOperator:
     """Flux-to-temperature map on the outer boundary (with or without D)."""
-    region = setup.require_cavity() if with_cavity else setup.omega_system
-    return _flux_map(setup, 0, setup.omega, _impulse_response(setup, region, 0, setup.omega))
+    return _flux_map(setup, "lambda_D" if with_cavity else "lambda_0", setup.omega, setup.omega)
 
 
 def assemble_L(setup: ProblemSetup) -> SpaceTimeOperator:
     """Outer flux to cavity-boundary temperature (virtual measurement)."""
-    resp = _impulse_response(setup, setup.require_cavity(), 0, setup.cavity)
-    return _flux_map(setup, 0, setup.cavity, resp)
+    return _flux_map(setup, "L", setup.omega, setup.cavity)
 
 
 def assemble_Lhat(setup: ProblemSetup) -> SpaceTimeOperator:
     """Cavity flux to outer-boundary temperature (back projection)."""
-    return _flux_map(setup, 1, setup.omega, lhat_response(setup))
+    return _flux_map(setup, "Lhat", setup.cavity, setup.omega)
 
 
 def assemble_FL(setup: ProblemSetup) -> SpaceTimeOperator:
@@ -179,16 +188,16 @@ def assemble_FL(setup: ProblemSetup) -> SpaceTimeOperator:
     transmission operator applied to the virtual measurement of phi, so
     the composite needs no transmission solver.
     """
-    return _flux_map(setup, 0, setup.cavity, fl_response(setup))
+    return _flux_map(setup, "FL", setup.omega, setup.cavity)
 
 
 def n_responses(setup: ProblemSetup) -> tuple[np.ndarray, np.ndarray]:
     """The impulse responses f of FL and h of Lhat that N is composed from;
-    without a cavity both stacks are empty (M_c = 0)."""
+    without a cavity both stacks are empty (M_c = 0) and no solve runs."""
     if setup.cavity is None:
         m, nt = setup.omega.M, setup.grid.Nt
         return np.zeros((0, nt, m)), np.zeros((m, nt, 0))
-    return fl_response(setup), lhat_response(setup)
+    return setup.responses["FL"], setup.responses["Lhat"]
 
 
 def assemble_N(setup: ProblemSetup) -> SpaceTimeOperator:

@@ -83,12 +83,11 @@ def _polar_cells(r0: float, r1: float, n: int = 64):
 
 
 class VerifyContext:
-    """Problem setups, impulse responses and N per resolution, built once
-    and shared by the checks; N is the one dense operator kept."""
+    """Problem setups, with their impulse responses, and N per resolution,
+    built once and shared by the checks; N is the one dense operator kept."""
 
     def __init__(self):
         self._setups: dict = {}
-        self._responses: dict = {}
         self._N: dict = {}
 
     def setup(self, resolution) -> ndmap.ProblemSetup:
@@ -101,20 +100,11 @@ class VerifyContext:
             cache[key] = ndmap.ProblemSetup.build(omega, cavity, TimeGrid(HORIZON, nt))
         return cache[key]
 
-    def responses(self, resolution) -> tuple[np.ndarray, np.ndarray]:
-        """Impulse responses (f, h) of FL and Lhat: one set of impulse
-        solves serves N and both factorization residuals."""
-        key = tuple(resolution)
-        if key not in self._responses:
-            self._responses[key] = ndmap.n_responses(self.setup(key))
-        return self._responses[key]
-
     def modified_operator(self, resolution) -> ndmap.SpaceTimeOperator:
-        """The modified operator N, composed from the cached responses."""
+        """The modified operator N, composed from the setup's responses."""
         key = tuple(resolution)
         if key not in self._N:
-            st = self.setup(key)
-            self._N[key] = ndmap.compose_N(st.omega, st.grid, *self.responses(key))
+            self._N[key] = ndmap.assemble_N(self.setup(key))
         return self._N[key]
 
     @cached_property
@@ -204,21 +194,21 @@ def _toeplitz_norm(resp: np.ndarray) -> float:
     return float(np.sqrt(np.dot(nt - np.arange(nt), np.einsum("iaj,iaj->a", resp, resp))))
 
 
-def _data_responses(st: ndmap.ProblemSetup, f: np.ndarray, h: np.ndarray):
+def _data_responses(st: ndmap.ProblemSetup):
     """Responses of Lambda_D - Lambda_0 and of its residual against Lhat.FL,
-    whose responses are the lag convolution of h and f."""
-    diff = ndmap._impulse_response(st, st.cavity_system, 0, st.omega)
-    diff -= ndmap._impulse_response(st, st.omega_system, 0, st.omega)
-    return diff, diff - forward._convolve(h.transpose(1, 0, 2), f)
+    whose responses are the lag convolution of those of Lhat and FL."""
+    r = st.responses
+    diff = r["lambda_D"] - r["lambda_0"]
+    return diff, diff - forward._convolve(r["Lhat"].transpose(1, 0, 2), r["FL"])
 
 
-def _dual_route_sum(st: ndmap.ProblemSetup, f: np.ndarray, h: np.ndarray):
+def _dual_route_sum(st: ndmap.ProblemSetup):
     """N + L'.FL, L' the weighted-transpose dual of L: L' = R E_L R with E_L
     causal of responses e_L[i, a, c] = r_L[c, a, i] w_c / w_i (r_L those of
     L, w the node weights), so the sum is R (Lhat + E_L) R FL."""
-    r_L = ndmap._impulse_response(st, st.cavity_system, 0, st.cavity)
-    e_L = r_L.transpose(2, 1, 0) * (st.cavity.weights / st.omega.weights[:, None, None])
-    return ndmap.compose_N(st.omega, st.grid, f, h + e_L)
+    r = st.responses
+    e_L = r["L"].transpose(2, 1, 0) * (st.cavity.weights / st.omega.weights[:, None, None])
+    return ndmap.compose_N(st.omega, st.grid, r["FL"], r["Lhat"] + e_L)
 
 
 def check_factorization(ctx: VerifyContext | None = None) -> CheckReport:
@@ -235,10 +225,9 @@ def check_factorization(ctx: VerifyContext | None = None) -> CheckReport:
     res35, res37 = [], []
     for resolution in (BASE_RESOLUTION, DOUBLED_RESOLUTION):
         st = ctx.setup(resolution)
-        f, h = ctx.responses(resolution)
-        diff, resid = _data_responses(st, f, h)
+        diff, resid = _data_responses(st)
         res35.append(_toeplitz_norm(resid) / _toeplitz_norm(diff))
-        dual = np.linalg.norm(_dual_route_sum(st, f, h).matrix)
+        dual = np.linalg.norm(_dual_route_sum(st).matrix)
         res37.append(float(dual / np.linalg.norm(ctx.modified_operator(resolution).matrix)))
     # cavity-free path: the modified map vanishes identically
     omega16 = make_curve(OMEGA_SPEC, 16)

@@ -254,8 +254,19 @@ class TestPipelineArtifacts:
 
     def test_meta_stage_timings(self, pipeline):
         meta = hio.read_kv(pipeline["out"] / "meta")
-        for stage in ("blocks", "write"):
+        for stage in ("blocks", "responses", "lambda_0", "lambda_D", "N", "write"):
             assert float(meta[f"seconds.{stage}"]) >= 0.0
+
+    @pytest.mark.parametrize("cavity, solves", [("circle", 3), ("none", 1)])
+    def test_simulate_runs_one_solve_set_per_flux_source(self, tmp_path, monkeypatch, cavity, solves):
+        from heatcavity import ndmap
+
+        calls = []
+        real = ndmap.solve_neumann
+        monkeypatch.setattr(ndmap, "solve_neumann", lambda *a: calls.append(1) or real(*a))
+        cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("cavity_kind=circle", f"cavity_kind={cavity}"))
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == solves
 
     def test_meta_write_seconds_per_operator(self, pipeline):
         meta = hio.read_kv(pipeline["out"] / "meta")

@@ -287,6 +287,14 @@ class TestGram:
         with pytest.raises(hio.FormatError):
             hio.read_gram(path)
 
+    @pytest.mark.parametrize("body", ["", "\n\n"], ids=["empty", "blank_lines"])
+    def test_empty_round_trip(self, tmp_path, body):
+        path = tmp_path / "g.gram"
+        hio.write_gram(path, np.zeros(0))
+        path.write_text(path.read_text() + body)
+        back = hio.read_gram(path)
+        assert back.shape == (0,) and back.dtype == np.float64
+
 
 class TestSpectrumCsv:
     def test_round_trip_bitwise(self, tmp_path):
@@ -311,6 +319,18 @@ class TestSpectrumCsv:
         path = tmp_path / "spectrum.csv"
         path.write_text("idx,val\n1,2.0\n")
         with pytest.raises(hio.FormatError, match="header"):
+            hio.read_spectrum_csv(path)
+
+    def test_short_row_names_the_file(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("n,lambda\n1\n")
+        with pytest.raises(hio.FormatError, match="short.csv.*malformed row"):
+            hio.read_spectrum_csv(path)
+
+    def test_non_numeric_entry_names_the_file(self, tmp_path):
+        path = tmp_path / "word.csv"
+        path.write_text("n,lambda\n1,abc\n")
+        with pytest.raises(hio.FormatError, match="word.csv.*abc"):
             hio.read_spectrum_csv(path)
 
 
@@ -361,6 +381,12 @@ class TestIndicatorCsv:
         path = tmp_path / "indicator.csv"
         path.write_text("y1,y2,s,W,normalized,mask,truth\n1,2,3\n")
         with pytest.raises(hio.FormatError, match="malformed"):
+            hio.read_indicator_csv(path)
+
+    def test_non_numeric_entry_names_the_file(self, tmp_path):
+        path = tmp_path / "word.csv"
+        path.write_text("y1,y2,s,W,normalized,mask,truth\n0.1,0.2,0.25,1,1,1,x\n")
+        with pytest.raises(hio.FormatError, match="word.csv.*'x'"):
             hio.read_indicator_csv(path)
 
 

@@ -242,7 +242,7 @@ class TestFactorization:
         assert np.allclose(via_matrix, via_fields, rtol=0, atol=1e-12 * np.abs(via_fields).max())
 
     def test_compose_N_from_responses_is_assemble_N(self, small_ops, small_setup):
-        f, h = ndmap.fl_response(small_setup), ndmap.lhat_response(small_setup)
+        f, h = ndmap.n_responses(small_setup)
         composed = ndmap.compose_N(small_setup.omega, small_setup.grid, f, h)
         assert np.array_equal(composed.matrix, small_ops["N"].matrix)
         assert np.array_equal(composed.gram_domain, small_ops["N"].gram_domain)
@@ -301,7 +301,7 @@ class TestImpulseAssembly:
     def test_compose_N_matches_dense_reversed_product(self, name, small_setup, kite_setup):
         st = {"small": small_setup, "kite": kite_setup}[name]
         m, m_c, nt = st.omega.M, st.cavity.M, st.grid.Nt
-        f, h = ndmap.fl_response(st), ndmap.lhat_response(st)
+        f, h = ndmap.n_responses(st)
         assert f.shape == (m_c, nt, m) and h.shape == (m, nt, m_c)
         fl, lhat = toeplitz_expand_by_cells(f), toeplitz_expand_by_cells(h)
         dense = reversal(m, nt) @ lhat @ reversal(m_c, nt) @ fl
@@ -310,8 +310,9 @@ class TestImpulseAssembly:
 
     def test_assemble_N_peak_memory_is_one_matrix(self, bench_setup):
         # 32/24/32: the dense FL and Lhat route peaks near 3.5 n^2 doubles
+        # the responses are read first: assemble_N composes, it solves nothing
         n = bench_setup.omega.M * bench_setup.grid.Nt
-        resp_bytes = ndmap.fl_response(bench_setup).nbytes + ndmap.lhat_response(bench_setup).nbytes
+        resp_bytes = sum(r.nbytes for r in ndmap.n_responses(bench_setup))
         tracemalloc.start()
         try:
             assemble_N(bench_setup)
@@ -319,6 +320,55 @@ class TestImpulseAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * n * n * 8 + resp_bytes
+
+
+def impulse_flux(m: int, nt: int) -> np.ndarray:
+    """One right-hand side per source node: flux 1 there in time cell 0."""
+    flux = np.zeros((m, nt, m))
+    flux[np.arange(m), 0, np.arange(m)] = 1.0
+    return flux
+
+
+class TestResponseTable:
+    """ProblemSetup.responses: every flux map's impulse responses from one
+    solve set per flux source."""
+
+    @pytest.mark.parametrize("name", ["small", "kite", "no_cavity"])
+    def test_each_entry_is_the_fresh_solve(self, name, small_setup, kite_setup, no_cavity_setup):
+        st = {"small": small_setup, "kite": kite_setup, "no_cavity": no_cavity_setup}[name]
+        om, cav, nt = st.omega, st.cavity, st.grid.Nt
+        # (region, source component, source nodes, target, normal) per map
+        maps = {"lambda_0": (st.omega_system, 0, om.M, om, False)}
+        if cav is not None:
+            maps.update(
+                FL=(st.omega_system, 0, om.M, cav, True),
+                lambda_D=(st.cavity_system, 0, om.M, om, False),
+                L=(st.cavity_system, 0, om.M, cav, False),
+                Lhat=(st.cavity_system, 1, cav.M, om, False),
+            )
+        assert set(st.responses) == set(maps)
+        for key, (region, source, m, target, normal) in maps.items():
+            fresh = ndmap._response(region, source, impulse_flux(m, nt), target, normal)
+            assert st.responses[key].tobytes() == fresh.tobytes(), key
+
+    def test_three_solve_sets_serve_every_map(self, monkeypatch):
+        omega = make_curve(CurveSpec("circle", (0.0, 0.0, 1.0)), 8)
+        cavity = make_curve(CurveSpec("circle", (0.0, 0.0, 0.35)), 6)
+        st = ProblemSetup.build(omega, cavity, TimeGrid(0.5, 4))
+        calls = []
+        real = ndmap.solve_neumann
+        monkeypatch.setattr(ndmap, "solve_neumann", lambda *a: calls.append(1) or real(*a))
+        for assemble in (ndmap.assemble_L, ndmap.assemble_Lhat, ndmap.assemble_FL, assemble_N):
+            assemble(st)
+        assemble_lambda(st, True)
+        assemble_lambda(st, False)
+        assert len(calls) == 3
+
+    def test_no_cavity_N_runs_no_solve(self, monkeypatch):
+        omega = make_curve(CurveSpec("circle", (0.0, 0.0, 1.0)), 8)
+        st = ProblemSetup.build(omega, None, TimeGrid(0.5, 4))
+        monkeypatch.setattr(ndmap, "solve_neumann", None)
+        assert not assemble_N(st).matrix.any()
 
 
 def weighted_symmetrization(N: SpaceTimeOperator) -> np.ndarray:

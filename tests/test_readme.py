@@ -5,8 +5,10 @@ import re
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import heatcavity
-from heatcavity import cli
+from heatcavity import cli, io as hio
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -78,14 +80,41 @@ threshold=0.2
 """
 
 
-def test_artifacts_list_names_every_file_the_commands_write(tmp_path):
-    cfg = tmp_path / "gate.cfg"
+@pytest.fixture(scope="module")
+def gate_out(tmp_path_factory):
+    """The directory simulate and reconstruct wrote for the gate config."""
+    root = tmp_path_factory.mktemp("gate")
+    cfg = root / "gate.cfg"
     cfg.write_text(GATE_CFG)
-    out = tmp_path / "out"
+    out = root / "out"
     for command in ("simulate", "reconstruct"):
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def artifacts_names() -> set[str]:
+    """Every name the README's Artifacts section sets in backticks."""
     section = re.search(r"### Artifacts\n(.*?)\n## ", README.read_text(), re.S)
     assert section is not None, "README lost its Artifacts section"
-    documented = set(re.findall(r"`([^`\s]+)`", section.group(1)))
-    missing = sorted(p.name for p in out.iterdir() if p.name not in documented)
+    return set(re.findall(r"`([^`\s]+)`", section.group(1)))
+
+
+def test_artifacts_list_names_every_file_the_commands_write(gate_out):
+    documented = artifacts_names()
+    missing = sorted(p.name for p in gate_out.iterdir() if p.name not in documented)
     assert not missing, f"README's Artifacts list does not name {missing}"
+
+
+def test_artifacts_list_names_every_stage_timing(gate_out):
+    documented = artifacts_names()
+    for pattern in ("seconds.<operator>", "seconds.write.<operator>"):
+        if pattern in documented:
+            documented |= {pattern.replace("<operator>", op) for op in ("lambda_D", "lambda_0", "N")}
+    timed = {
+        key
+        for record in ("meta", "summary")
+        for key in hio.read_kv(gate_out / record)
+        if key.startswith("seconds.")
+    }
+    missing = sorted(timed - documented)
+    assert not missing, f"README's Artifacts section does not name {missing}"

@@ -59,8 +59,7 @@ class TestFactorizationRoutes:
 
     def test_data_residual_is_the_dense_one(self, factorization_setup):
         st = factorization_setup
-        f, h = ndmap.n_responses(st)
-        diff, resid = verify._data_responses(st, f, h)
+        diff, resid = verify._data_responses(st)
         lam = ndmap.assemble_lambda(st, True).matrix - ndmap.assemble_lambda(st, False).matrix
         assert np.array_equal(ndmap._toeplitz_expand(diff), lam)
         dense = lam - ndmap.assemble_Lhat(st).matrix @ ndmap.assemble_FL(st).matrix
@@ -72,10 +71,9 @@ class TestFactorizationRoutes:
         # cancellation down to about 7e-4 ||N||, so rounding of order
         # 1e-16 ||N|| in either route is this large relative to it
         st = factorization_setup
-        f, h = ndmap.n_responses(st)
         dual = ndmap.lprime_from_duality(ndmap.assemble_L(st)).matrix
         dense = ndmap.assemble_N(st).matrix + dual @ ndmap.assemble_FL(st).matrix
-        got = verify._dual_route_sum(st, f, h).matrix
+        got = verify._dual_route_sum(st).matrix
         assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_toeplitz_norm_is_the_expanded_norm(self):
@@ -92,9 +90,20 @@ class TestMemory:
             monkeypatch.setattr(ndmap, name, lambda *a, name=name, **k: called.append(name))
         assert verify.check_factorization(ctx).passed
         assert called == []
-        assert set(vars(ctx)) == {"_setups", "_responses", "_N"}
+        assert set(vars(ctx)) == {"_setups", "_N"}
         for res in (verify.BASE_RESOLUTION, verify.DOUBLED_RESOLUTION):
-            assert all(r.ndim == 3 for r in ctx.responses(res))
+            table = ctx.setup(res).responses
+            assert sorted(table) == ["FL", "L", "Lhat", "lambda_0", "lambda_D"]
+            assert all(r.ndim == 3 for r in table.values())
+
+    def test_factorization_runs_three_solve_sets_per_resolution(self, coarse_verify, monkeypatch):
+        # one per flux source; the cavity-free N needs none
+        ctx, _ = coarse_verify
+        calls = []
+        real = ndmap.solve_neumann
+        monkeypatch.setattr(ndmap, "solve_neumann", lambda *a: calls.append(1) or real(*a))
+        verify.check_factorization(ctx)
+        assert len(calls) == 6
 
     def test_factorization_traced_peak(self, coarse_verify):
         # N and the sum N + L'.FL, one at a time, and the setups: near
