@@ -14,16 +14,16 @@ import hashlib
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import io, ndmap, recon
-from .forward import SolverError, TimeGrid
+from .forward import SolverError, TimeGrid, gram_weights
 from .geometry import CurveSpec, make_curve, points_in_region
 from .ndmap import NoiseSpec
 from .recon import SamplingSpec
+from .timing import timed
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -237,14 +237,6 @@ def _out_path(cfg: RunConfig, name: str):
     return os.path.join(cfg.out_dir, name)
 
 
-@contextmanager
-def _timed(timings: dict, stage: str):
-    """Add the ``perf_counter`` seconds of the enclosed block to ``timings[stage]``."""
-    start = time.perf_counter()
-    yield
-    timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - start
-
-
 def _peak_rss_mb() -> str:
     """Peak resident set size of this process and its reaped children, in MiB."""
     import resource
@@ -264,38 +256,44 @@ def _add_N_noise(cfg: RunConfig, N: ndmap.SpaceTimeOperator) -> ndmap.SpaceTimeO
 def cmd_simulate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
-    with _timed(timings, "blocks"):
+    with timed(timings, "blocks"):
         setup = _build_problem(cfg)
     print(f"[simulate] assembled lag blocks ({timings['blocks']:.1f}s)")
 
-    with _timed(timings, "responses"):
-        setup.responses  # every impulse solve: the stages below only expand or compose
+    with timed(timings, "responses"):
+        resp = setup.responses  # every impulse solve: the stages below solve nothing
     print(f"[simulate] impulse responses ({timings['responses']:.1f}s)")
+
+    def measured_lambda():
+        """Λ_D's lag stack or, with noise, its dense matrix with the noise added."""
+        # without a cavity the measured map is the cavity-free one
+        if cfg.noise_level == 0:
+            return resp["lambda_D" if cfg.cavity else "lambda_0"]
+        lam = ndmap.assemble_lambda(setup, cfg.cavity is not None)
+        return ndmap.add_noise(lam, cfg.noise).matrix
 
     ops = {}
     stages = [
-        ("lambda_0", lambda: ndmap.assemble_lambda(setup, False)),
-        # without a cavity the measured map is the cavity-free one
-        ("lambda_D", lambda: ndmap.assemble_lambda(setup, True) if cfg.cavity else ops["lambda_0"]),
+        ("lambda_0", lambda: resp["lambda_0"]),
+        ("lambda_D", measured_lambda),
         ("N", lambda: ndmap.assemble_N(setup)),
     ]
     for name, build in stages:
-        with _timed(timings, name):
+        with timed(timings, name):
             ops[name] = build()
-        print(f"[simulate] {name}: {ops[name].matrix.shape[0]} columns ({timings[name]:.1f}s)")
-
-    if cfg.noise_level > 0:
-        ops["lambda_D"] = ndmap.add_noise(ops["lambda_D"], cfg.noise)
-    ops["N"] = _add_N_noise(cfg, ops["N"])
+        print(f"[simulate] {name}: {cfg.M_omega * cfg.Nt} columns ({timings[name]:.1f}s)")
+    ops["N"] = _add_N_noise(cfg, ops["N"]).matrix
 
     meta_path = _out_path(cfg, "meta")
     if os.path.exists(meta_path):
         # a meta left by an earlier run must not vouch for half-written operators
         os.remove(meta_path)
-    with _timed(timings, "write"):
-        # costliest first: N repeats the fewest values, so it formats the most
-        costliest_first = ("N", "lambda_D", "lambda_0")
-        operators = {n: (ops[n].matrix, ops[n].gram_domain) for n in costliest_first}
+    with timed(timings, "write"):
+        # costliest first: N is dense and all distinct, Λ_0 and a clean Λ_D
+        # are written from their lag stacks; all three map the conductor
+        # boundary to itself, so they share one gram
+        gram = gram_weights(setup.omega, setup.grid)
+        operators = {name: (ops[name], gram) for name in ("N", "lambda_D", "lambda_0")}
         seconds, writers = io.write_operators(cfg.out_dir, operators, cfg.M_omega, cfg.Nt, cfg.T)
         # reconstruct and spectrum compose N again from these stacks; np.savez
         # stamps no time, so the file's bytes follow from the config
@@ -361,14 +359,14 @@ def _load_operator(cfg: RunConfig, omega) -> ndmap.SpaceTimeOperator:
 
 def _spectral_data(cfg: RunConfig, omega, timings: dict):
     """The eigensystem of the symmetrized N, and N's symmetry defect."""
-    with _timed(timings, "read"):
+    with timed(timings, "read"):
         op = _load_operator(cfg, omega)
-    with _timed(timings, "symmetrize"):
+    with timed(timings, "symmetrize"):
         defect = ndmap.symmetry_defect(op)
         S = ndmap.symmetrize(op)
         gram = op.gram_domain
         del op  # eigh runs without N in memory
-    with _timed(timings, "eigh"):
+    with timed(timings, "eigh"):
         # S's buffer becomes the eigenvectors
         return recon.eigendecompose(S, gram, cfg.effective_tau), defect
 
@@ -404,18 +402,26 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     timings: dict[str, float] = {}
     omega = make_curve(cfg.omega, cfg.M_omega)
     cavity = make_curve(cfg.cavity, cfg.M_cavity) if cfg.cavity else None
-    with _timed(timings, "probes"):
+    probe_timings: dict[str, float] = {}
+    with timed(timings, "probes"), timed(probe_timings, "lattice"):
         # before N is composed: a lattice that cannot score is refused
         lattice = _scoring_lattice(cfg, omega, cavity)
     eig, defect = _spectral_data(cfg, omega, timings)
-    with _timed(timings, "write"):
+    with timed(timings, "write"):
         io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
-    with _timed(timings, "probes"):
+    with timed(timings, "probes"):
         grid = TimeGrid(cfg.T, cfg.Nt)
         grid_out = recon.reconstruct(
-            eig, omega, grid, cfg.sampling, cfg.threshold, cavity=cavity, lattice=lattice
+            eig,
+            omega,
+            grid,
+            cfg.sampling,
+            cfg.threshold,
+            cavity=cavity,
+            lattice=lattice,
+            timings=probe_timings,
         )
-    with _timed(timings, "write"):
+    with timed(timings, "write"):
         io.write_indicator_csv(_out_path(cfg, "indicator.csv"), grid_out)
 
     finite = grid_out.values[np.isfinite(grid_out.values)]
@@ -441,6 +447,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         summary["jaccard"] = io.format_float(recon.jaccard(grid_out.mask, grid_out.truth))
     for name in ("read", "symmetrize", "eigh", "probes", "write"):
         summary[f"seconds.{name}"] = io.format_float(timings[name])
+    for stage in ("lattice", "traces", "indicator"):
+        summary[f"seconds.probes.{stage}"] = io.format_float(probe_timings[stage])
     total = time.perf_counter() - t0
     summary["seconds.total"] = io.format_float(total)
     # lapack-inplace solves in S's buffer; numpy holds about 2n^2 doubles more

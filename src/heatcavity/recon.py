@@ -29,6 +29,7 @@ from .forward import (
 )
 from .geometry import TOL_GEOM, BoundaryCurve, signed_distance
 from .ndmap import TILE, _tile_pairs
+from .timing import timed
 
 #: Sum values at or below this are treated as "probe orthogonal to the
 #: retained span" and reported as an infinite indicator.
@@ -321,6 +322,7 @@ def reconstruct(
     cavity: BoundaryCurve | None = None,
     region: RetardedBlocks | None = None,
     lattice: tuple | None = None,
+    timings: dict | None = None,
 ) -> IndicatorGrid:
     """Indicator values, normalized grid, and mask over the sampling grid.
 
@@ -328,31 +330,44 @@ def reconstruct(
     excluded.  Values are normalized by the largest finite value over the
     whole grid; infinite sentinels map to 1.  lattice is the result of
     probe_lattice for these arguments, when the caller has it already.
+    When given, timings gains the ``perf_counter`` seconds of the stages:
+    ``lattice`` (classifying the lattice points, when lattice is not given),
+    ``traces`` (the region's lag blocks, Green solves and probe traces) and
+    ``indicator`` (the Picard sums and the mask).
     """
     if not threshold >= 0:  # nan too
         raise ValueError("threshold must be nonnegative")
-    pts, inside, _ = lattice or probe_lattice(omega, sampling, cavity)
+    timings = {} if timings is None else timings
+    if lattice is None:
+        with timed(timings, "lattice"):
+            lattice = probe_lattice(omega, sampling, cavity)
+    pts, inside, _ = lattice
     svals = slice_times(grid, sampling.s_slices)
     points = [ProbePoint((float(p[0]), float(p[1])), float(s)) for s in svals for p in pts]
     if not points:
         raise ValueError("sampling grid contains no admissible probe points")
     if region is None:
-        region = assemble_blocks(omega, grid)
+        with timed(timings, "traces"):
+            region = assemble_blocks(omega, grid)
 
     jobs = [pts[lo : lo + PROBE_CHUNK] for lo in range(0, len(pts), PROBE_CHUNK)]
 
     def run_chunk(chunk_pts):
         # one Neumann solve per chunk serves every sampling time
-        traces = green_probe_traces(chunk_pts, svals, omega, grid, region=region)
-        return _indicators(eig, traces.reshape(omega.M * grid.Nt, -1)).reshape(len(svals), -1)
+        with timed(timings, "traces"):
+            traces = green_probe_traces(chunk_pts, svals, omega, grid, region=region)
+        with timed(timings, "indicator"):
+            values = _indicators(eig, traces.reshape(omega.M * grid.Nt, -1))
+        return values.reshape(len(svals), -1)
 
     # chunks hold every time of their points; values run s-major like points
     values = np.concatenate(list(map(run_chunk, jobs)), axis=1).ravel()
 
-    finite = np.isfinite(values)
-    vmax = values[finite].max() if np.any(finite) else 1.0
-    normalized = np.where(finite, values / vmax, 1.0)
-    mask = normalized >= threshold
+    with timed(timings, "indicator"):
+        finite = np.isfinite(values)
+        vmax = values[finite].max() if np.any(finite) else 1.0
+        normalized = np.where(finite, values / vmax, 1.0)
+        mask = normalized >= threshold
     truth = np.tile(inside, len(svals))
     return IndicatorGrid(points, values, normalized, mask, truth)
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,10 @@ class TestPipelineArtifacts:
         summary = hio.read_kv(pipeline["out"] / "summary")
         for stage in ("read", "symmetrize", "eigh", "probes", "write", "total"):
             assert float(summary[f"seconds.{stage}"]) >= 0.0
+        # the probe sweep's stages, timed inside it
+        probes = [float(summary[f"seconds.probes.{s}"]) for s in ("lattice", "traces", "indicator")]
+        assert all(part > 0.0 for part in probes)
+        assert sum(probes) <= float(summary["seconds.probes"])
 
     def test_summary_records_eigh_route(self, pipeline):
         summary = hio.read_kv(pipeline["out"] / "summary")
@@ -408,6 +413,58 @@ class TestOperatorWriteWorkers:
         assert spy.starts == (1 if cpus == 2 else 0)
         assert not (tmp_path / "meta").exists()
         assert hio._WRITE_JOBS == {}
+
+
+    def test_failed_part_raises_its_own_type_and_leaves_no_part_file(
+        self, tmp_path, pool_spy, capsys
+    ):
+        pool_spy(2)
+        (tmp_path / "N.stop1.part1").mkdir()  # N's second row range cannot be written
+        (tmp_path / "meta").write_text("command=simulate\n")
+        argv = ["simulate", "--config", write_cfg(tmp_path, POOLED_CFG), "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'N.stop1.part1'}: Is a directory\n"
+        assert not (tmp_path / "meta").exists()
+        assert [p.name for p in tmp_path.glob("*.part*")] == ["N.stop1.part1"]
+        assert hio._WRITE_JOBS == {}
+
+
+class TestSimulateMemory:
+    """simulate writes Λ_0 and a clean Λ_D from their lag stacks."""
+
+    @pytest.mark.parametrize(
+        "lines, expansions",
+        [("", 0), ("noise_level=0.001\n", 1), ("noise_level=0.001\ncavity_kind=none\n", 1)],
+        ids=["clean", "noisy", "noisy_no_cavity"],
+    )
+    def test_only_a_noisy_lambda_D_is_expanded(self, tmp_path, monkeypatch, lines, expansions):
+        from heatcavity import ndmap
+
+        calls = []
+        real = ndmap._toeplitz_expand
+        monkeypatch.setattr(ndmap, "_toeplitz_expand", lambda r: calls.append(r.shape) or real(r))
+        cfg_path = write_cfg(tmp_path, SMALL_CFG + lines)
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(16, 8, 16)] * expansions
+
+    def test_clean_simulate_traced_peak(self, tmp_path, pool_spy):
+        # 32/24/32 written in this process: N, the lag blocks, the impulse
+        # responses and a writer block, near 1.75 n^2 doubles; expanding Λ_0
+        # and Λ_D as well peaked near 3.8
+        pool_spy(1)
+        cfg_path = write_cfg(tmp_path, POOLED_CFG)
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        setup = cli._build_problem(parse_config(POOLED_CFG))
+        regions = (setup.omega_system, setup.cavity_system)
+        blocks = sum(b.single.nbytes + b.adjoint.nbytes for b in regions)
+        stacks = blocks + sum(r.nbytes for r in setup.responses.values())
+        n = 32 * 32
+        assert peak <= 1.5 * n * n * 8 + stacks
 
 
 class TestHandOff:

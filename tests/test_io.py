@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from heatcavity import io as hio
+from heatcavity import floatfmt, io as hio
 from heatcavity.ndmap import _toeplitz_expand
 from heatcavity.recon import IndicatorGrid, ProbePoint
 
@@ -212,24 +212,24 @@ class TestWriterMatchesPerValue:
     @pytest.mark.parametrize("case", ["dense", "toeplitz", "edges", "lag_many_blocks"])
     def test_stop1_bytes_in_small_chunks(self, tmp_path, monkeypatch, case):
         # chunks of 7 values cut rows and records at every offset
-        monkeypatch.setattr(hio, "_CHUNK", 7)
+        monkeypatch.setattr(floatfmt, "_CHUNK", 7)
         matrix, nt = WRITER_CASES[case]
         path = tmp_path / "op.stop1"
         hio.write_stop1(path, matrix, M=2, Nt=nt, T=0.5)
         assert path.read_bytes() == stop1_reference(matrix, 2, nt, 0.5)
 
     def test_exact_ties_round_half_even(self):
-        line = hio._format_block(_EDGES["exact ties"].reshape(1, -1))
+        line = floatfmt.format_block(_EDGES["exact ties"].reshape(1, -1))
         assert line == b"1000000000000000.2 1000000000000000.8 2000000000000000.2\n"
 
     def test_random_bit_patterns(self):
         values = np.random.default_rng(20).integers(0, 2**64, 10**6, np.uint64).view(float)
         matrix = values.reshape(1000, 1000)
-        expected = "".join(" ".join(hio.FLOAT_FMT % v for v in row) + "\n" for row in matrix.tolist())
-        assert hio._format_block(matrix) == expected.encode()
+        expected = "".join(" ".join(floatfmt.FLOAT_FMT % v for v in row) + "\n" for row in matrix.tolist())
+        assert floatfmt.format_block(matrix) == expected.encode()
 
     def test_tables_not_built_at_import(self):
-        code = "import heatcavity.cli as c; print(c.io._format_tables.cache_info().currsize)"
+        code = "import heatcavity.cli, heatcavity.floatfmt as f; print(f._format_tables.cache_info().currsize)"
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert run.stdout.strip() == "0"
 
@@ -259,6 +259,108 @@ class TestWriterMatchesPerValue:
     def test_gram_rejects_non_1d(self, tmp_path):
         with pytest.raises(ValueError):
             hio.write_gram(tmp_path / "g.gram", np.ones((2, 2)))
+
+
+#: Lag stacks (M_tgt, Nt, M_src) beside the responses of the setups.
+LAG_CASES = {
+    "M_tgt_ne_M_src": _rng.standard_normal((3, 5, 4)),
+    "Nt_1": _rng.standard_normal((4, 1, 3)),
+    # values the kernel cannot prove exact take the % fallback
+    "fallbacks": np.resize(
+        np.concatenate([[-0.0, 0.0], _EDGES["subnormals"], _EDGES["exact ties"]]), (2, 4, 3)
+    ),
+    "no_sources": np.zeros((3, 4, 0)),
+    "no_targets": np.zeros((0, 4, 3)),
+}
+
+
+class TestLagWriter:
+    """write_stop1_lags writes the bytes of write_stop1 on the expanded stack."""
+
+    @pytest.mark.parametrize(
+        "setup, name",
+        [
+            ("kite_setup", "lambda_D"),
+            ("kite_setup", "FL"),
+            ("kite_setup", "Lhat"),
+            ("small_setup", "lambda_0"),
+        ],
+    )
+    def test_setup_responses(self, tmp_path, request, setup, name):
+        resp = request.getfixturevalue(setup).responses[name]
+        assert_lag_bytes(tmp_path, resp)
+
+    @pytest.mark.parametrize("case", sorted(LAG_CASES))
+    def test_stacks(self, tmp_path, case):
+        assert_lag_bytes(tmp_path, LAG_CASES[case])
+
+    def test_stack_in_small_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(floatfmt, "_CHUNK", 7)
+        assert_lag_bytes(tmp_path, LAG_CASES["fallbacks"])
+
+    @pytest.mark.parametrize("shape, nt", [((3, 4, 2), 5), ((12, 2), 4)], ids=["Nt", "2-D"])
+    def test_rejects_a_shape_that_is_no_stack(self, tmp_path, shape, nt):
+        with pytest.raises(ValueError, match="lag stack"):
+            hio.write_stop1_lags(tmp_path / "x.stop1", np.zeros(shape), M=3, Nt=nt, T=0.5)
+
+
+def assert_lag_bytes(tmp_path, resp):
+    nt = resp.shape[1]
+    hio.write_stop1_lags(tmp_path / "lags.stop1", resp, M=5, Nt=nt, T=0.5)
+    hio.write_stop1(tmp_path / "dense.stop1", _toeplitz_expand(resp), M=5, Nt=nt, T=0.5)
+    assert (tmp_path / "lags.stop1").read_bytes() == (tmp_path / "dense.stop1").read_bytes()
+
+
+#: 7 nodes of 32 rows, which neither 2 nor 3 workers divide evenly, with
+#: entries enough for the fork pool; a lag stack, written whole; and a
+#: matrix without rows, whose one range writes only the header.
+SPLIT_MATRIX = _rng.standard_normal((7 * 32, 1200))
+SPLIT_STACK = _rng.standard_normal((5, 32, 6))
+SPLIT_OPERATORS = {
+    "dense": (SPLIT_MATRIX, _rng.random(224) + 0.5),
+    "lags": (SPLIT_STACK, _rng.random(160) + 0.5),
+    "empty": (np.zeros((0, 1200)), np.zeros(0)),
+}
+
+
+class TestWriteOperators:
+    """write_operators splits each dense matrix into one node range per
+    worker and appends the parts; the files do not depend on the count."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bytes_do_not_depend_on_workers(self, tmp_path, pool_spy, cpus):
+        assert SPLIT_MATRIX.size >= hio.PARALLEL_MIN_VALUES
+        spy = pool_spy(cpus)
+        seconds, writers = hio.write_operators(tmp_path, SPLIT_OPERATORS, M=7, Nt=32, T=0.5)
+        assert spy.starts == (1 if cpus > 1 else 0)
+        assert 1 <= writers <= cpus
+        assert list(seconds) == list(SPLIT_OPERATORS)
+        assert all(s >= 0.0 for s in seconds.values())
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for name, (array, gram) in SPLIT_OPERATORS.items():
+            dense = _toeplitz_expand(array) if array.ndim == 3 else array
+            hio.write_stop1(ref / f"{name}.stop1", dense, M=7, Nt=32, T=0.5)
+            hio.write_gram(ref / f"{name}.gram", gram)
+        # the same files, and no part file left
+        written = sorted(p.name for p in tmp_path.iterdir() if p != ref)
+        assert written == sorted(p.name for p in ref.iterdir())
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (ref / name).read_bytes(), name
+
+    @pytest.mark.parametrize("blocked", [1, 2])
+    def test_failed_part_raises_its_own_type_and_leaves_no_part_file(
+        self, tmp_path, pool_spy, blocked
+    ):
+        pool_spy(3)
+        # a directory in a part file's place: that part fails, the others may be written
+        (tmp_path / f"dense.stop1.part{blocked}").mkdir()
+        with pytest.raises(IsADirectoryError) as failure:
+            hio.write_operators(tmp_path, SPLIT_OPERATORS, M=7, Nt=32, T=0.5)
+        assert failure.value.filename == str(tmp_path / f"dense.stop1.part{blocked}")
+        parts = [p for p in tmp_path.iterdir() if ".part" in p.name]
+        assert [p.name for p in parts] == [f"dense.stop1.part{blocked}"] and parts[0].is_dir()
+        assert hio._WRITE_JOBS == {}
 
 
 class TestGram:
