@@ -357,8 +357,10 @@ def _load_operator(cfg: RunConfig, omega) -> ndmap.SpaceTimeOperator:
     return _add_N_noise(cfg, N)
 
 
-def _spectral_data(cfg: RunConfig, omega, timings: dict):
-    """The eigensystem of the symmetrized N, and N's symmetry defect."""
+def _spectral_data(cfg: RunConfig, omega, timings: dict, vectors: bool = True):
+    """The eigensystem of the symmetrized N, with its retained vectors when
+    asked, and N's symmetry defect.  timings gains the stages of
+    recon.eigendecompose as ``eigh.<stage>``."""
     with timed(timings, "read"):
         op = _load_operator(cfg, omega)
     with timed(timings, "symmetrize"):
@@ -366,9 +368,12 @@ def _spectral_data(cfg: RunConfig, omega, timings: dict):
         S = ndmap.symmetrize(op)
         gram = op.gram_domain
         del op  # eigh runs without N in memory
+    eigh_timings: dict[str, float] = {}
     with timed(timings, "eigh"):
         # S's buffer becomes the eigenvectors
-        return recon.eigendecompose(S, gram, cfg.effective_tau), defect
+        eig = recon.eigendecompose(S, gram, cfg.effective_tau, vectors, eigh_timings)
+    timings.update((f"eigh.{stage}", t) for stage, t in eigh_timings.items())
+    return eig, defect
 
 
 def _scoring_lattice(cfg: RunConfig, omega, cavity):
@@ -388,7 +393,7 @@ def _scoring_lattice(cfg: RunConfig, omega, cavity):
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    eig, defect = _spectral_data(cfg, make_curve(cfg.omega, cfg.M_omega), {})
+    eig, defect = _spectral_data(cfg, make_curve(cfg.omega, cfg.M_omega), {}, vectors=False)
     io.write_spectrum_csv(_out_path(cfg, "spectrum.csv"), eig.lambdas)
     print(
         f"[spectrum] lambda_1={eig.lambdas[0]:.6e}  retained n*={eig.retained} "
@@ -447,6 +452,9 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         summary["jaccard"] = io.format_float(recon.jaccard(grid_out.mask, grid_out.truth))
     for name in ("read", "symmetrize", "eigh", "probes", "write"):
         summary[f"seconds.{name}"] = io.format_float(timings[name])
+    for stage in ("tridiagonal", "values", "vectors"):
+        # np.linalg.eigh does not split its solve: it reads as values alone
+        summary[f"seconds.eigh.{stage}"] = io.format_float(timings.get(f"eigh.{stage}", 0.0))
     for stage in ("lattice", "traces", "indicator"):
         summary[f"seconds.probes.{stage}"] = io.format_float(probe_timings[stage])
     total = time.perf_counter() - t0

@@ -356,4 +356,7 @@ def add_noise(op: SpaceTimeOperator, spec: NoiseSpec) -> SpaceTimeOperator:
     rng = np.random.default_rng(spec.seed)
     noise = rng.standard_normal(op.matrix.shape)
     scale = spec.level * np.linalg.norm(op.matrix) / np.linalg.norm(noise)
-    return replace(op, matrix=op.matrix + scale * noise)
+    # scale * noise + matrix in the draw's buffer: the bits of matrix + scale * noise
+    noise *= scale
+    noise += op.matrix
+    return replace(op, matrix=noise)

@@ -28,7 +28,7 @@ from .forward import (
     green_probe_traces,
 )
 from .geometry import TOL_GEOM, BoundaryCurve, signed_distance
-from .ndmap import TILE, _tile_pairs
+from .ndmap import _tile_pairs
 from .timing import timed
 
 #: Sum values at or below this are treated as "probe orthogonal to the
@@ -45,14 +45,15 @@ PROBE_CHUNK = 64
 class EigenSystem:
     """Descending eigenpairs of the symmetrized operator in the W-product.
 
-    vectors holds one W-orthonormal coefficient vector per column (all of
-    them, not only the retained head), C-contiguous; eigendecompose builds
-    it in the buffer of the S it was given.  retained counts the leading
-    columns that survive the relative cutoff.
+    lambdas holds every eigenvalue.  retained counts the leading ones that
+    survive the relative cutoff, and vectors holds one W-orthonormal
+    coefficient vector per retained pair, column by column: an (n, retained)
+    C-contiguous array that eigendecompose builds in the buffer of the S it
+    was given, or None when it was asked for eigenvalues alone.
     """
 
     lambdas: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     retained: int
     gram: np.ndarray
 
@@ -103,32 +104,56 @@ class IndicatorGrid:
         return len(self.points)
 
 
+#: The LAPACK routines eigendecompose calls: dsyevd, for its workspace
+#: query, and the three stages dsyevd runs.  Each takes its character
+#: arguments first (their hidden lengths come last), then the given number
+#: of by-reference arguments, INFO last.
+_LAPACK_ARGS = {"syevd": (2, 9), "sytrd": (1, 9), "stedc": (1, 10), "ormtr": (3, 10)}
+
+
 @functools.cache
-def _lapack_syevd():
-    """numpy's own LAPACK dsyevd with 64-bit integers, or None where the
-    library numpy links exports no such symbol."""
+def _lapack() -> dict | None:
+    """numpy's own LAPACK routines of _LAPACK_ARGS with 64-bit integers, by
+    short name, or None where the library numpy links does not export them."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
     # numpy >= 2 wheels prefix scipy-openblas's symbols; 1.x ILP64 wheels do not
-    for name in ("scipy_dsyevd_64_", "dsyevd_64_"):
-        syevd = getattr(lib, name, None)
-        if syevd is not None:
-            i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-            # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO, and
-            # the hidden lengths of the two character arguments
-            syevd.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr, ptr, i64, ptr, i64, i64]
-            syevd.argtypes += [ctypes.c_size_t] * 2
-            syevd.restype = None
-            return syevd
+    for prefix in ("scipy_d", "d"):
+        routines = {name: getattr(lib, f"{prefix}{name}_64_", None) for name in _LAPACK_ARGS}
+        if None in routines.values():
+            continue
+        for name, (chars, refs) in _LAPACK_ARGS.items():
+            fn = routines[name]
+            fn.argtypes = [ctypes.c_char_p] * chars + [ctypes.c_void_p] * refs
+            fn.argtypes += [ctypes.c_size_t] * chars
+            fn.restype = None
+        return routines
     return None
 
 
 def eigh_route() -> str:
-    """How eigendecompose solves: "lapack-inplace" on S's own buffer, or
-    "numpy" (np.linalg.eigh, then a copy into S) without the symbol."""
-    return "numpy" if _lapack_syevd() is None else "lapack-inplace"
+    """How eigendecompose solves: "lapack-inplace" (dsyevd's three stages on
+    S's own buffer) or "numpy" (np.linalg.eigh) without the symbols."""
+    return "numpy" if _lapack() is None else "lapack-inplace"
+
+
+def _call(lapack: dict, name: str, *args) -> None:
+    """Call LAPACK's d<name>: bytes go as characters, arrays by address and
+    ints by reference as 64-bit integers.  A nonzero INFO raises
+    np.linalg.LinAlgError."""
+    info = ctypes.c_int64(0)
+    refs = [
+        a if isinstance(a, bytes)
+        else a.ctypes.data if isinstance(a, np.ndarray)
+        else ctypes.byref(ctypes.c_int64(a))
+        for a in args
+    ]  # fmt: skip
+    chars = _LAPACK_ARGS[name][0]
+    lapack[name](*refs, ctypes.byref(info), *[1] * chars)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"LAPACK d{name} failed with info={info.value}")
 
 
 def _transpose_in_place(a: np.ndarray) -> None:
@@ -142,86 +167,115 @@ def _transpose_in_place(a: np.ndarray) -> None:
             a[cols, rows] = upper.T
 
 
-def _syevd_in_place(syevd, a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the C-contiguous a, which ends up holding
-    its orthonormal eigenvectors, one per column.
+def _skew_norm(a: np.ndarray) -> float:
+    """||a - a.T||_F of a square array, one tile pair at a time."""
+    total = 0.0
+    for rows, cols in _tile_pairs(a.shape[0]):
+        d = a[rows, cols] - a[cols, rows].T
+        total += (1.0 if rows == cols else 2.0) * np.vdot(d, d)
+    return float(np.sqrt(total))
 
-    dsyevd (jobz='V', uplo='L') works on a column-major array, so a is
-    transposed in place before and after the call: LAPACK sees the buffer
-    numpy's eigh would hand it, with the workspace LAPACK's own query asks
-    for, as numpy's does, and returns the same bits.
+
+def _syevd_stages(lapack: dict, a: np.ndarray, timings: dict):
+    """dsyevd (jobz='V', uplo='L') on the C-contiguous n x n array a, n >= 2,
+    run as its three stages, so that the last can be left out or run on
+    some of the vectors.  Returns the ascending eigenvalues w and
+    back_transform(k), the eigenvectors of a for the k largest of them, one
+    per row, ascending like w.
+
+    dsytrd reduces a to tridiagonal form, leaving its Householder
+    reflectors in a; dstedc (compz='I') gives w and the eigenvectors of the
+    tridiagonal form, one per row of z; dormtr turns rows of z into
+    eigenvectors of a.  Each stage gets the slice of one workspace that
+    dsyevd gives it, sized by dsyevd's own query: w has dsyevd's bits, and
+    so has z back-transformed whole.
     """
     n = a.shape[0]
-    w = np.empty(n)
-    info = ctypes.c_int64(0)
+    w, work, iwork = np.empty(n), np.empty(1), np.empty(1, dtype=np.int64)
+    _call(lapack, "syevd", b"V", b"L", n, a, n, w, work, -1, iwork, -1)
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+    # dsyevd's layout: E, TAU, Z, then the later stages' scratch
+    e, tau, z = work[:n], work[n : 2 * n], work[2 * n : 2 * n + n * n].reshape(n, n)
+    scratch = work[2 * n + n * n :]
+    with timed(timings, "tridiagonal"):
+        # LAPACK reads the column-major lower triangle, which is that of a.T
+        _transpose_in_place(a)
+        # dsyevd first scales a into the range where its stages neither
+        # over- nor underflow; its dlascl is then one multiplication
+        smlnum = np.finfo(float).tiny / np.finfo(float).eps
+        rmin, rmax, anrm = np.sqrt(smlnum), np.sqrt(1.0 / smlnum), max(a.max(), -a.min())
+        sigma = rmin / anrm if 0 < anrm < rmin else rmax / anrm if anrm > rmax else 1.0
+        if sigma != 1.0:
+            a *= sigma
+        _call(lapack, "sytrd", b"L", n, a, n, w, e, tau, work[2 * n :], work.size - 2 * n)
+    with timed(timings, "values"):
+        _call(lapack, "stedc", b"I", n, w, e, z, n, scratch, scratch.size, iwork, iwork.size)
+        if sigma != 1.0:
+            w *= 1.0 / sigma
 
-    def call(work, lwork, iwork, liwork):
-        def ref(value):
-            return ctypes.byref(ctypes.c_int64(value))
+    def back_transform(k: int) -> np.ndarray:
+        top = z[n - k :]
+        _call(lapack, "ormtr", b"L", b"L", b"N", n, k, a, n, tau, top, n, scratch, scratch.size)
+        return top
 
-        syevd(
-            b"V", b"L", ref(n), a.ctypes.data, ref(max(n, 1)), w.ctypes.data,
-            work.ctypes.data, ref(lwork), iwork.ctypes.data, ref(liwork),
-            ctypes.byref(info), 1, 1,
-        )  # fmt: skip
-        if info.value != 0:
-            raise np.linalg.LinAlgError(f"LAPACK dsyevd failed with info={info.value}")
-
-    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
-    call(work, -1, iwork, -1)  # the workspace query
-    lwork, liwork = int(work[0]), int(iwork[0])
-    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
-    _transpose_in_place(a)
-    call(work, lwork, iwork, liwork)
-    _transpose_in_place(a)
-    return w
+    return w, back_transform
 
 
-def eigendecompose(S: np.ndarray, gram: np.ndarray, tau: float) -> EigenSystem:
-    """Full symmetric eigendecomposition with a relative spectral cutoff.
+def eigendecompose(
+    S: np.ndarray, gram: np.ndarray, tau: float, vectors: bool = True, timings: dict | None = None
+) -> EigenSystem:
+    """Symmetric eigendecomposition with a relative spectral cutoff.
 
-    Eigenvectors are returned as W-orthonormal coefficient vectors
+    All eigenvalues are returned, descending.  Retained pairs are those
+    with lambda_n >= tau * lambda_1 and lambda_n > 0; only their
+    eigenvectors are formed, as W-orthonormal coefficient vectors
     (columns), i.e. the orthonormal eigenvectors of S scaled back by
-    G^{-1/2}.  Retained pairs are those with lambda_n >= tau * lambda_1
-    and lambda_n > 0; trailing pairs are kept for diagnostics but excluded
-    from the indicator series.
+    G^{-1/2}.  With vectors=False none are, and EigenSystem.vectors is None.
 
-    S is overwritten: its buffer becomes the returned vectors, so the
-    solve needs S plus LAPACK's 2n^2 workspace and no other n x n array.
-    An S that is not a writeable C-contiguous float64 array is copied
-    first and left as it was.  A failed LAPACK solve raises
-    np.linalg.LinAlgError, a ValueError.
+    S is overwritten: its buffer holds the returned vectors, so the solve
+    needs S plus LAPACK's 2n^2 workspace and no other n x n array.  An S
+    that is not a writeable C-contiguous float64 array is copied first and
+    left as it was.  A failed LAPACK stage raises np.linalg.LinAlgError, a
+    ValueError.  When given, timings gains the ``perf_counter`` seconds of
+    the stages: ``tridiagonal`` (the reduction to tridiagonal form),
+    ``values`` (the tridiagonal eigensolve) and ``vectors`` (the back-
+    transform and scaling of the retained vectors); np.linalg.eigh is
+    timed as ``values``.
     """
     S = np.require(S, dtype=np.float64, requirements=["C", "A", "W"])
     gram = np.asarray(gram, dtype=float)
+    timings = {} if timings is None else timings
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S must be a square matrix")
     norm = np.linalg.norm(S)
     if not np.isfinite(norm):
         raise ValueError("S has a non-finite norm: nan or inf entries")
-    if norm > 0 and np.linalg.norm(S - S.T) > 1e-10 * norm:
+    if norm > 0 and _skew_norm(S) > 1e-10 * norm:
         raise ValueError("S is not symmetric to the required tolerance")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"cutoff ratio must be in (0, 1), got {tau}")
-    if gram.shape != (S.shape[0],) or not np.all((gram > 0) & (gram < np.inf)):
+    n = S.shape[0]
+    if gram.shape != (n,) or not np.all((gram > 0) & (gram < np.inf)):
         raise ValueError("gram must be a positive finite weight vector matching S")
 
-    syevd = _lapack_syevd()
-    if syevd is None:
-        lam, vec = np.linalg.eigh(S)
-        S[...] = vec
+    lapack = _lapack()
+    if lapack is None or n < 2:  # dsyevd itself returns early below n = 2
+        with timed(timings, "values"):
+            lam, vec = np.linalg.eigh(S)
+        ascending = lambda k: vec[:, n - k :].T
     else:
-        lam = _syevd_in_place(syevd, S)
+        lam, ascending = _syevd_stages(lapack, S, timings)
     lam = lam[::-1]
     if not lam[0] > 0:
         raise ValueError("operator not positive — check symmetrization/noise level")
     retained = int(np.sum((lam >= tau * lam[0]) & (lam > 0)))
-    # vectors = vec[:, ::-1] / sqrt(g)[:, None], formed in S a block of rows at a time
-    sqrt_g = np.sqrt(gram)
-    for lo in range(0, S.shape[0], TILE):
-        rows = slice(lo, lo + TILE)
-        S[rows] = S[rows, ::-1] / sqrt_g[rows, None]
-    return EigenSystem(lam, S, retained, gram)
+    if not vectors:
+        return EigenSystem(lam, None, retained, gram)
+    with timed(timings, "vectors"):
+        # in S's buffer, with no temporary: the workspace is still held
+        psi = S.reshape(-1)[: n * retained].reshape(n, retained)
+        np.divide(ascending(retained)[::-1].T, np.sqrt(gram)[:, None], out=psi)
+    return EigenSystem(lam, psi, retained, gram)
 
 
 def _normalized_probe_matrix(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:

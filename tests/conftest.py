@@ -53,20 +53,30 @@ def pool_spy(monkeypatch):
 
 
 @pytest.fixture
-def failing_syevd(monkeypatch):
-    """Stand in for numpy's LAPACK dsyevd a C-callable stub that sets
-    info=3, as a solve that fails to converge does."""
+def failing_lapack(monkeypatch):
+    """``failing_lapack(name)`` stands in for one LAPACK routine that
+    eigendecompose calls (a key of recon._LAPACK_ARGS: dsyevd's workspace
+    query or one of its three stages) a C-callable stub that sets info=3,
+    as a solve that fails to converge does; the others stay numpy's."""
     import ctypes
 
     from heatcavity import recon
 
-    def stub(*args):
-        ctypes.c_int64.from_address(args[10]).value = 3  # INFO
+    real = recon._lapack()
+    if real is None:
+        pytest.skip("numpy's LAPACK exports no 64-bit dsyevd stages")
 
-    proto = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11, ctypes.c_size_t, ctypes.c_size_t)
-    fn = proto(stub)
-    monkeypatch.setattr(recon, "_lapack_syevd", lambda: fn)
-    return fn
+    def fail(name):
+        chars, refs = recon._LAPACK_ARGS[name]
+
+        def stub(*args):
+            ctypes.c_int64.from_address(args[chars + refs - 1]).value = 3  # INFO
+
+        args = [ctypes.c_void_p] * (chars + refs) + [ctypes.c_size_t] * chars
+        fn = ctypes.CFUNCTYPE(None, *args)(stub)  # the patched lookup keeps it alive
+        monkeypatch.setattr(recon, "_lapack", lambda: {**real, name: fn})
+
+    return fail
 
 
 @pytest.fixture(scope="session")

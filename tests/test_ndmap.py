@@ -1,6 +1,7 @@
 """Operator assembly: measurement maps, time reversal, duality, symmetrization."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -467,6 +468,28 @@ class TestNoise:
         e = out.matrix - small_ops["N"].matrix
         ratio = np.linalg.norm(e) / np.linalg.norm(small_ops["N"].matrix)
         assert ratio == pytest.approx(delta, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [10, 11])
+    def test_bits_of_the_out_of_place_sum(self, small_ops, seed):
+        op = small_ops["N"]
+        noise = np.random.default_rng(seed).standard_normal(op.matrix.shape)
+        scale = 3e-3 * np.linalg.norm(op.matrix) / np.linalg.norm(noise)
+        want = op.matrix + scale * noise
+        assert add_noise(op, NoiseSpec(3e-3, seed)).matrix.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_the_draw(self, small_ops):
+        # the out-of-place sum held the draw, its scaled copy and the sum
+        n = 600
+        gram = np.ones(n)
+        op = replace(small_ops["N"], matrix=np.ones((n, n)), gram_domain=gram, gram_codomain=gram)
+        tracemalloc.start()
+        try:
+            out = add_noise(op, NoiseSpec(1e-3, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(out.matrix, op.matrix)
+        assert peak <= 1.25 * n * n * 8
 
     def test_invalid_level_rejected(self):
         with pytest.raises(ValueError):

@@ -58,6 +58,11 @@ def spectral_case(n, kind):
     if kind == "degenerate":
         return np.eye(n), gram
     a = rng.standard_normal((n, n))
+    if kind == "decaying":
+        # eigenvalues 1 ... 1e-12: a cutoff of 1e-8 keeps the top two thirds
+        q = np.linalg.qr(a)[0]
+        s = (q * 10.0 ** -np.linspace(0, 12, n)) @ q.T
+        return 0.5 * (s + s.T), gram
     s = a @ a.T + n * np.eye(n)
     if kind == "near_symmetric":
         # eigh reads the lower triangle, so that is where S gives way
@@ -75,9 +80,9 @@ def read_only_copy(s):
 def eigh_route(request, monkeypatch):
     """Run the test on each route eigendecompose can take."""
     if request.param == "numpy":
-        monkeypatch.setattr(recon, "_lapack_syevd", lambda: None)
-    elif recon._lapack_syevd() is None:
-        pytest.skip("numpy's LAPACK exports no 64-bit dsyevd")
+        monkeypatch.setattr(recon, "_lapack", lambda: None)
+    elif recon._lapack() is None:
+        pytest.skip("numpy's LAPACK exports no 64-bit dsyevd stages")
     assert recon.eigh_route() == request.param
     return request.param
 
@@ -86,11 +91,57 @@ class TestEigendecompose:
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
     @pytest.mark.parametrize("kind", ["random", "degenerate", "near_symmetric"])
     def test_bits_match_numpy_eigh(self, eigh_route, n, kind):
+        # every pair is retained, so every vector is back-transformed, as
+        # dsyevd does
         s, gram = spectral_case(n, kind)
         want_lam, want_vec = numpy_eigh_formula(s, gram)
         eig = eigendecompose(s, gram, 1e-8)
+        assert eig.retained == n
         assert eig.lambdas.tobytes() == want_lam.tobytes()
         assert eig.vectors.flags.c_contiguous
+        assert eig.vectors.tobytes() == want_vec.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    def test_only_retained_vectors_are_formed(self, eigh_route, n):
+        s, gram = spectral_case(n, "decaying")
+        want_lam, want_vec = numpy_eigh_formula(s, gram)
+        eig = eigendecompose(s.copy(), gram, 1e-8)
+        k = eig.retained
+        assert k == np.sum(want_lam >= 1e-8 * want_lam[0]) and (n < 3 or k < n)
+        assert eig.lambdas.tobytes() == want_lam.tobytes()
+        assert eig.vectors.shape == (n, k) and eig.vectors.flags.c_contiguous
+        # a subset of the columns is back-transformed: the bits move by rounding
+        assert np.abs(eig.vectors - want_vec[:, :k]).max() <= 1e-14
+        overlap = eig.vectors.T @ (gram[:, None] * eig.vectors)
+        assert np.abs(overlap - np.eye(k)).max() <= 1e-13
+        # the raw eigenvectors of S are G^{1/2} psi
+        u = np.sqrt(gram)[:, None] * eig.vectors
+        residual = np.linalg.norm(s @ u - u * eig.retained_lambdas, axis=0)
+        assert residual.max() <= 1e-12 * eig.lambdas[0]
+
+    @pytest.mark.parametrize("kind", ["random", "decaying"])
+    def test_values_alone_keep_their_bits(self, eigh_route, kind, monkeypatch):
+        s, gram = spectral_case(300, kind)
+        want = eigendecompose(s.copy(), gram, 1e-8)
+        lapack = recon._lapack()
+        if lapack is not None:
+
+            def no_back_transform(*args):
+                raise AssertionError("dormtr runs without vectors")
+
+            monkeypatch.setattr(recon, "_lapack", lambda: {**lapack, "ormtr": no_back_transform})
+        eig = eigendecompose(s, gram, 1e-8, vectors=False)
+        assert eig.vectors is None and eig.retained == want.retained
+        assert eig.lambdas.tobytes() == want.lambdas.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_scaled_like_dsyevd(self, eigh_route, scale):
+        # dsyevd scales a matrix with entries below 1.5e-146 or above
+        # 6.7e145 into range first, and its eigenvalues back after
+        s, gram = spectral_case(40, "random")
+        want_lam, want_vec = numpy_eigh_formula(s * scale, gram)
+        eig = eigendecompose(s * scale, gram, 1e-8)
+        assert eig.lambdas.tobytes() == want_lam.tobytes()
         assert eig.vectors.tobytes() == want_vec.tobytes()
 
     def test_vectors_are_written_into_S(self, eigh_route):
@@ -118,9 +169,11 @@ class TestEigendecompose:
         assert not np.shares_memory(eig.vectors, given)
         assert eig.vectors.tobytes() == want_vec.tobytes()
 
-    def test_lapack_failure_raises_linalg_error(self, failing_syevd):
-        with pytest.raises(np.linalg.LinAlgError, match="info=3"):
-            eigendecompose(np.eye(3), np.ones(3), 1e-8)
+    def test_lapack_failure_raises_linalg_error(self, failing_lapack):
+        for name in recon._LAPACK_ARGS:
+            failing_lapack(name)
+            with pytest.raises(np.linalg.LinAlgError, match=f"d{name} failed with info=3"):
+                eigendecompose(np.eye(3), np.ones(3), 1e-8)
         # a ValueError, so the CLI reports it as a numerical failure
         assert issubclass(np.linalg.LinAlgError, ValueError)
 
@@ -143,6 +196,15 @@ class TestEigendecompose:
         psi = eig.vectors  # gram = 1 so these are the raw eigenvectors
         rebuilt = psi @ np.diag(eig.lambdas) @ psi.T
         assert np.linalg.norm(rebuilt - s) <= 1e-12 * np.linalg.norm(s)
+
+    def test_stage_timings(self, eigh_route):
+        s, gram = spectral_case(40, "decaying")
+        timings = {}
+        eigendecompose(s, gram, 1e-8, timings=timings)
+        # np.linalg.eigh does not split its solve
+        stages = ["values", "vectors"] + (["tridiagonal"] if eigh_route != "numpy" else [])
+        assert sorted(timings) == sorted(stages)
+        assert all(t > 0.0 for t in timings.values())
 
     def test_vectors_are_W_orthonormal(self, toy_eig):
         gm = toy_eig.gram
