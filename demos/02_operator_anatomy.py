@@ -20,7 +20,6 @@ from heatcavity.ndmap import (
     assemble_N,
     assemble_lambda,
     symmetrize,
-    symmetry_defect,
 )
 
 
@@ -69,8 +68,8 @@ def main() -> None:
     print("\nblock stencil of the modified map N (time reversal makes it dense):")
     print(stencil(block_norms(nmat, 16, 8), cut=1e-10))
 
-    S = symmetrize(N)
-    print(f"\nN's symmetry defect ||N - N'|| / ||N|| in the Gram norm: {symmetry_defect(N):.3f}")
+    S, defect = symmetrize(N)
+    print(f"\nN's symmetry defect ||N - N'|| / ||N|| in the Gram norm: {defect:.3f}")
     print(f"symmetrized N: relative asymmetry {np.linalg.norm(S - S.T) / np.linalg.norm(S):.2e}")
 
 

@@ -39,7 +39,7 @@ def main() -> None:
     setup = ProblemSetup.build(omega, cavity, grid)
     op = assemble_N(setup)
 
-    S = symmetrize(op)
+    S, _ = symmetrize(op)
     eig = eigendecompose(S, op.gram_domain, 1e-8)
     print(f"lambda_1 = {eig.lambdas[0]:.3e}, retained pairs = {eig.retained}")
 

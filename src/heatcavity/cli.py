@@ -88,6 +88,9 @@ class RunConfig:
         return SamplingSpec(self.nx, self.ny, self.s_slices, self.margin)
 
     def validate(self) -> None:
+        if self.out_dir.splitlines() != [self.out_dir]:
+            # empty, or broken over lines, which meta's config echo cannot hold
+            raise ConfigError(f"out_dir must be a path on one line, got {self.out_dir!r}")
         for name in ("M_omega", "M_cavity", "Nt", "nx", "ny"):
             if getattr(self, name) < 8:
                 raise ConfigError(f"{name} must be >= 8, got {getattr(self, name)}")
@@ -364,8 +367,7 @@ def _spectral_data(cfg: RunConfig, omega, timings: dict, vectors: bool = True):
     with timed(timings, "read"):
         op = _load_operator(cfg, omega)
     with timed(timings, "symmetrize"):
-        defect = ndmap.symmetry_defect(op)
-        S = ndmap.symmetrize(op)
+        S, defect = ndmap.symmetrize(op)
         gram = op.gram_domain
         del op  # eigh runs without N in memory
     eigh_timings: dict[str, float] = {}

@@ -142,8 +142,8 @@ class RetardedBlocks:
     single: np.ndarray   # (Nt, Mt, Mt)
     adjoint: np.ndarray  # (Nt, Mt, Mt)
     _inverse: np.ndarray | None = field(default=None, repr=False)
-    # trace_at_times single-layer stacks for off-grid probe times, keyed by
-    # s; read-only, and a racing thread can only store an identical stack
+    # trace_at_times single-layer stacks for off-grid probe times: one
+    # read-only stack per s, built once and shared by every probe chunk
     _probe_blocks: dict = field(default_factory=dict, repr=False)
 
     @property

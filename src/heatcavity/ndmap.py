@@ -288,9 +288,8 @@ def apply_FL(setup: ProblemSetup, phi: BoundaryField) -> BoundaryField:
     return BoundaryField(setup.cavity, setup.grid, resp)
 
 
-#: Side of the square tiles that symmetrize, symmetry_defect and the
-#: in-place eigensolver walk: an n x n pass then needs a few TILE x TILE
-#: temporaries, not n x n ones.
+#: Side of the square tiles that symmetrize and the in-place eigensolver
+#: walk: an n x n pass then needs a few TILE x TILE temporaries, not n x n ones.
 TILE = 256
 
 
@@ -303,50 +302,36 @@ def _tile_pairs(n: int):
             yield rows, cols
 
 
-def _scaled_tile_pairs(N_op: SpaceTimeOperator):
-    """Yield (I, J, b_IJ, b_JI) over the tile pairs of b = G^{1/2} N G^{-1/2},
-    each tile scaled by its own ratio sqrt(g_I) / sqrt(g_J)."""
+def symmetrize(N_op: SpaceTimeOperator) -> tuple[np.ndarray, float]:
+    """Exactly symmetric S = G^{1/2} Ntilde G^{-1/2}, similar to the symmetrized
+    N, and N's symmetry defect ||N - N'|| / ||N|| in the Gram norm.
+
+    Ntilde = (N + N')/2 with N' the Gram-weighted transpose (the
+    coefficient-space Riesz maps are taken as the identity); S has its
+    spectrum in the weighted inner product, and Ntilde is never formed.
+    With b = G^{1/2} N G^{-1/2}, S = (b + b.T)/2 and the defect is
+    ||b - b.T||_F / ||b||_F, twice the relative size of the part N - Ntilde
+    that S discards, 0 for a zero operator.  One walk over the tile pairs
+    of b fills S and sums the defect: S is the only n x n array made.
+    """
     mat = N_op.matrix
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("symmetrization needs a square operator")
     sqrt_g = np.sqrt(N_op.gram_domain)
+    S = np.empty(mat.shape)
+    skew2 = norm2 = 0.0
     for rows, cols in _tile_pairs(len(sqrt_g)):
         b_rc = mat[rows, cols] * (sqrt_g[rows, None] / sqrt_g[None, cols])
         b_cr = mat[cols, rows] * (sqrt_g[cols, None] / sqrt_g[None, rows])
-        yield rows, cols, b_rc, b_cr
-
-
-def symmetrize(N_op: SpaceTimeOperator) -> np.ndarray:
-    """Exactly symmetric S = G^{1/2} Ntilde G^{-1/2}, similar to the symmetrized N.
-
-    Ntilde = (N + N')/2 with N' the Gram-weighted transpose (the
-    coefficient-space Riesz maps are taken as the identity).  S is exactly
-    symmetric and has the spectrum of Ntilde in the weighted inner product;
-    Ntilde itself is never formed.  S = (b + b.T)/2 with b = G^{1/2} N G^{-1/2}
-    is filled a tile pair at a time, so S is the only n x n array made.
-    """
-    S = np.empty(N_op.matrix.shape)
-    for rows, cols, b_rc, b_cr in _scaled_tile_pairs(N_op):
         S[rows, cols] = 0.5 * (b_rc + b_cr.T)
         if rows != cols:
             S[cols, rows] = S[rows, cols].T
-    return S
-
-
-def symmetry_defect(N_op: SpaceTimeOperator) -> float:
-    """||b - b.T||_F / ||b||_F with b = G^{1/2} N G^{-1/2}, a tile pair at a time.
-
-    This is ||N - N'|| / ||N|| in the Gram norm, twice the relative size of
-    the part N - Ntilde that symmetrize discards; 0 for a zero operator.
-    """
-    skew2 = norm2 = 0.0
-    for rows, cols, b_rc, b_cr in _scaled_tile_pairs(N_op):
         # on the diagonal b_cr is b_rc, and the pair is counted once
         weight = 1.0 if rows == cols else 2.0
         d = b_rc - b_cr.T
         skew2 += weight * np.vdot(d, d)
         norm2 += 0.5 * weight * (np.vdot(b_rc, b_rc) + np.vdot(b_cr, b_cr))
-    return float(np.sqrt(skew2 / norm2)) if norm2 > 0 else 0.0
+    return S, float(np.sqrt(skew2 / norm2)) if norm2 > 0 else 0.0
 
 
 def add_noise(op: SpaceTimeOperator, spec: NoiseSpec) -> SpaceTimeOperator:

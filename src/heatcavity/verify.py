@@ -110,13 +110,14 @@ class VerifyContext:
     @cached_property
     def benchmark_spectrum(self) -> tuple[recon.EigenSystem, float]:
         """The eigensystem of S at DOUBLED_RESOLUTION, and ||S - S.T|| / ||S||
-        measured on that S before its buffer becomes the eigenvectors."""
+        measured on that S, a tile pair at a time, before its buffer becomes
+        the eigenvectors."""
         N = self.modified_operator(DOUBLED_RESOLUTION)
-        S, gram = ndmap.symmetrize(N), N.gram_domain
+        S, gram = ndmap.symmetrize(N)[0], N.gram_domain
         # eigh runs on S and its workspace alone: N leaves the cache (a
         # later call composes it again) and S's buffer becomes the vectors
         del self._N[tuple(DOUBLED_RESOLUTION)], N
-        sym_rel = float(np.linalg.norm(S - S.T) / np.linalg.norm(S))
+        sym_rel = float(recon._skew_norm(S) / np.linalg.norm(S))
         return recon.eigendecompose(S, gram, 1e-8), sym_rel
 
     @property

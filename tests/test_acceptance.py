@@ -138,7 +138,7 @@ def test_criterion_7_noise_robustness(verify_ctx, benchmark_reconstruction):
     noisy = ndmap.add_noise(
         verify_ctx.modified_operator(verify.DOUBLED_RESOLUTION), NoiseSpec(1e-3, 1)
     )
-    S = ndmap.symmetrize(noisy)
+    S, _ = ndmap.symmetrize(noisy)
     eig = recon.eigendecompose(S, noisy.gram_domain, 1e-3)
     noisy_grid = recon.reconstruct(
         eig,

@@ -509,6 +509,28 @@ class TestHandOff:
         assert np.array_equal(op.gram_domain, hio.read_gram(out / "N.gram"))
 
 
+class TestSpectralData:
+    def test_one_walk_per_tile_pass(self, pipeline, monkeypatch):
+        # symmetrize fills S and sums N's defect in one walk; the eigensolve
+        # checks S's symmetry and transposes it in place
+        from heatcavity import ndmap
+
+        if recon._lapack() is None:
+            pytest.skip("numpy's LAPACK exports no 64-bit dsyevd stages")
+        walks = []
+        real = ndmap._tile_pairs
+
+        def spy(n):
+            walks.append(sys._getframe(1).f_code.co_name)
+            return real(n)
+
+        monkeypatch.setattr(ndmap, "_tile_pairs", spy)
+        monkeypatch.setattr(recon, "_tile_pairs", spy)
+        cfg = load_config(pipeline["cfg_path"], {"out": str(pipeline["out"])})
+        cli._spectral_data(cfg, make_curve(cfg.omega, cfg.M_omega), {})
+        assert walks == ["symmetrize", "_skew_norm", "_transpose_in_place"]
+
+
 class TestDeterminism:
     def test_outputs_independent_of_out_dir_and_rerun(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
@@ -586,6 +608,24 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not list(tmp_path.rglob("*.stop1"))
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "spectrum", "verify"])
+    @pytest.mark.parametrize(
+        "out, line",
+        [("", ""), (None, "out_dir=\n"), ("nl\nx", "")],
+        ids=["empty", "empty_key", "newline"],
+    )
+    def test_bad_out_dir_exits_1_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, out, line
+    ):
+        # a relative write lands in tmp_path, where the last assert sees it
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--config", write_cfg(tmp_path, SMALL_CFG + line)]
+        assert cli.main(argv + ([] if out is None else ["--out", out])) == 1
+        assert capsys.readouterr().err == (
+            f"config error: out_dir must be a path on one line, got {out or ''!r}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_missing_config_exits_1(self, capsys):
         assert cli.main(["simulate", "--config", "/no/such/file.cfg"]) == 1

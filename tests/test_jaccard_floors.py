@@ -45,7 +45,8 @@ def test_jaccard_meets_recorded_floor(name):
     cfg = cli.parse_config(text)
     setup = cli._build_problem(cfg)
     op = ndmap.compose_N(setup.omega, setup.grid, *ndmap.n_responses(setup))
-    eig = recon.eigendecompose(ndmap.symmetrize(op), op.gram_domain, cfg.effective_tau)
+    S, _ = ndmap.symmetrize(op)
+    eig = recon.eigendecompose(S, op.gram_domain, cfg.effective_tau)
     del op
     grid = recon.reconstruct(
         eig, setup.omega, setup.grid, cfg.sampling, cfg.threshold,

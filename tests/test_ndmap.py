@@ -24,7 +24,6 @@ from heatcavity.ndmap import (
     gram_weights,
     lprime_from_duality,
     symmetrize,
-    symmetry_defect,
     time_reversal,
 )
 from heatcavity.verify import _smooth_field
@@ -378,6 +377,27 @@ def weighted_symmetrization(N: SpaceTimeOperator) -> np.ndarray:
     return 0.5 * (N.matrix + N.matrix.T * g[None, :] / g[:, None])
 
 
+def random_operator(n: int, seed: int) -> SpaceTimeOperator:
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.1, 2.0, n)
+    return SpaceTimeOperator(rng.standard_normal((n, n)), g, g)
+
+
+def separate_defect_walk(N_op: SpaceTimeOperator) -> float:
+    """||b - b.T||_F / ||b||_F with b = G^{1/2} N G^{-1/2}, summed over the
+    tile pairs in its own walk, apart from the one that fills S."""
+    mat, sqrt_g = N_op.matrix, np.sqrt(N_op.gram_domain)
+    skew2 = norm2 = 0.0
+    for rows, cols in ndmap._tile_pairs(len(sqrt_g)):
+        b_rc = mat[rows, cols] * (sqrt_g[rows, None] / sqrt_g[None, cols])
+        b_cr = mat[cols, rows] * (sqrt_g[cols, None] / sqrt_g[None, rows])
+        weight = 1.0 if rows == cols else 2.0
+        d = b_rc - b_cr.T
+        skew2 += weight * np.vdot(d, d)
+        norm2 += 0.5 * weight * (np.vdot(b_rc, b_rc) + np.vdot(b_cr, b_cr))
+    return float(np.sqrt(skew2 / norm2)) if norm2 > 0 else 0.0
+
+
 class TestSymmetrize:
     def test_already_symmetric_unchanged(self, small_setup):
         n = 16 * 8
@@ -390,19 +410,19 @@ class TestSymmetrize:
         op = SpaceTimeOperator(mat, g, g)
         ntilde = weighted_symmetrization(op)
         assert np.linalg.norm(ntilde - mat) <= 1e-14 * np.linalg.norm(mat)
-        S = symmetrize(op)
+        S, defect = symmetrize(op)
         assert np.linalg.norm(S - sym) <= 1e-13 * np.linalg.norm(sym)
-        assert symmetry_defect(op) <= 1e-15
+        assert defect <= 1e-15
 
     def test_S_exactly_symmetric(self, small_ops):
-        S = symmetrize(small_ops["N"])
+        S, _ = symmetrize(small_ops["N"])
         assert np.linalg.norm(S - S.T) <= 1e-12 * np.linalg.norm(S)
 
     def test_S_bits_are_the_scaled_symmetric_part(self, small_ops):
         N = small_ops["N"]
         sqrt_g = np.sqrt(N.gram_domain)
         b = N.matrix * (sqrt_g[:, None] / sqrt_g[None, :])
-        assert np.array_equal(symmetrize(N), 0.5 * (b + b.T))
+        assert np.array_equal(symmetrize(N)[0], 0.5 * (b + b.T))
 
     @pytest.mark.parametrize("n", [1, 7, ndmap.TILE, ndmap.TILE + 37, 2 * ndmap.TILE + 3])
     def test_tiled_bits_match_dense_formula(self, n):
@@ -417,9 +437,10 @@ class TestSymmetrize:
         b = mat * (sqrt_g[:, None] / sqrt_g[None, :])
         want = 0.5 * (b + b.T)
         op = SpaceTimeOperator(mat, g, g)
-        assert symmetrize(op).tobytes() == want.tobytes()
+        S, defect = symmetrize(op)
+        assert S.tobytes() == want.tobytes()
         dense = np.linalg.norm(b - b.T) / np.linalg.norm(b) if n > 1 else 0.0
-        assert symmetry_defect(op) == pytest.approx(dense, rel=1e-12, abs=0.0)
+        assert defect == pytest.approx(dense, rel=1e-12, abs=0.0)
 
     def test_defect_is_relative_gram_asymmetry_of_N(self, small_ops):
         N = small_ops["N"]
@@ -428,7 +449,7 @@ class TestSymmetrize:
         g = N.gram_domain
         # ||A||_G = ||G^{1/2} A G^{-1/2}||_F
         gnorm = lambda a: np.linalg.norm(a * (np.sqrt(g)[:, None] / np.sqrt(g)[None, :]))
-        defect = symmetry_defect(N)
+        _, defect = symmetrize(N)
         assert defect == pytest.approx(2.0 * gnorm(skew) / gnorm(N.matrix), rel=1e-10)
         assert 0.0 < defect < 2.0
 
@@ -437,7 +458,7 @@ class TestSymmetrize:
 
         N = small_ops["N"]
         g = N.gram_domain
-        eig = eigendecompose(symmetrize(N), g, 1e-8)
+        eig = eigendecompose(symmetrize(N)[0], g, 1e-8)
         # oracle: the W-eigenproblem (G Ntilde) x = lambda G x, symmetric
         # because Ntilde is W-selfadjoint
         a = np.diag(g) @ weighted_symmetrization(N)
@@ -448,8 +469,23 @@ class TestSymmetrize:
     def test_non_square_rejected(self, small_ops):
         with pytest.raises(ValueError):
             symmetrize(small_ops["L"])
-        with pytest.raises(ValueError):
-            symmetry_defect(small_ops["L"])
+
+    @pytest.mark.parametrize("case", ["small", "kite", "noisy", "zero", "ragged"])
+    def test_defect_bits_match_a_separate_walk(self, case, small_ops, kite_setup):
+        ops = {
+            "small": lambda: small_ops["N"],
+            "kite": lambda: assemble_N(kite_setup),
+            "noisy": lambda: add_noise(small_ops["N"], NoiseSpec(0.05, 4)),
+            "zero": lambda: assemble_N(
+                ProblemSetup.build(kite_setup.omega, None, kite_setup.grid)
+            ),
+            # three tile rows with a ragged edge: the pair sums cross tiles
+            "ragged": lambda: random_operator(2 * ndmap.TILE + 37, 5),
+        }
+        op = ops[case]()
+        _, defect = symmetrize(op)
+        assert defect == separate_defect_walk(op)
+        assert (defect == 0.0) == (case == "zero")
 
 
 class TestNoise:

@@ -377,7 +377,7 @@ def tiny_pipeline(small_setup):
     from heatcavity.ndmap import assemble_N
 
     N = assemble_N(small_setup)
-    eig = eigendecompose(symmetrize(N), N.gram_domain, 1e-8)
+    eig = eigendecompose(symmetrize(N)[0], N.gram_domain, 1e-8)
     return small_setup, eig
 
 
