@@ -474,7 +474,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    from . import verify  # its oracles need scipy; no other command loads it
+    from . import verify  # its checks and oracles; no other command loads them
 
     ctx = verify.VerifyContext()
     reports = []

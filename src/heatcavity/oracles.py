@@ -3,7 +3,11 @@
 Both oracles target the unit-disk conductor and share nothing with the
 boundary-integral code paths: one is a 1D radial Crank-Nicolson finite
 difference scheme, the other a Bessel/Fourier eigenfunction series for the
-disk's Neumann Green function.
+disk's Neumann Green function.  The radial scheme solves its tridiagonal
+steps with numpy's own LAPACK, bound in recon, or with scipy's wrappers of
+the same routines where numpy's library does not export them; the Green
+series imports scipy.special when called.  Importing this module loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.special import jn, jnp_zeros
+
+from . import recon
 
 
 def radial_disk_trace(
@@ -26,13 +30,21 @@ def radial_disk_trace(
 
     Crank-Nicolson in time on the radial heat equation
     u_t = u_rr + u_r / r with u_r(R) = flux, u_r(0) = 0 (symmetry), u(.,0)=0;
-    returns u(R, t) linearly interpolated to the requested times.
+    returns u(R, t) linearly interpolated to the requested times.  Raises
+    ValueError, naming the argument, for empty times, a dr or dt that is
+    not positive, or a dr that does not divide radius.
     """
     times = np.asarray(times, dtype=float)
-    n = int(round(radius / dr))
+    if times.size == 0:
+        raise ValueError("times is empty")
+    if not (dr > 0 and dt > 0):
+        raise ValueError(f"dr and dt must be positive, got dr={dr}, dt={dt}")
+    steps = np.rint(radius / dr)
+    if not (steps >= 1 and abs(radius / dr - steps) <= 1e-9):  # nan too
+        raise ValueError(f"dr={dr} does not divide radius={radius} into whole steps")
+    n = int(steps)
     r = np.linspace(0.0, radius, n + 1)
     nsteps = int(np.ceil(times.max() / dt))
-    u = np.zeros(n + 1)
 
     # second-order operator A u := u_rr + u_r / r with one-sided closures:
     # at r=0, u_rr + u_r/r -> 2 u_rr by symmetry; at r=R a ghost node
@@ -54,23 +66,44 @@ def radial_disk_trace(
     # (I - dt/2 A) u+ = (I + dt/2 A) u + dt forcing; the constant
     # tridiagonal left side is LU-factored once, by the same elimination a
     # tridiagonal solve repeats every step, so the steps keep their bits
-    factors = dgttrf(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1])
-    if factors[-1] != 0:
-        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-
-    out_t = np.arange(nsteps + 1) * dt
-    trace = np.zeros(nsteps + 1)
+    dl, d, du = -0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1]
+    forcing = dt * bflux * (np.arange(n + 1) == n)
     half = 0.5 * dt
+    trace = np.zeros(nsteps + 1)
+    # u is the right-hand side of each step and, solved in place, its result
+    u, au, term = np.zeros(n + 1), np.empty(n + 1), np.empty(n - 1)
+    lapack = recon._lapack()
+    if lapack is None:
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        *factors, info = dgttrf(dl, d, du)
+        if info != 0:
+            raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+
+        def solve():
+            u[:] = dgttrs(*factors, u)[0]
+
+    else:
+        du2, ipiv = np.empty(n - 1), np.empty(n + 1, dtype=np.int64)
+        try:
+            recon._call(lapack, "gttrf", n + 1, dl, d, du, du2, ipiv)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError("singular Crank-Nicolson matrix") from None
+        solve = recon._bind(lapack, "gttrs", b"N", n + 1, 1, dl, d, du, du2, ipiv, u, n + 1)
+
     for step in range(nsteps):
-        rhs = u + half * (
-            np.concatenate(([diag[0] * u[0] + upper[0] * u[1]],
-                            lower[1:n] * u[0:n - 1] + diag[1:n] * u[1:n] + upper[1:n] * u[2:],
-                            [lower[n] * u[n - 1] + diag[n] * u[n]]))
-        )
-        rhs += dt * bflux * (np.arange(n + 1) == n)
-        u, _ = dgttrs(*factors[:-1], rhs)
+        # u + dt/2 A u + forcing, each sum in the order of the formula
+        np.multiply(lower[1:n], u[0 : n - 1], out=au[1:n])
+        au[1:n] += np.multiply(diag[1:n], u[1:n], out=term)
+        au[1:n] += np.multiply(upper[1:n], u[2:], out=term)
+        au[0] = diag[0] * u[0] + upper[0] * u[1]
+        au[n] = lower[n] * u[n - 1] + diag[n] * u[n]
+        au *= half
+        u += au
+        u += forcing
+        solve()
         trace[step + 1] = u[n]
-    return np.interp(times, out_t, trace)
+    return np.interp(times, np.arange(nsteps + 1) * dt, trace)
 
 
 @lru_cache(maxsize=8)
@@ -81,6 +114,8 @@ def _neumann_modes(n_ang: int, n_rad: int):
     J_m'(alpha) = 0; squared norms are pi (1 - m^2/alpha^2) J_m(alpha)^2
     (doubled for m = 0).
     """
+    from scipy.special import jn, jnp_zeros
+
     alphas, norms, orders = [], [], []
     for m in range(n_ang + 1):
         roots = jnp_zeros(m, n_rad)
@@ -111,6 +146,8 @@ def disk_green(
     / ||phi_k||^2 with n_modes angular and radial modes each.  Accurate for
     t not too small (the series needs e^{-alpha^2 t} decay).
     """
+    from scipy.special import jn
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -50,12 +50,14 @@ class EigenSystem:
     coefficient vector per retained pair, column by column: an (n, retained)
     C-contiguous array that eigendecompose builds in the buffer of the S it
     was given, or None when it was asked for eigenvalues alone.
+    symmetry_rel is ||S - S.T||_F / ||S||_F of that S (0.0 for a zero S).
     """
 
     lambdas: np.ndarray
     vectors: np.ndarray | None
     retained: int
     gram: np.ndarray
+    symmetry_rel: float = 0.0
 
     @property
     def retained_lambdas(self) -> np.ndarray:
@@ -104,11 +106,19 @@ class IndicatorGrid:
         return len(self.points)
 
 
-#: The LAPACK routines eigendecompose calls: dsyevd, for its workspace
-#: query, and the three stages dsyevd runs.  Each takes its character
-#: arguments first (their hidden lengths come last), then the given number
-#: of by-reference arguments, INFO last.
-_LAPACK_ARGS = {"syevd": (2, 9), "sytrd": (1, 9), "stedc": (1, 10), "ormtr": (3, 10)}
+#: The LAPACK routines heatcavity calls: dsyevd, for its workspace query,
+#: and the three stages dsyevd runs, for eigendecompose; dgttrf and dgttrs,
+#: the tridiagonal factorization and solve, for the radial oracle.  Each
+#: takes its character arguments first (their hidden lengths come last),
+#: then the given number of by-reference arguments, INFO last.
+_LAPACK_ARGS = {
+    "syevd": (2, 9),
+    "sytrd": (1, 9),
+    "stedc": (1, 10),
+    "ormtr": (3, 10),
+    "gttrf": (0, 7),
+    "gttrs": (1, 10),
+}
 
 
 @functools.cache
@@ -139,10 +149,11 @@ def eigh_route() -> str:
     return "numpy" if _lapack() is None else "lapack-inplace"
 
 
-def _call(lapack: dict, name: str, *args) -> None:
-    """Call LAPACK's d<name>: bytes go as characters, arrays by address and
-    ints by reference as 64-bit integers.  A nonzero INFO raises
-    np.linalg.LinAlgError."""
+def _bind(lapack: dict, name: str, *args):
+    """A function of no arguments that calls LAPACK's d<name> on args, which
+    are converted once: bytes go as characters, arrays by address and ints
+    by reference as 64-bit integers.  The arrays must outlive the function.
+    A nonzero INFO raises np.linalg.LinAlgError."""
     info = ctypes.c_int64(0)
     refs = [
         a if isinstance(a, bytes)
@@ -150,10 +161,20 @@ def _call(lapack: dict, name: str, *args) -> None:
         else ctypes.byref(ctypes.c_int64(a))
         for a in args
     ]  # fmt: skip
-    chars = _LAPACK_ARGS[name][0]
-    lapack[name](*refs, ctypes.byref(info), *[1] * chars)
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"LAPACK d{name} failed with info={info.value}")
+    fn = lapack[name]
+    refs += [ctypes.byref(info)] + [1] * _LAPACK_ARGS[name][0]
+
+    def call() -> None:
+        fn(*refs)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"LAPACK d{name} failed with info={info.value}")
+
+    return call
+
+
+def _call(lapack: dict, name: str, *args) -> None:
+    """Call LAPACK's d<name> once, with arguments as _bind takes them."""
+    _bind(lapack, name, *args)()
 
 
 def _transpose_in_place(a: np.ndarray) -> None:
@@ -240,7 +261,8 @@ def eigendecompose(
     the stages: ``tridiagonal`` (the reduction to tridiagonal form),
     ``values`` (the tridiagonal eigensolve) and ``vectors`` (the back-
     transform and scaling of the retained vectors); np.linalg.eigh is
-    timed as ``values``.
+    timed as ``values``.  The symmetry check's ratio ||S - S.T|| / ||S||
+    is returned as EigenSystem.symmetry_rel.
     """
     S = np.require(S, dtype=np.float64, requirements=["C", "A", "W"])
     gram = np.asarray(gram, dtype=float)
@@ -250,8 +272,10 @@ def eigendecompose(
     norm = np.linalg.norm(S)
     if not np.isfinite(norm):
         raise ValueError("S has a non-finite norm: nan or inf entries")
-    if norm > 0 and _skew_norm(S) > 1e-10 * norm:
+    skew = _skew_norm(S) if norm > 0 else 0.0
+    if skew > 1e-10 * norm:
         raise ValueError("S is not symmetric to the required tolerance")
+    symmetry_rel = float(skew / norm) if norm > 0 else 0.0
     if not 0.0 < tau < 1.0:
         raise ValueError(f"cutoff ratio must be in (0, 1), got {tau}")
     n = S.shape[0]
@@ -270,12 +294,12 @@ def eigendecompose(
         raise ValueError("operator not positive — check symmetrization/noise level")
     retained = int(np.sum((lam >= tau * lam[0]) & (lam > 0)))
     if not vectors:
-        return EigenSystem(lam, None, retained, gram)
+        return EigenSystem(lam, None, retained, gram, symmetry_rel)
     with timed(timings, "vectors"):
         # in S's buffer, with no temporary: the workspace is still held
         psi = S.reshape(-1)[: n * retained].reshape(n, retained)
         np.divide(ascending(retained)[::-1].T, np.sqrt(gram)[:, None], out=psi)
-    return EigenSystem(lam, psi, retained, gram)
+    return EigenSystem(lam, psi, retained, gram, symmetry_rel)
 
 
 def _normalized_probe_matrix(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:

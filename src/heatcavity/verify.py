@@ -108,21 +108,15 @@ class VerifyContext:
         return self._N[key]
 
     @cached_property
-    def benchmark_spectrum(self) -> tuple[recon.EigenSystem, float]:
-        """The eigensystem of S at DOUBLED_RESOLUTION, and ||S - S.T|| / ||S||
-        measured on that S, a tile pair at a time, before its buffer becomes
-        the eigenvectors."""
+    def benchmark_eigensystem(self) -> recon.EigenSystem:
+        """The eigensystem of S at DOUBLED_RESOLUTION; its symmetry_rel is
+        ||S - S.T|| / ||S||, measured by eigendecompose's own check."""
         N = self.modified_operator(DOUBLED_RESOLUTION)
         S, gram = ndmap.symmetrize(N)[0], N.gram_domain
         # eigh runs on S and its workspace alone: N leaves the cache (a
         # later call composes it again) and S's buffer becomes the vectors
         del self._N[tuple(DOUBLED_RESOLUTION)], N
-        sym_rel = float(recon._skew_norm(S) / np.linalg.norm(S))
-        return recon.eigendecompose(S, gram, 1e-8), sym_rel
-
-    @property
-    def benchmark_eigensystem(self) -> recon.EigenSystem:
-        return self.benchmark_spectrum[0]
+        return recon.eigendecompose(S, gram, 1e-8)
 
 
 def check_forward_convergence(ctx: VerifyContext | None = None) -> CheckReport:
@@ -298,7 +292,8 @@ def _energy_identity(st: ndmap.ProblemSetup, phi: BoundaryField) -> float:
     v is represented piecewise: outside the cavity v = w - u0 (cavity-
     problem field minus cavity-free field), inside v = -u0; both fields
     are layer potentials, so values and gradients come from their
-    densities.  Assumes the concentric circle benchmark geometry.
+    densities.  Outside, both read one kernel stack per chunk and time
+    shift.  Assumes the concentric circle benchmark geometry.
     """
     grid = st.grid
     rho0 = forward.solve_neumann(st.omega_system, phi.values)
@@ -313,16 +308,57 @@ def _energy_identity(st: ndmap.ProblemSetup, phi: BoundaryField) -> float:
     total_G = 0.0
     for r0, r1, inside in ((0.0, r_cav, True), (r_cav, r_out, False)):
         pts, areas = _polar_cells(r0, r1)
+        # the chunk size fixes the row counts of the BLAS products, and so
+        # the bits of the gradients
         for lo in range(0, len(pts), 512):
             p, a = pts[lo : lo + 512], areas[lo : lo + 512]
-            vT = -forward.potential_at(rho0, p, tT)[:, 0]
-            gv = -forward.gradient_at(rho0, p, grid.times)
-            if not inside:
-                vT += forward.potential_at(rhow, p, tT)[:, 0]
-                gv += forward.gradient_at(rhow, p, grid.times)
+            if inside:
+                vT = -forward.potential_at(rho0, p, tT)[:, 0]
+                gv = -forward.gradient_at(rho0, p, grid.times)
+            else:
+                pair = (rho0, rhow)
+                u0, w = _shared_stack_fields(st.cavity_system, pair, p, tT, gradient=False)
+                vT = w[:, 0] - u0[:, 0]
+                u0, w = _shared_stack_fields(st.cavity_system, pair, p, grid.times, gradient=True)
+                gv = w - u0
             total_T += 0.5 * float(np.sum(vT**2 * a))
             total_G += float(np.sum((gv**2).sum(axis=1) * a[:, None]) * grid.dt)
     return -total_T - total_G
+
+
+def _shared_stack_fields(region, densities, points, times, gradient: bool) -> list:
+    """forward.potential_at (P, K), or with gradient forward.gradient_at
+    (P, 2, K), of each density at points and times, with the bits those
+    give, from one off-curve stack of region per time shift.
+
+    A density reads the stack's leading columns, so its region's nodes and
+    weights must be region's leading ones (say the conductor system's in
+    the cavity system); else ValueError.
+    """
+    grid = region.grid
+    for density in densities:
+        own = density.region
+        m = own.M_total
+        if not (
+            own.grid == grid
+            and np.array_equal(own.nodes, region.nodes[:m])
+            and np.array_equal(own.weights, region.weights[:m])
+        ):
+            raise ValueError("a density's nodes and weights are not the stack region's leading ones")
+    k = np.clip(np.searchsorted(grid.edges, times) - 1, 0, grid.Nt - 1)
+    theta = (times - grid.times[k]) / grid.dt
+    axes = np.eye(2)[:, None, :] if gradient else None
+    outs = [np.zeros(((2 if gradient else 1) * len(points), times.size)) for _ in densities]
+    for th in np.unique(theta):
+        cols = theta == th
+        stack = forward._off_curve_blocks(region, points, axes, float(th))
+        stack = stack.reshape(grid.Nt, -1, region.M_total)
+        for out, density in zip(outs, densities):
+            rows = forward._convolve(stack[:, :, : density.region.M_total], density.values)
+            out[:, cols] = rows[:, k[cols]]
+    if gradient:
+        return [np.moveaxis(out.reshape(2, -1, times.size), 0, 1) for out in outs]
+    return outs
 
 
 def check_spectrum(ctx: VerifyContext | None = None) -> CheckReport:
@@ -332,7 +368,8 @@ def check_spectrum(ctx: VerifyContext | None = None) -> CheckReport:
     which the compactness of the underlying maps predicts to be fast.
     """
     ctx = ctx or VerifyContext()
-    eig, sym_rel = ctx.benchmark_spectrum
+    eig = ctx.benchmark_eigensystem
+    sym_rel = eig.symmetry_rel
     lam = eig.lambdas
     lam1 = float(lam[0])
     min_ratio = float(lam[-1] / lam1)

@@ -54,10 +54,11 @@ def pool_spy(monkeypatch):
 
 @pytest.fixture
 def failing_lapack(monkeypatch):
-    """``failing_lapack(name)`` stands in for one LAPACK routine that
-    eigendecompose calls (a key of recon._LAPACK_ARGS: dsyevd's workspace
-    query or one of its three stages) a C-callable stub that sets info=3,
-    as a solve that fails to converge does; the others stay numpy's."""
+    """``failing_lapack(name)`` stands in for one LAPACK routine of
+    recon._LAPACK_ARGS (dsyevd's workspace query or one of its three stages,
+    which eigendecompose calls, or the radial oracle's dgttrf or dgttrs) a
+    C-callable stub that sets info=3, as a solve that fails to converge
+    does; the others stay numpy's."""
     import ctypes
 
     from heatcavity import recon

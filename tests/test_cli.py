@@ -764,7 +764,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         shutil.copytree(pipeline["out"], out)
         args = ["reconstruct", "--config", pipeline["cfg_path"], "--out", str(out)]
-        for name in recon._LAPACK_ARGS:
+        for name in ("syevd", "sytrd", "stedc", "ormtr"):  # the eigensolve's routines
             failing_lapack(name)
             assert cli.main(args) == 2
             err = capsys.readouterr().err
@@ -925,9 +925,24 @@ from heatcavity import cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 seen = {"import": scipy_modules()}
-for command in ("simulate", "reconstruct"):
+for command in ("simulate", "reconstruct", "spectrum"):
     assert cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 seen["pipeline"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+    VERIFY_SCRIPT = """\
+import json, sys
+import numpy as np
+from heatcavity import oracles, verify
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = {"import": scipy_modules()}
+oracles.radial_disk_trace(np.array([0.05, 0.1]), dr=5e-3, dt=1e-3)
+seen["oracle"] = scipy_modules()
+st = verify.VerifyContext().setup((16, 12, 16))
+verify._energy_identity(st, verify._smooth_field(st.omega, st.grid, np.random.default_rng(3)))
+seen["energy"] = scipy_modules()
 print(json.dumps(seen))
 """
 
@@ -945,10 +960,18 @@ print(json.dumps(seen))
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
     def test_cli_simulate_and_reconstruct_load_no_scipy(self, tmp_path):
-        # SMALL_CFG is the acceptance gate's case.  scipy costs about half a
-        # second of start-up per command; only verify needs it
+        # SMALL_CFG is the acceptance gate's case.  Importing scipy.linalg
+        # costs 0.25-0.29 s of start-up per command
         seen = self.run(self.SCRIPT, write_cfg(tmp_path), str(tmp_path / "out"))
         assert seen == {"import": [], "pipeline": []}
+
+    def test_verify_oracle_and_energy_identity_load_no_scipy(self):
+        # the radial oracle steps through numpy's own dgttrf/dgttrs; scipy's
+        # wrappers are the fallback where numpy's library exports neither
+        if recon._lapack() is None:
+            pytest.skip("numpy's LAPACK exports no 64-bit dgttrf/dgttrs")
+        seen = self.run(self.VERIFY_SCRIPT)
+        assert seen == {"import": [], "oracle": [], "energy": []}
 
     def test_cli_import_loads_no_multiprocessing(self):
         # the fork pool is imported when a large STOP1 write first needs it, and

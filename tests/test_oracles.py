@@ -8,8 +8,10 @@ classical solutions before anything else relies on them.
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import jn_zeros
 
+from heatcavity import recon
 from heatcavity.kernels import gamma
 from heatcavity.oracles import disk_green, radial_disk_trace
 from heatcavity.verify import _polar_cells
@@ -91,6 +93,89 @@ class TestRadialOracleRuns:
         parts = np.split(union, np.cumsum([t.size for t in self.TIMES])[:-1])
         for times, part in zip(self.TIMES, parts):
             assert np.array_equal(part, radial_disk_trace(times, dr=5e-3))
+
+
+def radial_trace_scipy_steps(times, dr, dt):
+    """The radial Crank-Nicolson trace as scipy's dgttrf once and dgttrs per
+    step, each right-hand side a new array."""
+    n = int(round(1.0 / dr))
+    r = np.linspace(0.0, 1.0, n + 1)
+    nsteps = int(np.ceil(times.max() / dt))
+    u = np.zeros(n + 1)
+    lower, diag, upper = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+    inv_dr2 = 1.0 / dr**2
+    diag[0], upper[0] = -4.0 * inv_dr2, 4.0 * inv_dr2
+    lower[1:n] = inv_dr2 - 1.0 / (2 * dr * r[1:n])
+    diag[1:n] = -2.0 * inv_dr2
+    upper[1:n] = inv_dr2 + 1.0 / (2 * dr * r[1:n])
+    lower[n], diag[n] = 2.0 * inv_dr2, -2.0 * inv_dr2
+    bflux = 2.0 * inv_dr2 * dr + 1.0
+    factors = dgttrf(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1])
+    assert factors[-1] == 0
+    trace = np.zeros(nsteps + 1)
+    half = 0.5 * dt
+    for step in range(nsteps):
+        rhs = u + half * (
+            np.concatenate(([diag[0] * u[0] + upper[0] * u[1]],
+                            lower[1:n] * u[0:n - 1] + diag[1:n] * u[1:n] + upper[1:n] * u[2:],
+                            [lower[n] * u[n - 1] + diag[n] * u[n]]))
+        )
+        rhs += dt * bflux * (np.arange(n + 1) == n)
+        u, _ = dgttrs(*factors[:-1], rhs)
+        trace[step + 1] = u[n]
+    return np.interp(times, np.arange(nsteps + 1) * dt, trace)
+
+
+class TestRadialOracleRoutes:
+    """numpy's own dgttrf/dgttrs, bound once, against scipy's wrappers."""
+
+    TIMES = np.array([0.005, 0.01, 0.0125, 0.03, 0.05, 0.1])
+
+    @pytest.mark.parametrize("route", ["numpy", "scipy"])
+    def test_steps_keep_the_scipy_bits(self, route, monkeypatch):
+        if route == "scipy":
+            monkeypatch.setattr(recon, "_lapack", lambda: None)
+        elif recon._lapack() is None:
+            pytest.skip("numpy's LAPACK exports no 64-bit dgttrf/dgttrs")
+        got = radial_disk_trace(self.TIMES, dr=5e-3, dt=2e-4)
+        assert np.array_equal(got, radial_trace_scipy_steps(self.TIMES, dr=5e-3, dt=2e-4))
+
+    def test_lapack_failure_raises_linalg_error(self, failing_lapack):
+        failing_lapack("gttrf")
+        with pytest.raises(np.linalg.LinAlgError, match="singular Crank-Nicolson matrix"):
+            radial_disk_trace(self.TIMES, dr=5e-3)
+        failing_lapack("gttrs")
+        with pytest.raises(np.linalg.LinAlgError, match="dgttrs failed with info=3"):
+            radial_disk_trace(self.TIMES, dr=5e-3)
+
+
+class TestRadialOracleArguments:
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"dr": 0.3}, "dr=0.3"),
+            ({"dr": 0.0}, "dr"),
+            ({"dr": -1e-3}, "dr"),
+            ({"dr": float("nan")}, "dr"),
+            ({"dr": 2.0}, "dr=2.0"),
+            ({"dt": 0.0}, "dt"),
+            ({"dt": -1e-4}, "dt"),
+        ],
+    )
+    def test_bad_steps_are_refused(self, kwargs, name):
+        # dr=0.3 once built four nodes 1/3 apart with 0.3 in the coefficients
+        with pytest.raises(ValueError, match=name):
+            radial_disk_trace([0.01], **kwargs)
+
+    def test_empty_times_are_refused(self):
+        with pytest.raises(ValueError, match="times is empty"):
+            radial_disk_trace([])
+
+    def test_dividing_steps_are_accepted(self):
+        for dr in (1e-3, 2e-3, 5e-3, 0.25):
+            assert np.isfinite(radial_disk_trace([0.01], dr=dr, dt=1e-3)).all()
+        # 0.3 / 0.1 rounds to 2.9999999999999996: within the 1e-9 slack
+        assert np.isfinite(radial_disk_trace([0.01], radius=0.3, dr=0.1, dt=1e-3)).all()
 
 
 class TestDiskGreenOracle:

@@ -21,6 +21,10 @@ from heatcavity.recon import (
 
 UNIT_CIRCLE = CurveSpec("circle", (0.0, 0.0, 1.0))
 
+#: The LAPACK routines eigendecompose calls; recon._LAPACK_ARGS also binds
+#: the radial oracle's dgttrf and dgttrs.
+EIGH_ROUTINES = ("syevd", "sytrd", "stedc", "ormtr")
+
 
 def make_field(curve, grid, vec):
     return BoundaryField(curve, grid, np.asarray(vec, dtype=float).reshape(curve.M, grid.Nt))
@@ -170,7 +174,7 @@ class TestEigendecompose:
         assert eig.vectors.tobytes() == want_vec.tobytes()
 
     def test_lapack_failure_raises_linalg_error(self, failing_lapack):
-        for name in recon._LAPACK_ARGS:
+        for name in EIGH_ROUTINES:
             failing_lapack(name)
             with pytest.raises(np.linalg.LinAlgError, match=f"d{name} failed with info=3"):
                 eigendecompose(np.eye(3), np.ones(3), 1e-8)
@@ -205,6 +209,18 @@ class TestEigendecompose:
         stages = ["values", "vectors"] + (["tridiagonal"] if eigh_route != "numpy" else [])
         assert sorted(timings) == sorted(stages)
         assert all(t > 0.0 for t in timings.values())
+
+    @pytest.mark.parametrize("kind", ["random", "near_symmetric"])
+    def test_symmetry_ratio_is_the_checks_own(self, eigh_route, kind, monkeypatch):
+        # one walk of S - S.T serves the check and EigenSystem.symmetry_rel
+        s, gram = spectral_case(300, kind)
+        want = float(recon._skew_norm(s) / np.linalg.norm(s))
+        walks = []
+        real = recon._skew_norm
+        monkeypatch.setattr(recon, "_skew_norm", lambda a: walks.append(1) or real(a))
+        eig = eigendecompose(s, gram, 1e-8, vectors=False)
+        assert eig.symmetry_rel == want and len(walks) == 1
+        assert eigendecompose(np.eye(3), np.ones(3), 1e-8).symmetry_rel == 0.0
 
     def test_vectors_are_W_orthonormal(self, toy_eig):
         gm = toy_eig.gram

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heatcavity import forward, ndmap, verify
+from heatcavity import forward, ndmap, recon, verify
+from heatcavity.forward import TimeGrid
+from heatcavity.geometry import CurveSpec, make_curve
 
 
 class TestHelpers:
@@ -134,6 +136,76 @@ class TestMemory:
         assert peak <= 4.5 * n * n * 8
 
 
+def energy_identity_two_stacks(st, phi):
+    """_energy_identity with u0 and w each from their own kernel stacks, as
+    forward.potential_at and forward.gradient_at give them."""
+    grid = st.grid
+    rho0 = forward.solve_neumann(st.omega_system, phi.values)
+    flux = np.zeros((st.cavity_system.M_total, grid.Nt))
+    flux[st.cavity_system.component_slice(0)] = phi.values
+    rhow = forward.solve_neumann(st.cavity_system, flux)
+    tT = np.array([grid.T])
+    total_T = total_G = 0.0
+    for r0, r1, inside in ((0.0, 0.35, True), (0.35, 1.0, False)):
+        pts, areas = verify._polar_cells(r0, r1)
+        for lo in range(0, len(pts), 512):
+            p, a = pts[lo : lo + 512], areas[lo : lo + 512]
+            vT = -forward.potential_at(rho0, p, tT)[:, 0]
+            gv = -forward.gradient_at(rho0, p, grid.times)
+            if not inside:
+                vT += forward.potential_at(rhow, p, tT)[:, 0]
+                gv += forward.gradient_at(rhow, p, grid.times)
+            total_T += 0.5 * float(np.sum(vT**2 * a))
+            total_G += float(np.sum((gv**2).sum(axis=1) * a[:, None]) * grid.dt)
+    return -total_T - total_G
+
+
+class TestEnergyIdentity:
+    """Outside the cavity u0 and w read one kernel stack of the cavity system."""
+
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        st = verify.VerifyContext().setup((16, 12, 16))
+        return st, verify._smooth_field(st.omega, st.grid, np.random.default_rng(3))
+
+    def test_bits_match_two_stacks(self, coarse):
+        st, phi = coarse
+        assert verify._energy_identity(st, phi) == energy_identity_two_stacks(st, phi)
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_shared_stack_fields_are_potential_at_and_gradient_at(self, coarse, gradient):
+        st, phi = coarse
+        rho0 = forward.solve_neumann(st.omega_system, phi.values)
+        rhow = forward.solve_neumann(st.cavity_system, np.ones((st.cavity_system.M_total, 16)))
+        pts = verify._polar_cells(0.35, 1.0, 8)[0]
+        # on the grid (one time shift), at T, and off it (two more shifts)
+        times = np.concatenate([st.grid.times, [st.grid.T, 0.1, 0.3]])
+        field = forward.gradient_at if gradient else forward.potential_at
+        got = verify._shared_stack_fields(st.cavity_system, (rho0, rhow), pts, times, gradient)
+        assert np.array_equal(got[0], field(rho0, pts, times))
+        assert np.array_equal(got[1], field(rhow, pts, times))
+
+    def test_density_off_the_leading_nodes_is_refused(self, coarse):
+        st, phi = coarse
+        rhow = forward.solve_neumann(st.cavity_system, np.ones((st.cavity_system.M_total, 16)))
+        pts = verify._polar_cells(0.35, 1.0, 4)[0]
+        # the cavity system's density against the conductor system's stack
+        with pytest.raises(ValueError, match="leading"):
+            verify._shared_stack_fields(st.omega_system, (rhow,), pts, st.grid.times, False)
+        # a conductor of the same node count but another radius
+        moved = forward.assemble_blocks(
+            make_curve(CurveSpec("circle", (0.0, 0.0, 1.1)), 16), st.grid
+        )
+        rho = forward.solve_neumann(moved, phi.values)
+        with pytest.raises(ValueError, match="leading"):
+            verify._shared_stack_fields(st.cavity_system, (rho,), pts, st.grid.times, False)
+        # the same nodes on another time grid
+        other = forward.assemble_blocks(st.omega, TimeGrid(1.0, 16))
+        rho = forward.solve_neumann(other, phi.values)
+        with pytest.raises(ValueError, match="leading"):
+            verify._shared_stack_fields(st.cavity_system, (rho,), pts, st.grid.times, False)
+
+
 class TestChecksPass:
     """Each check's verdict on the clean build, with its headline numbers."""
 
@@ -190,6 +262,16 @@ class TestChecksPass:
         later = verify.VerifyContext()
         verify.check_probe_dichotomy(later)
         assert verify.check_spectrum(later).values == first
+
+    def test_spectrum_walks_S_once(self, coarse_verify, monkeypatch):
+        # symmetry_rel comes from eigendecompose's own check of S - S.T
+        ctx, _ = coarse_verify
+        walks = []
+        real = recon._skew_norm
+        monkeypatch.setattr(recon, "_skew_norm", lambda a: walks.append(1) or real(a))
+        rep = verify.check_spectrum(ctx)
+        assert len(walks) == 1
+        assert rep.values["symmetry_rel"] == ctx.benchmark_eigensystem.symmetry_rel
 
     def test_probe_dichotomy(self, check_reports):
         rep = check_reports(verify.check_probe_dichotomy)
