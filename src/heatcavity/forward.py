@@ -411,11 +411,14 @@ def _field_at(density: LayerDensity, points, times, gradient: bool) -> np.ndarra
     tau_k shifted by theta = (t - tau_k) / dt, exactly 0 on the grid: its
     value is column k of the lag convolution of off-curve blocks whose
     windows are shifted by theta.  One block stack serves each distinct theta.
+    A time before 0 gives 0; one that is not finite raises ValueError.
     """
     region = density.region
     grid = region.grid
     points = np.atleast_2d(np.asarray(points, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
     k = np.clip(np.searchsorted(grid.edges, times) - 1, 0, grid.Nt - 1)
     theta = (times - grid.times[k]) / grid.dt
     # the gradient's two axes as stacked "normals" share each endpoint's exp

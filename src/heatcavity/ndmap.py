@@ -11,8 +11,9 @@ problems are autonomous), so each one is determined by its impulse
 responses: M impulse solves, one per source node, all with flux
 concentrated in time cell 0, give a (M_tgt, Nt, M_src) stack whose lag-a
 slice is the map's block on the a-th causal diagonal: ProblemSetup.responses
-holds every map's stack.  The dense matrices expand those stacks; N is
-composed from the stacks of FL and Lhat (see compose_N).
+holds every map's stack.  The dense matrices expand those stacks, the
+apply_* maps convolve them with a field, and N is composed from the stacks
+of FL and Lhat (see compose_N).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .forward import (
     LayerDensity,
     RetardedBlocks,
     TimeGrid,
+    _convolve,
     _trace_values,
     assemble_blocks,
     gram_weights,
@@ -131,27 +133,14 @@ def _operator(
     return SpaceTimeOperator(matrix, gram_weights(domain, grid), gram_weights(codomain, grid))
 
 
-def _density(region: RetardedBlocks, source: int, values=None) -> LayerDensity:
-    """Density of the field driven by flux values (M_src, Nt[, R]) on region
-    component source and zero flux on the other component; without values,
-    of the impulse solves: one right-hand side per source node, flux 1 in
-    time cell 0."""
-    if values is None:
-        m = region.curves[source].M
-        values = np.zeros((m, region.grid.Nt, m))
-        values[np.arange(m), 0, np.arange(m)] = 1.0
-    flux = np.zeros((region.M_total,) + values.shape[1:])
-    flux[region.component_slice(source)] = values
+def _density(region: RetardedBlocks, source: int) -> LayerDensity:
+    """Density of the impulse solves on region component source: one
+    right-hand side per source node, flux 1 in time cell 0 there and zero
+    flux on the other component."""
+    m = region.curves[source].M
+    flux = np.zeros((region.M_total, region.grid.Nt, m))
+    flux[region.component_slice(source).start + np.arange(m), 0, np.arange(m)] = 1.0
     return solve_neumann(region, flux)
-
-
-def _response(
-    region: RetardedBlocks, source: int, values: np.ndarray, target: BoundaryCurve, normal=False
-) -> np.ndarray:
-    """Trace on target, or with normal minus its normal derivative, of the
-    field driven by flux values (M_src, Nt[, R]) on region component source."""
-    resp = _trace_values(_density(region, source, values), target, normal)
-    return -resp if normal else resp
 
 
 def _flux_map(
@@ -257,13 +246,15 @@ def time_reversal(field: BoundaryField) -> BoundaryField:
 
 def apply_L(setup: ProblemSetup, phi: BoundaryField) -> BoundaryField:
     """Virtual measurement: cavity-boundary trace of the phi-driven field."""
-    resp = _response(setup.require_cavity(), 0, phi.values, setup.cavity)
+    setup.require_cavity()
+    resp = _convolve(setup.responses["L"].transpose(1, 0, 2), phi.values)
     return BoundaryField(setup.cavity, setup.grid, resp)
 
 
 def apply_Lhat(setup: ProblemSetup, theta: BoundaryField) -> BoundaryField:
     """Back projection: outer trace of the field driven by cavity flux."""
-    resp = _response(setup.require_cavity(), 1, theta.values, setup.omega)
+    setup.require_cavity()
+    resp = _convolve(setup.responses["Lhat"].transpose(1, 0, 2), theta.values)
     return BoundaryField(setup.omega, setup.grid, resp)
 
 
@@ -284,7 +275,7 @@ def apply_Lprime(setup: ProblemSetup, theta: BoundaryField) -> BoundaryField:
 def apply_FL(setup: ProblemSetup, phi: BoundaryField) -> BoundaryField:
     """Transmission-composite applied to phi: -dnu u0 on the cavity boundary."""
     setup.require_cavity()
-    resp = _response(setup.omega_system, 0, phi.values, setup.cavity, normal=True)
+    resp = _convolve(setup.responses["FL"].transpose(1, 0, 2), phi.values)
     return BoundaryField(setup.cavity, setup.grid, resp)
 
 

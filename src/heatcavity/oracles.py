@@ -31,12 +31,15 @@ def radial_disk_trace(
     Crank-Nicolson in time on the radial heat equation
     u_t = u_rr + u_r / r with u_r(R) = flux, u_r(0) = 0 (symmetry), u(.,0)=0;
     returns u(R, t) linearly interpolated to the requested times.  Raises
-    ValueError, naming the argument, for empty times, a dr or dt that is
-    not positive, or a dr that does not divide radius.
+    ValueError, naming the argument, for empty times, a time that is not
+    finite, no positive time, a dr or dt that is not positive, or a dr that
+    does not divide radius.  Before t = 0 the trace is 0.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("times is empty")
+    if not (np.isfinite(times).all() and times.max() > 0):
+        raise ValueError(f"times must be finite with a positive maximum, got max {times.max()}")
     if not (dr > 0 and dt > 0):
         raise ValueError(f"dr and dt must be positive, got dr={dr}, dt={dt}")
     steps = np.rint(radius / dr)

@@ -156,9 +156,9 @@ def check_forward_convergence(ctx: VerifyContext | None = None) -> CheckReport:
 def check_duality(ctx: VerifyContext | None = None) -> CheckReport:
     """<theta, L phi>_W against <phi, L' theta>_W for seeded smooth pairs.
 
-    L is applied by a forward cavity-system solve driven on the outer
-    boundary; L' by the time-reversed solve driven on the cavity boundary
-    — independent solve sets meeting only in the claimed identity.
+    L is applied through the impulse responses of the outer-flux solve set;
+    L' through the time-reversed ones of the cavity-flux solve set —
+    independent solve sets meeting only in the claimed identity.
     """
     ctx = ctx or VerifyContext()
     medians = []
@@ -290,75 +290,36 @@ def _energy_identity(st: ndmap.ProblemSetup, phi: BoundaryField) -> float:
     """-(terminal + gradient) energy of the transmission field for phi.
 
     v is represented piecewise: outside the cavity v = w - u0 (cavity-
-    problem field minus cavity-free field), inside v = -u0; both fields
-    are layer potentials, so values and gradients come from their
-    densities.  Outside, both read one kernel stack per chunk and time
-    shift.  Assumes the concentric circle benchmark geometry.
+    problem field minus cavity-free field), inside v = -u0.  Both are layer
+    potentials: u0's conductor nodes are the cavity system's leading ones,
+    so w - u0 is w's density less u0's on those rows.  Assumes the
+    concentric circle benchmark geometry.
     """
     grid = st.grid
     rho0 = forward.solve_neumann(st.omega_system, phi.values)
+    rows = st.cavity_system.component_slice(0)
     flux = np.zeros((st.cavity_system.M_total, grid.Nt))
-    flux[st.cavity_system.component_slice(0)] = phi.values
-    rhow = forward.solve_neumann(st.cavity_system, flux)
+    flux[rows] = phi.values
+    outside = forward.solve_neumann(st.cavity_system, flux)
+    outside.values[rows] -= rho0.values
+    inside = forward.LayerDensity(st.omega_system, -rho0.values)
     r_cav = st.cavity.spec.params[2]
     r_out = st.omega.spec.params[2]
     tT = np.array([grid.T])
 
     total_T = 0.0
     total_G = 0.0
-    for r0, r1, inside in ((0.0, r_cav, True), (r_cav, r_out, False)):
+    for r0, r1, v in ((0.0, r_cav, inside), (r_cav, r_out, outside)):
         pts, areas = _polar_cells(r0, r1)
         # the chunk size fixes the row counts of the BLAS products, and so
         # the bits of the gradients
         for lo in range(0, len(pts), 512):
             p, a = pts[lo : lo + 512], areas[lo : lo + 512]
-            if inside:
-                vT = -forward.potential_at(rho0, p, tT)[:, 0]
-                gv = -forward.gradient_at(rho0, p, grid.times)
-            else:
-                pair = (rho0, rhow)
-                u0, w = _shared_stack_fields(st.cavity_system, pair, p, tT, gradient=False)
-                vT = w[:, 0] - u0[:, 0]
-                u0, w = _shared_stack_fields(st.cavity_system, pair, p, grid.times, gradient=True)
-                gv = w - u0
+            vT = forward.potential_at(v, p, tT)[:, 0]
+            gv = forward.gradient_at(v, p, grid.times)
             total_T += 0.5 * float(np.sum(vT**2 * a))
             total_G += float(np.sum((gv**2).sum(axis=1) * a[:, None]) * grid.dt)
     return -total_T - total_G
-
-
-def _shared_stack_fields(region, densities, points, times, gradient: bool) -> list:
-    """forward.potential_at (P, K), or with gradient forward.gradient_at
-    (P, 2, K), of each density at points and times, with the bits those
-    give, from one off-curve stack of region per time shift.
-
-    A density reads the stack's leading columns, so its region's nodes and
-    weights must be region's leading ones (say the conductor system's in
-    the cavity system); else ValueError.
-    """
-    grid = region.grid
-    for density in densities:
-        own = density.region
-        m = own.M_total
-        if not (
-            own.grid == grid
-            and np.array_equal(own.nodes, region.nodes[:m])
-            and np.array_equal(own.weights, region.weights[:m])
-        ):
-            raise ValueError("a density's nodes and weights are not the stack region's leading ones")
-    k = np.clip(np.searchsorted(grid.edges, times) - 1, 0, grid.Nt - 1)
-    theta = (times - grid.times[k]) / grid.dt
-    axes = np.eye(2)[:, None, :] if gradient else None
-    outs = [np.zeros(((2 if gradient else 1) * len(points), times.size)) for _ in densities]
-    for th in np.unique(theta):
-        cols = theta == th
-        stack = forward._off_curve_blocks(region, points, axes, float(th))
-        stack = stack.reshape(grid.Nt, -1, region.M_total)
-        for out, density in zip(outs, densities):
-            rows = forward._convolve(stack[:, :, : density.region.M_total], density.values)
-            out[:, cols] = rows[:, k[cols]]
-    if gradient:
-        return [np.moveaxis(out.reshape(2, -1, times.size), 0, 1) for out in outs]
-    return outs
 
 
 def check_spectrum(ctx: VerifyContext | None = None) -> CheckReport:

@@ -255,6 +255,20 @@ class TestEvaluation:
             want = column_map(forward.LayerDensity(region, rho.values[:, :, r]), curve).values
             assert np.abs(got[:, :, r] - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("field", [potential_at, gradient_at], ids=["potential", "gradient"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_times_are_refused(self, disk_region, field, bad):
+        rho = solve_neumann(disk_region, np.ones((16, 8)))
+        with pytest.raises(ValueError, match="times"):
+            field(rho, [[0.2, 0.1]], [bad, 0.25])
+
+    @pytest.mark.parametrize("field", [potential_at, gradient_at], ids=["potential", "gradient"])
+    def test_times_before_the_start_read_zero(self, disk_region, field):
+        rho = solve_neumann(disk_region, np.ones((16, 8)))
+        got = field(rho, [[0.2, 0.1]], [-1.0, -1e-3, 0.25])
+        assert not got[..., :2].any()
+        assert got[..., 2].any()
+
     def test_stacked_density_rejected_by_name(self, disk_region):
         rho = solve_neumann(disk_region, np.zeros((16, 8, 3)))
         target = make_curve(CurveSpec("circle", (0.0, 0.0, 0.5)), 6)

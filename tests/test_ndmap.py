@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from heatcavity import ndmap, oracles
+from heatcavity import forward, ndmap, oracles
 from heatcavity.forward import BoundaryField, TimeGrid, field_inner, field_norm
 from heatcavity.geometry import CurveSpec, make_curve
 from heatcavity.ndmap import (
@@ -132,8 +132,13 @@ class TestLambda:
         phi = _smooth_field(getattr(small_setup, source), small_setup.grid, rng)
         via_op = op.matrix @ phi.flatten()
         via_field = apply(small_setup, phi).flatten()
+        # the map's own Neumann solve driven by phi, apart from the responses
+        density, target, normal = fresh_density(small_setup, name, phi.values)
+        trace = forward.normal_derivative_on if normal else forward.trace_on
+        via_solve = (-1.0 if normal else 1.0) * trace(density, target).flatten()
         scale = np.abs(via_field).max()
         assert np.abs(via_op - via_field).max() <= 1e-12 * scale
+        assert np.abs(via_solve - via_field).max() <= 1e-12 * scale
 
 
 class TestTimeReversal:
@@ -329,6 +334,27 @@ def impulse_flux(m: int, nt: int) -> np.ndarray:
     return flux
 
 
+#: Per flux map: its region, source component, target curve and whether it
+#: reads minus the normal derivative (FL) instead of the trace.
+FRESH_SOLVE = {
+    "lambda_0": ("omega_system", 0, "omega", False),
+    "FL": ("omega_system", 0, "cavity", True),
+    "lambda_D": ("cavity_system", 0, "omega", False),
+    "L": ("cavity_system", 0, "cavity", False),
+    "Lhat": ("cavity_system", 1, "omega", False),
+}
+
+
+def fresh_density(st: ProblemSetup, name: str, values: np.ndarray):
+    """Map name's own Neumann solve for flux values (M_src, Nt[, R]) on its
+    source component: the density, the target curve and the normal flag."""
+    region_name, source, target, normal = FRESH_SOLVE[name]
+    region = getattr(st, region_name)
+    flux = np.zeros((region.M_total,) + values.shape[1:])
+    flux[region.component_slice(source)] = values
+    return forward.solve_neumann(region, flux), getattr(st, target), normal
+
+
 class TestResponseTable:
     """ProblemSetup.responses: every flux map's impulse responses from one
     solve set per flux source."""
@@ -336,19 +362,16 @@ class TestResponseTable:
     @pytest.mark.parametrize("name", ["small", "kite", "no_cavity"])
     def test_each_entry_is_the_fresh_solve(self, name, small_setup, kite_setup, no_cavity_setup):
         st = {"small": small_setup, "kite": kite_setup, "no_cavity": no_cavity_setup}[name]
-        om, cav, nt = st.omega, st.cavity, st.grid.Nt
-        # (region, source component, source nodes, target, normal) per map
-        maps = {"lambda_0": (st.omega_system, 0, om.M, om, False)}
-        if cav is not None:
-            maps.update(
-                FL=(st.omega_system, 0, om.M, cav, True),
-                lambda_D=(st.cavity_system, 0, om.M, om, False),
-                L=(st.cavity_system, 0, om.M, cav, False),
-                Lhat=(st.cavity_system, 1, cav.M, om, False),
-            )
+        maps = ["lambda_0"] if st.cavity is None else list(FRESH_SOLVE)
         assert set(st.responses) == set(maps)
-        for key, (region, source, m, target, normal) in maps.items():
-            fresh = ndmap._response(region, source, impulse_flux(m, nt), target, normal)
+        for key in maps:
+            m = (st.cavity if key == "Lhat" else st.omega).M
+            density, target, normal = fresh_density(st, key, impulse_flux(m, st.grid.Nt))
+            # trace_on and normal_derivative_on take one right-hand side; the
+            # trace they wrap takes the stack (per column it agrees to 1e-13,
+            # see test_forward's test_stacked_trace_values_match_per_column)
+            fresh = forward._trace_values(density, target, normal)
+            fresh = -fresh if normal else fresh
             assert st.responses[key].tobytes() == fresh.tobytes(), key
 
     def test_three_solve_sets_serve_every_map(self, monkeypatch):

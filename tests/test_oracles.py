@@ -171,6 +171,18 @@ class TestRadialOracleArguments:
         with pytest.raises(ValueError, match="times is empty"):
             radial_disk_trace([])
 
+    @pytest.mark.parametrize(
+        "times", [[-1.0], [0.0], [-0.5, 0.0], [float("nan")], [float("inf")], [0.01, float("nan")]]
+    )
+    def test_bad_times_are_refused(self, times):
+        with pytest.raises(ValueError, match="times"):
+            radial_disk_trace(times, dr=0.05)
+
+    def test_times_before_the_start_read_zero(self):
+        got = radial_disk_trace([-1.0, 0.01], dr=0.05)
+        assert got[0] == 0.0
+        assert got[1] == radial_disk_trace([0.01], dr=0.05)[0]
+
     def test_dividing_steps_are_accepted(self):
         for dr in (1e-3, 2e-3, 5e-3, 0.25):
             assert np.isfinite(radial_disk_trace([0.01], dr=dr, dt=1e-3)).all()

@@ -1,6 +1,7 @@
 """The README's documented library example runs as written."""
 
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 from types import ModuleType
@@ -118,3 +119,18 @@ def test_artifacts_list_names_every_stage_timing(gate_out):
     }
     missing = sorted(timed - documented)
     assert not missing, f"README's Artifacts section does not name {missing}"
+
+
+def test_library_tour_private_names_resolve():
+    # a private name in a row is looked up in that row's module(s), or in
+    # the module it is qualified with
+    tour = re.search(r"## Library tour\n\n(.*?)\n\n", README.read_text(), re.S)
+    assert tour is not None, "README lost its library tour"
+    rows = [row for row in tour.group(1).splitlines() if row.startswith("| `heatcavity.")]
+    assert len(rows) >= 10
+    for row in rows:
+        first, rest = row[1:].split(" | ", 1)
+        modules = [importlib.import_module(m) for m in re.findall(r"`(heatcavity\.\w+)`", first)]
+        for qualifier, name in re.findall(r"`(?:(\w+)\.)?(_\w+)`", rest):
+            owners = [importlib.import_module(f"heatcavity.{qualifier}")] if qualifier else modules
+            assert any(hasattr(m, name) for m in owners), f"{first.strip()} names {name}"
