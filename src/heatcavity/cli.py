@@ -432,6 +432,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         io.write_indicator_csv(_out_path(cfg, "indicator.csv"), grid_out)
 
     finite = grid_out.values[np.isfinite(grid_out.values)]
+    margins = recon.mask_margins(grid_out.normalized, cfg.threshold)
     summary = {
         "command": "reconstruct",
         "lambda_1": io.format_float(eig.lambdas[0]),
@@ -449,6 +450,10 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
             np.log10(finite.max() / finite.min()) if finite.size else np.nan
         ),
         "mask_size": int(np.sum(grid_out.mask)),
+        # how near the mask is to flipping a point: its smallest relative
+        # distance from the threshold, and the points within NEAR_CUT
+        "mask_margin": io.format_float(margins.min()),
+        "mask_near_cut": int(np.sum(margins < recon.NEAR_CUT)),
     }
     if cavity is not None:
         summary["jaccard"] = io.format_float(recon.jaccard(grid_out.mask, grid_out.truth))
@@ -461,7 +466,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         summary[f"seconds.probes.{stage}"] = io.format_float(probe_timings[stage])
     total = time.perf_counter() - t0
     summary["seconds.total"] = io.format_float(total)
-    # lapack-inplace solves in S's buffer; numpy holds about 2n^2 doubles more
+    # lapack-inplace solves in S's buffer plus 1.5n^2 doubles; numpy holds
+    # about 2.5n^2 more
     summary["eigh_route"] = recon.eigh_route()
     summary["peak_rss_mb"] = _peak_rss_mb()
     io.write_kv(_out_path(cfg, "summary"), summary)

@@ -517,13 +517,27 @@ def green_probe_traces(
     outside = ~points_in_region(points, omega)
     if np.any(outside):
         raise ValueError(f"probe point {tuple(points[np.argmax(outside)])} outside the conductor")
-    if region is None:
-        region = assemble_blocks(omega, grid)
-    elif len(region.curves) != 1 or region.curves[0] is not omega:
-        raise ValueError("region must be the single-curve conductor system")
-    elif region.grid != grid:
-        raise ValueError(f"region was assembled on {region.grid}, not on {grid}")
+    return _probe_traces(points, svals, omega, _conductor_region(region, omega, grid))
 
+
+def _conductor_region(region: RetardedBlocks | None, omega: BoundaryCurve, grid: TimeGrid):
+    """region, checked to be omega's single-curve system on grid, or that
+    system assembled when region is None."""
+    if region is None:
+        return assemble_blocks(omega, grid)
+    if len(region.curves) != 1 or region.curves[0] is not omega:
+        raise ValueError("region must be the single-curve conductor system")
+    if region.grid != grid:
+        raise ValueError(f"region was assembled on {region.grid}, not on {grid}")
+    return region
+
+
+def _probe_traces(
+    points: np.ndarray, svals: np.ndarray, omega: BoundaryCurve, region: RetardedBlocks
+) -> np.ndarray:
+    """green_probe_traces on arguments it has checked: (P, 2) points inside
+    omega, times in (0, T] and omega's own region."""
+    grid = region.grid
     taus = grid.times
     npts = points.shape[0]
     out = np.zeros((omega.M, grid.Nt, svals.size * npts))

@@ -24,8 +24,8 @@ from .forward import (
     BoundaryField,
     RetardedBlocks,
     TimeGrid,
-    assemble_blocks,
-    green_probe_traces,
+    _conductor_region,
+    _probe_traces,
 )
 from .geometry import TOL_GEOM, BoundaryCurve, signed_distance
 from .ndmap import _tile_pairs
@@ -197,27 +197,45 @@ def _skew_norm(a: np.ndarray) -> float:
     return float(np.sqrt(total))
 
 
-def _syevd_stages(lapack: dict, a: np.ndarray, timings: dict):
+def _reflector_rows(n: int):
+    """(c, packed slice) for each row c of an n x n C array that holds a
+    Householder vector of dsytrd (uplo='L'), in columns c+2 ... n-1; the
+    packed rows follow one another, (n-1)(n-2)/2 doubles in all."""
+    lo = 0
+    for c in range(n - 2):
+        yield c, slice(lo, lo + n - 2 - c)
+        lo += n - 2 - c
+
+
+def _syevd_stages(lapack: dict, a: np.ndarray, timings: dict, vectors: bool = True):
     """dsyevd (jobz='V', uplo='L') on the C-contiguous n x n array a, n >= 2,
     run as its three stages, so that the last can be left out or run on
-    some of the vectors.  Returns the ascending eigenvalues w and
-    back_transform(k), the eigenvectors of a for the k largest of them, one
-    per row, ascending like w.
+    some of the vectors.  Returns the ascending eigenvalues w and, with
+    vectors, back_transform(k): the eigenvectors of a for the k largest of
+    them, one per row of a[n-k:], ascending like w (None without vectors).
 
     dsytrd reduces a to tridiagonal form, leaving its Householder
-    reflectors in a; dstedc (compz='I') gives w and the eigenvectors of the
-    tridiagonal form, one per row of z; dormtr turns rows of z into
-    eigenvectors of a.  Each stage gets the slice of one workspace that
-    dsyevd gives it, sized by dsyevd's own query: w has dsyevd's bits, and
-    so has z back-transformed whole.
+    reflectors in a; they wait packed, in n^2/2 doubles, while dstedc
+    (compz='I') writes w and the eigenvectors of the tridiagonal form into
+    a, one per row, with n^2 + 4n doubles of scratch; dormtr turns rows of
+    a into eigenvectors of the input, reading the reflectors unpacked into
+    a fresh n x n array.  So the solve holds a plus 1.5 n^2 doubles, and
+    plus n^2 without vectors, where nothing is packed.
+
+    The bits follow the workspace sizes, and each stage gets dsyevd's, or
+    less where LAPACK does not use more: dsytrd the smaller of its own
+    query and dsyevd's slice, dstedc dsyevd's slice, and dormtr the
+    smaller of that slice and (k + 65) 64, the most its blocked path with
+    64-wide blocks uses (its own query leaves out the block reflector).
+    So w has dsyevd's bits, and so have all n vectors back-transformed.
     """
     n = a.shape[0]
-    w, work, iwork = np.empty(n), np.empty(1), np.empty(1, dtype=np.int64)
-    _call(lapack, "syevd", b"V", b"L", n, a, n, w, work, -1, iwork, -1)
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
-    # dsyevd's layout: E, TAU, Z, then the later stages' scratch
-    e, tau, z = work[:n], work[n : 2 * n], work[2 * n : 2 * n + n * n].reshape(n, n)
-    scratch = work[2 * n + n * n :]
+    w, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    query, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    _call(lapack, "syevd", b"V", b"L", n, a, n, w, query, -1, iwork, -1)
+    # dsyevd's workspace: E, TAU, Z (n^2), then the later stages' scratch
+    lwork, iwork = int(query[0]), np.empty(int(iwork[0]), dtype=np.int64)
+    scratch = lwork - 2 * n - n * n
     with timed(timings, "tridiagonal"):
         # LAPACK reads the column-major lower triangle, which is that of a.T
         _transpose_in_place(a)
@@ -228,15 +246,31 @@ def _syevd_stages(lapack: dict, a: np.ndarray, timings: dict):
         sigma = rmin / anrm if 0 < anrm < rmin else rmax / anrm if anrm > rmax else 1.0
         if sigma != 1.0:
             a *= sigma
-        _call(lapack, "sytrd", b"L", n, a, n, w, e, tau, work[2 * n :], work.size - 2 * n)
+        _call(lapack, "sytrd", b"L", n, a, n, w, e, tau, query, -1)
+        work = np.empty(min(int(query[0]), lwork - 2 * n))
+        _call(lapack, "sytrd", b"L", n, a, n, w, e, tau, work, work.size)
+        del work
+        if vectors:
+            packed = np.empty((n - 1) * (n - 2) // 2)
+            for c, part in _reflector_rows(n):
+                packed[part] = a[c, c + 2 :]
     with timed(timings, "values"):
-        _call(lapack, "stedc", b"I", n, w, e, z, n, scratch, scratch.size, iwork, iwork.size)
+        work = np.empty(scratch)
+        _call(lapack, "stedc", b"I", n, w, e, a, n, work, scratch, iwork, iwork.size)
+        del work
         if sigma != 1.0:
             w *= 1.0 / sigma
+    if not vectors:
+        return w, None
 
     def back_transform(k: int) -> np.ndarray:
-        top = z[n - k :]
-        _call(lapack, "ormtr", b"L", b"L", b"N", n, k, a, n, tau, top, n, scratch, scratch.size)
+        nonlocal packed  # freed once unpacked: call this once
+        reflectors = np.zeros((n, n))
+        for c, part in _reflector_rows(n):
+            reflectors[c, c + 2 :] = packed[part]
+        packed = None
+        top, work = a[n - k :], np.empty(min((k + 65) * 64, scratch))
+        _call(lapack, "ormtr", b"L", b"L", b"N", n, k, reflectors, n, tau, top, n, work, work.size)
         return top
 
     return w, back_transform
@@ -253,8 +287,10 @@ def eigendecompose(
     (columns), i.e. the orthonormal eigenvectors of S scaled back by
     G^{-1/2}.  With vectors=False none are, and EigenSystem.vectors is None.
 
-    S is overwritten: its buffer holds the returned vectors, so the solve
-    needs S plus LAPACK's 2n^2 workspace and no other n x n array.  An S
+    S is overwritten: its buffer holds the returned vectors, and LAPACK's
+    tridiagonal eigenvectors before them, so the solve needs S plus 1.5 n^2
+    doubles (the packed reflectors and dstedc's scratch, then the unpacked
+    reflectors), or plus n^2 with vectors=False.  An S
     that is not a writeable C-contiguous float64 array is copied first and
     left as it was.  A failed LAPACK stage raises np.linalg.LinAlgError, a
     ValueError.  When given, timings gains the ``perf_counter`` seconds of
@@ -288,7 +324,7 @@ def eigendecompose(
             lam, vec = np.linalg.eigh(S)
         ascending = lambda k: vec[:, n - k :].T
     else:
-        lam, ascending = _syevd_stages(lapack, S, timings)
+        lam, ascending = _syevd_stages(lapack, S, timings, vectors)
     lam = lam[::-1]
     if not lam[0] > 0:
         raise ValueError("operator not positive — check symmetrization/noise level")
@@ -296,7 +332,8 @@ def eigendecompose(
     if not vectors:
         return EigenSystem(lam, None, retained, gram, symmetry_rel)
     with timed(timings, "vectors"):
-        # in S's buffer, with no temporary: the workspace is still held
+        # in S's buffer; numpy copies the rows first where psi overlaps
+        # them (retained > n/2), once the reflectors are freed
         psi = S.reshape(-1)[: n * retained].reshape(n, retained)
         np.divide(ascending(retained)[::-1].T, np.sqrt(gram)[:, None], out=psi)
     return EigenSystem(lam, psi, retained, gram, symmetry_rel)
@@ -407,7 +444,8 @@ def reconstruct(
     Points on the cavity boundary (within the geometric tolerance) are
     excluded.  Values are normalized by the largest finite value over the
     whole grid; infinite sentinels map to 1.  lattice is the result of
-    probe_lattice for these arguments, when the caller has it already.
+    probe_lattice for these arguments, when the caller has it already: its
+    points are not classified again.
     When given, timings gains the ``perf_counter`` seconds of the stages:
     ``lattice`` (classifying the lattice points, when lattice is not given),
     ``traces`` (the region's lag blocks, Green solves and probe traces) and
@@ -424,16 +462,16 @@ def reconstruct(
     points = [ProbePoint((float(p[0]), float(p[1])), float(s)) for s in svals for p in pts]
     if not points:
         raise ValueError("sampling grid contains no admissible probe points")
-    if region is None:
-        with timed(timings, "traces"):
-            region = assemble_blocks(omega, grid)
+    with timed(timings, "traces"):
+        region = _conductor_region(region, omega, grid)
 
     jobs = [pts[lo : lo + PROBE_CHUNK] for lo in range(0, len(pts), PROBE_CHUNK)]
 
     def run_chunk(chunk_pts):
-        # one Neumann solve per chunk serves every sampling time
+        # one Neumann solve per chunk serves every sampling time; the
+        # lattice keeps only points inside the conductor
         with timed(timings, "traces"):
-            traces = green_probe_traces(chunk_pts, svals, omega, grid, region=region)
+            traces = _probe_traces(chunk_pts, svals, omega, region)
         with timed(timings, "indicator"):
             values = _indicators(eig, traces.reshape(omega.M * grid.Nt, -1))
         return values.reshape(len(svals), -1)
@@ -448,6 +486,19 @@ def reconstruct(
         mask = normalized >= threshold
     truth = np.tile(inside, len(svals))
     return IndicatorGrid(points, values, normalized, mask, truth)
+
+
+#: Points whose mask margin is below this are counted as near the cut.
+NEAR_CUT = 1e-6
+
+
+def mask_margins(normalized: np.ndarray, threshold: float) -> np.ndarray:
+    """|normalized / threshold - 1| per point: the relative move of the
+    threshold that flips the point's mask entry; inf at threshold 0, which
+    masks every point."""
+    if threshold == 0:
+        return np.full(np.shape(normalized), np.inf)
+    return np.abs(normalized / threshold - 1.0)
 
 
 def jaccard(mask: np.ndarray, truth: np.ndarray) -> float:

@@ -113,7 +113,7 @@ class VerifyContext:
         ||S - S.T|| / ||S||, measured by eigendecompose's own check."""
         N = self.modified_operator(DOUBLED_RESOLUTION)
         S, gram = ndmap.symmetrize(N)[0], N.gram_domain
-        # eigh runs on S and its workspace alone: N leaves the cache (a
+        # eigh runs on S and 1.5n^2 doubles alone: N leaves the cache (a
         # later call composes it again) and S's buffer becomes the vectors
         del self._N[tuple(DOUBLED_RESOLUTION)], N
         return recon.eigendecompose(S, gram, 1e-8)

@@ -357,6 +357,13 @@ class TestPipelineArtifacts:
         assert float(summary["w_contrast"]) == np.log10(finite.max() / finite.min())
         assert float(summary["w_contrast"]) > 1.0  # a clean run spans decades
 
+    def test_summary_mask_margin_matches_indicator(self, pipeline):
+        normalized = hio.read_indicator_csv(pipeline["out"] / "indicator.csv")["normalized"]
+        summary = hio.read_kv(pipeline["out"] / "summary")
+        margins = np.abs(normalized / 0.2 - 1.0)
+        assert float(summary["mask_margin"]) == margins.min() > 0.0
+        assert int(summary["mask_near_cut"]) == int(np.sum(margins < 1e-6))
+
 
 @pytest.fixture(scope="module")
 def pooled_simulate(tmp_path_factory):

@@ -121,6 +121,12 @@ def test_artifacts_list_names_every_stage_timing(gate_out):
     assert not missing, f"README's Artifacts section does not name {missing}"
 
 
+def test_artifacts_section_names_every_summary_key(gate_out):
+    # not only the seconds.* keys: a new headline number is documented too
+    missing = sorted(set(hio.read_kv(gate_out / "summary")) - artifacts_names())
+    assert not missing, f"README's Artifacts section does not name {missing}"
+
+
 def test_library_tour_private_names_resolve():
     # a private name in a row is looked up in that row's module(s), or in
     # the module it is qualified with

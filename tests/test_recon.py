@@ -1,9 +1,11 @@
 """Spectral cutoff, probe indicator, sampling grids, and masks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from heatcavity import recon
+from heatcavity import geometry, recon
 from heatcavity.forward import BoundaryField, TimeGrid
 from heatcavity.geometry import CurveSpec, OnBoundaryError, make_curve, point_in_region
 from heatcavity.ndmap import symmetrize
@@ -12,6 +14,7 @@ from heatcavity.recon import (
     SamplingSpec,
     eigendecompose,
     jaccard,
+    mask_margins,
     picard_indicator,
     picard_partial_sums,
     reconstruct,
@@ -74,6 +77,15 @@ def spectral_case(n, kind):
     return s, gram
 
 
+def retaining(n, k):
+    """A decaying case whose cutoff of 1e-6 retains exactly k pairs."""
+    rng = np.random.default_rng(n)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = np.concatenate([np.linspace(1.0, 0.5, k), np.linspace(1e-10, 5e-11, n - k)])
+    s = (q * lam) @ q.T
+    return 0.5 * (s + s.T), rng.uniform(0.5, 2.0, n)
+
+
 def read_only_copy(s):
     s = s.copy()
     s.flags.writeable = False
@@ -122,6 +134,40 @@ class TestEigendecompose:
         u = np.sqrt(gram)[:, None] * eig.vectors
         residual = np.linalg.norm(s @ u - u * eig.retained_lambdas, axis=0)
         assert residual.max() <= 1e-12 * eig.lambdas[0]
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(2, 1), (3, 1), (3, 2), (40, 1), (600, 1), (80, 63), (100, 70)],
+        ids=["n2-k1", "n3-k1", "n3-k2", "n40-k1", "n600-k1", "reduced-blocks", "psi-over-z"],
+    )
+    def test_partial_back_transform_bits(self, eigh_route, n, k):
+        # at n = 80 dsyevd's slice holds dormtr's blocks at 40 columns, not
+        # 64; at k > n/2 psi, written from the top, overlaps the rows of the
+        # tridiagonal vectors it reads
+        s, gram = retaining(n, k)
+        want_lam, want_vec = numpy_eigh_formula(s, gram)
+        eig = eigendecompose(s, gram, 1e-6)
+        assert eig.retained == k
+        assert eig.lambdas.tobytes() == want_lam.tobytes()
+        assert eig.vectors.tobytes() == np.ascontiguousarray(want_vec[:, :k]).tobytes()
+
+    @pytest.mark.parametrize("vectors,bound", [(True, 1.7), (False, 1.2)])
+    def test_traced_peak_beyond_S(self, vectors, bound):
+        # the packed reflectors (n^2/2) beside dstedc's scratch (n^2 + 4n),
+        # then beside their unpacked copy: 1.52 n^2 doubles at n = 600, and
+        # the scratch alone without vectors; dsyevd's single workspace of
+        # 2n^2 + 6n read 2.27 either way
+        if recon._lapack() is None:
+            pytest.skip("numpy's LAPACK exports no 64-bit dsyevd stages")
+        n = 600
+        s, gram = spectral_case(n, "random")
+        tracemalloc.start()
+        try:
+            eigendecompose(s, gram, 1e-8, vectors=vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n * n * 8
 
     @pytest.mark.parametrize("kind", ["random", "decaying"])
     def test_values_alone_keep_their_bits(self, eigh_route, kind, monkeypatch):
@@ -423,16 +469,16 @@ class TestReconstruct:
 
         import heatcavity.recon as recon_mod
 
-        real = recon_mod.green_probe_traces
+        real = recon_mod._probe_traces
 
-        def same_probe(points, s, omega, grid, region=None):
+        def same_probe(points, svals, omega, region):
             nonlocal fixed
-            out = real(points, s, omega, grid, region=region)
+            out = real(points, svals, omega, region)
             if fixed is None:
                 fixed = out[:, :, :1].copy()
             return np.repeat(fixed, out.shape[2], axis=2)
 
-        monkeypatch.setattr(recon_mod, "green_probe_traces", same_probe)
+        monkeypatch.setattr(recon_mod, "_probe_traces", same_probe)
         grid_out = reconstruct(
             eig,
             st.omega,
@@ -443,6 +489,33 @@ class TestReconstruct:
         )
         assert np.allclose(grid_out.normalized, 1.0)
         assert np.all(grid_out.mask)
+
+    def test_given_lattice_is_not_classified_again(self, tiny_pipeline, monkeypatch):
+        st, eig = tiny_pipeline
+        spec = SamplingSpec(13, 13, 2, 0.2)
+        args = (eig, st.omega, st.grid, spec, 0.2)
+        want = reconstruct(*args, cavity=st.cavity, region=st.omega_system)
+        lattice = recon.probe_lattice(st.omega, spec, st.cavity)
+        calls = []
+        real = geometry.signed_distance
+
+        def spy(*a):
+            calls.append(1)
+            return real(*a)
+
+        monkeypatch.setattr(geometry, "signed_distance", spy)
+        monkeypatch.setattr(recon, "signed_distance", spy)
+        got = reconstruct(*args, cavity=st.cavity, region=st.omega_system, lattice=lattice)
+        assert calls == []
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.truth, want.truth)
+
+    def test_region_of_another_system_rejected(self, tiny_pipeline):
+        st, eig = tiny_pipeline
+        with pytest.raises(ValueError, match="single-curve conductor system"):
+            reconstruct(
+                eig, st.omega, st.grid, SamplingSpec(7, 7, 1, 0.25), 0.2, region=st.cavity_system
+            )
 
     def test_empty_grid_is_an_error(self, tiny_pipeline):
         st, eig = tiny_pipeline
@@ -496,6 +569,15 @@ class TestReconstruct:
         p = green_probe_trace((0.1, 0.0), s_tiny, st.omega, st.grid, region=st.omega_system)
         assert np.all(p.values == 0.0)
         assert picard_indicator(eig, p) == np.inf
+
+
+class TestMaskMargins:
+    def test_relative_distance_from_threshold(self):
+        margins = mask_margins(np.array([0.1, 0.2, 0.3, 1.0]), 0.2)
+        assert np.allclose(margins, [0.5, 0.0, 0.5, 4.0], rtol=0, atol=1e-15)
+
+    def test_threshold_zero_is_never_near(self):
+        assert np.all(mask_margins(np.array([0.0, 0.5, 1.0]), 0.0) == np.inf)
 
 
 class TestJaccard:

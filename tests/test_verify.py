@@ -142,9 +142,10 @@ class TestMemory:
     def test_factorization_and_spectrum_traced_peak(self, coarse_verify):
         # Holding all six dense operators per resolution, as the context once
         # did, peaked near 8.9 n^2 doubles here; one at a time it was near
-        # 4.0, set by the factorization check.  The spectrum check now sets
-        # the peak, near 3.5: S and LAPACK's 2n^2 workspace, which
-        # tracemalloc sees, plus setups.
+        # 4.0, set by the factorization check.  The spectrum check sets the
+        # peak, near 3.0: S and the eigensolve's 1.5n^2 doubles (the packed
+        # reflectors beside dstedc's scratch), which tracemalloc sees, plus
+        # setups; it read 3.7 while the solve held dsyevd's 2n^2 workspace.
         ctx, n = coarse_verify
         tracemalloc.start()
         try:
