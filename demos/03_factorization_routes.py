@@ -24,7 +24,6 @@ from heatcavity.ndmap import (
     assemble_N,
     assemble_L,
     assemble_lambda,
-    lprime_from_duality,
 )
 
 OMEGA = CurveSpec("circle", (0.0, 0.0, 1.0))
@@ -40,7 +39,9 @@ def residuals(m_omega: int, m_cavity: int, nt: int):
     r_data = np.linalg.norm(diff - composed) / np.linalg.norm(diff)
 
     nmat = assemble_N(setup).matrix
-    lprime = lprime_from_duality(assemble_L(setup)).matrix
+    # L' = G_omega^{-1} L^T G_cavity: the dual of L in the weighted inner products
+    L_op = assemble_L(setup)
+    lprime = (L_op.matrix * L_op.gram_codomain[:, None]).T / L_op.gram_domain[:, None]
     r_dual = np.linalg.norm(nmat + lprime @ assemble_FL(setup).matrix) / np.linalg.norm(nmat)
     return r_data, r_dual
 

@@ -19,11 +19,10 @@ Layout
 ``forward``
     Space-time boundary-element solver for interior Neumann problems.
 ``oracles``
-    Independent reference solutions (radial finite differences, separation
-    of variables) used only to validate the solver.
+    Radial finite-difference reference that ``verify`` checks the solver by.
 ``ndmap``
-    Flux-to-trace operator assembly: measurement maps, virtual
-    measurements, time reversal, symmetrization, noise.
+    Flux-to-trace maps by name over one impulse-response table, as matrices
+    or applied to fields; N, time reversal, symmetrization, noise.
 ``recon``
     Spectral cutoff, probe indicator, sampling grids, cavity masks.
 ``verify``

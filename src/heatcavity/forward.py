@@ -447,7 +447,8 @@ def gradient_at(density: LayerDensity, points: np.ndarray, times: np.ndarray) ->
 
 def trace_at_times(density: LayerDensity, component: int, s: float) -> np.ndarray:
     """Trace on a source component at the times s - tau_k, one per live
-    collocation instant tau_k < s.  Shape (M_comp, n0) or (M_comp, n0, R).
+    collocation instant tau_k < s, for s in (0, T] (ValueError otherwise, nan
+    too).  Shape (M_comp, n0) or (M_comp, n0, R).
 
     With n0 live instants and theta = s/dt - n0, the time s - tau_k is the
     instant tau_m, m = n0 - 1 - k, shifted by theta * dt: the trace is the
@@ -456,6 +457,8 @@ def trace_at_times(density: LayerDensity, component: int, s: float) -> np.ndarra
     blocks; any other s builds its stack once per region.
     """
     region = density.region
+    if not 0.0 < s <= region.grid.T:  # nan too
+        raise ValueError(f"trace time s={s} outside (0, T]")
     n0 = int(np.count_nonzero(region.grid.times < s))
     # theta lies in (-1/2, 1/2] but for rounding; above 1/2 it would give
     # lag 0 a window with a sliver of a lower end, where the self rule fails

@@ -11,9 +11,10 @@ problems are autonomous), so each one is determined by its impulse
 responses: M impulse solves, one per source node, all with flux
 concentrated in time cell 0, give a (M_tgt, Nt, M_src) stack whose lag-a
 slice is the map's block on the a-th causal diagonal: ProblemSetup.responses
-holds every map's stack.  The dense matrices expand those stacks, the
-apply_* maps convolve them with a field, and N is composed from the stacks
-of FL and Lhat (see compose_N).
+holds every map's stack, and FLUX_MAPS names each map's source and target
+curve by its key.  _flux_map expands a stack into the map's dense matrix
+(the assemble_* functions), apply convolves it with a field on the source
+curve, and N is composed from the stacks of FL and Lhat (see compose_N).
 """
 
 from __future__ import annotations
@@ -85,18 +86,13 @@ class ProblemSetup:
         )
         return cls(omega, cavity, grid, omega_system, cavity_system)
 
-    def require_cavity(self) -> RetardedBlocks:
-        if self.cavity_system is None:
-            raise ValueError("operation requires a cavity in the geometry")
-        return self.cavity_system
-
     @cached_property
     def responses(self) -> dict[str, np.ndarray]:
-        """Impulse responses (M_tgt, Nt, M_src) of the flux maps, keyed
-        lambda_0, FL, lambda_D, L and Lhat; without a cavity only lambda_0.
-        One impulse solve set per flux source, traced on every curve a map
-        reads: outer flux on the conductor gives lambda_0 and FL, outer flux
-        on the region with the cavity lambda_D and L, cavity flux Lhat."""
+        """Impulse responses (M_tgt, Nt, M_src) of the flux maps, keyed as in
+        FLUX_MAPS; without a cavity only lambda_0.  One impulse solve set per
+        flux source, traced on every curve a map reads: outer flux on the
+        conductor gives lambda_0 and FL, outer flux on the region with the
+        cavity lambda_D and L, cavity flux Lhat."""
         omega, cavity = self.omega, self.cavity
         density = _density(self.omega_system, 0)
         table = {"lambda_0": _trace_values(density, omega)}
@@ -143,30 +139,52 @@ def _density(region: RetardedBlocks, source: int) -> LayerDensity:
     return solve_neumann(region, flux)
 
 
-def _flux_map(
-    setup: ProblemSetup, name: str, source: BoundaryCurve, target: BoundaryCurve
-) -> SpaceTimeOperator:
-    """The operator from source's coefficient space to target's whose
-    impulse responses are setup.responses[name]; all but lambda_0 need the
-    cavity."""
-    if name != "lambda_0":
-        setup.require_cavity()
+#: Source and target curve (ProblemSetup attributes) of each flux map, by response key.
+FLUX_MAPS = {
+    "lambda_0": ("omega", "omega"),
+    "lambda_D": ("omega", "omega"),
+    "L": ("omega", "cavity"),
+    "Lhat": ("cavity", "omega"),
+    "FL": ("omega", "cavity"),
+}
+
+
+def _ends(setup: ProblemSetup, name: str) -> tuple[BoundaryCurve, BoundaryCurve]:
+    """Source and target curve of flux map name; only lambda_0 needs no cavity."""
+    if name != "lambda_0" and setup.cavity is None:
+        raise ValueError(f"{name} requires a cavity in the geometry")
+    return tuple(getattr(setup, end) for end in FLUX_MAPS[name])
+
+
+def _flux_map(setup: ProblemSetup, name: str) -> SpaceTimeOperator:
+    """Dense operator of flux map name: its impulse responses expanded."""
+    source, target = _ends(setup, name)
     return _operator(_toeplitz_expand(setup.responses[name]), source, target, setup.grid)
+
+
+def apply(setup: ProblemSetup, name: str, field: BoundaryField) -> BoundaryField:
+    """Flux map name applied to a field on its source curve and the setup's
+    grid (ValueError for any other), by lag convolution with its responses."""
+    source, target = _ends(setup, name)
+    if field.curve is not source or field.grid != setup.grid:
+        raise ValueError(f"{name} applies to fields on {FLUX_MAPS[name][0]} over {setup.grid}")
+    values = _convolve(setup.responses[name].transpose(1, 0, 2), field.values)
+    return BoundaryField(target, setup.grid, values)
 
 
 def assemble_lambda(setup: ProblemSetup, with_cavity: bool) -> SpaceTimeOperator:
     """Flux-to-temperature map on the outer boundary (with or without D)."""
-    return _flux_map(setup, "lambda_D" if with_cavity else "lambda_0", setup.omega, setup.omega)
+    return _flux_map(setup, "lambda_D" if with_cavity else "lambda_0")
 
 
 def assemble_L(setup: ProblemSetup) -> SpaceTimeOperator:
     """Outer flux to cavity-boundary temperature (virtual measurement)."""
-    return _flux_map(setup, "L", setup.omega, setup.cavity)
+    return _flux_map(setup, "L")
 
 
 def assemble_Lhat(setup: ProblemSetup) -> SpaceTimeOperator:
     """Cavity flux to outer-boundary temperature (back projection)."""
-    return _flux_map(setup, "Lhat", setup.cavity, setup.omega)
+    return _flux_map(setup, "Lhat")
 
 
 def assemble_FL(setup: ProblemSetup) -> SpaceTimeOperator:
@@ -177,7 +195,7 @@ def assemble_FL(setup: ProblemSetup) -> SpaceTimeOperator:
     transmission operator applied to the virtual measurement of phi, so
     the composite needs no transmission solver.
     """
-    return _flux_map(setup, "FL", setup.omega, setup.cavity)
+    return _flux_map(setup, "FL")
 
 
 def n_responses(setup: ProblemSetup) -> tuple[np.ndarray, np.ndarray]:
@@ -226,36 +244,9 @@ def compose_N(
     return _operator(mat, omega, omega, grid)
 
 
-def lprime_from_duality(L_op: SpaceTimeOperator) -> SpaceTimeOperator:
-    """Dual of the virtual measurement map in the weighted inner products.
-
-    Independent realization of the backward-projection operator: instead
-    of time-reversing cavity-flux solves, transpose the assembled forward
-    map against the Gram weights.
-    """
-    g_dom = L_op.gram_domain
-    g_cod = L_op.gram_codomain
-    mat = (L_op.matrix * g_cod[:, None]).T / g_dom[:, None]
-    return SpaceTimeOperator(mat, g_cod, g_dom)
-
-
 def time_reversal(field: BoundaryField) -> BoundaryField:
     """Reverse the time cells of a field."""
     return BoundaryField(field.curve, field.grid, field.values[:, ::-1].copy())
-
-
-def apply_L(setup: ProblemSetup, phi: BoundaryField) -> BoundaryField:
-    """Virtual measurement: cavity-boundary trace of the phi-driven field."""
-    setup.require_cavity()
-    resp = _convolve(setup.responses["L"].transpose(1, 0, 2), phi.values)
-    return BoundaryField(setup.cavity, setup.grid, resp)
-
-
-def apply_Lhat(setup: ProblemSetup, theta: BoundaryField) -> BoundaryField:
-    """Back projection: outer trace of the field driven by cavity flux."""
-    setup.require_cavity()
-    resp = _convolve(setup.responses["Lhat"].transpose(1, 0, 2), theta.values)
-    return BoundaryField(setup.omega, setup.grid, resp)
 
 
 def apply_Lprime(setup: ProblemSetup, theta: BoundaryField) -> BoundaryField:
@@ -265,18 +256,9 @@ def apply_Lprime(setup: ProblemSetup, theta: BoundaryField) -> BoundaryField:
     the forward cavity-flux problem with reversed data, so
     L' theta = -R[ Lhat(R theta) ].
     """
-    rev = time_reversal(theta)
-    out = apply_Lhat(setup, rev)
-    out = time_reversal(out)
+    out = time_reversal(apply(setup, "Lhat", time_reversal(theta)))
     out.values = -out.values
     return out
-
-
-def apply_FL(setup: ProblemSetup, phi: BoundaryField) -> BoundaryField:
-    """Transmission-composite applied to phi: -dnu u0 on the cavity boundary."""
-    setup.require_cavity()
-    resp = _convolve(setup.responses["FL"].transpose(1, 0, 2), phi.values)
-    return BoundaryField(setup.cavity, setup.grid, resp)
 
 
 #: Side of the square tiles that symmetrize and the in-place eigensolver

@@ -49,7 +49,8 @@ class EigenSystem:
     survive the relative cutoff, and vectors holds one W-orthonormal
     coefficient vector per retained pair, column by column: an (n, retained)
     C-contiguous array that eigendecompose builds in the buffer of the S it
-    was given, or None when it was asked for eigenvalues alone.
+    was given, or None when it was asked for eigenvalues alone, which
+    reconstruct and the Picard functions refuse.
     symmetry_rel is ||S - S.T||_F / ||S||_F of that S (0.0 for a zero S).
     """
 
@@ -59,13 +60,14 @@ class EigenSystem:
     gram: np.ndarray
     symmetry_rel: float = 0.0
 
+    def __post_init__(self):
+        shape = (len(self.gram), self.retained)
+        if self.vectors is not None and self.vectors.shape != shape:
+            raise ValueError(f"vectors shape {self.vectors.shape} is not (n, retained) = {shape}")
+
     @property
     def retained_lambdas(self) -> np.ndarray:
         return self.lambdas[: self.retained]
-
-    @property
-    def retained_vectors(self) -> np.ndarray:
-        return self.vectors[:, : self.retained]
 
 
 @dataclass(frozen=True)
@@ -339,8 +341,15 @@ def eigendecompose(
     return EigenSystem(lam, psi, retained, gram, symmetry_rel)
 
 
+def _require_vectors(eig: EigenSystem) -> None:
+    """Refuse an eigensystem that holds eigenvalues alone."""
+    if eig.vectors is None:
+        raise ValueError("eigensystem was solved with vectors=False and holds no eigenvectors")
+
+
 def _normalized_probe_matrix(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:
     """W-normalize probe columns; all-zero probes become NaN columns."""
+    _require_vectors(eig)
     g = eig.gram
     norms = np.sqrt(np.sum(g[:, None] * probes**2, axis=0))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -350,7 +359,7 @@ def _normalized_probe_matrix(eig: EigenSystem, probes: np.ndarray) -> np.ndarray
 def _picard_terms(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:
     """Retained Picard terms |<p, psi_n>_W|^2 / lambda_n, shape (n*, P), for
     W-normalized probe columns."""
-    coeff = eig.retained_vectors.T @ (eig.gram[:, None] * probes)
+    coeff = eig.vectors.T @ (eig.gram[:, None] * probes)
     return coeff**2 / eig.retained_lambdas[:, None]
 
 
@@ -453,6 +462,7 @@ def reconstruct(
     """
     if not threshold >= 0:  # nan too
         raise ValueError("threshold must be nonnegative")
+    _require_vectors(eig)
     timings = {} if timings is None else timings
     if lattice is None:
         with timed(timings, "lattice"):
@@ -502,9 +512,11 @@ def mask_margins(normalized: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def jaccard(mask: np.ndarray, truth: np.ndarray) -> float:
-    """Overlap-over-union score of two boolean masks (1.0 for two empties)."""
+    """Overlap-over-union score of two boolean masks of one shape (1.0 for two empties)."""
     mask = np.asarray(mask, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
+    if mask.shape != truth.shape:
+        raise ValueError(f"mask shape {mask.shape} differs from truth shape {truth.shape}")
     union = np.sum(mask | truth)
     if union == 0:
         return 1.0

@@ -1,7 +1,7 @@
 """Numerical cross-examination of the operator identities behind the method.
 
 Every check compares two genuinely independent computation routes — a
-boundary-element quantity against a finite-difference or series oracle, or
+boundary-element quantity against a finite-difference oracle, or
 two different operator compositions — and reports measured values next to
 its pass/fail verdict.  Tolerances are refinement-convergence targets for
 the chosen discretization, not claims inherited from theory.
@@ -169,7 +169,7 @@ def check_duality(ctx: VerifyContext | None = None) -> CheckReport:
             rng = np.random.default_rng(1000 + k)
             phi = _smooth_field(st.omega, st.grid, rng)
             theta = _smooth_field(st.cavity, st.grid, rng)
-            a = field_inner(theta, ndmap.apply_L(st, phi))
+            a = field_inner(theta, ndmap.apply(st, "L", phi))
             b = field_inner(phi, ndmap.apply_Lprime(st, theta))
             res.append(abs(a - b) / max(abs(a), abs(b)))
         medians.append(float(np.median(res)))
@@ -261,14 +261,14 @@ def check_F_sign(ctx: VerifyContext | None = None) -> CheckReport:
     for k in range(20):
         rng = np.random.default_rng(2000 + k)
         phi = _smooth_field(st.omega, st.grid, rng)
-        lphi = ndmap.apply_L(st, phi)
-        quad = field_inner(ndmap.apply_FL(st, phi), lphi)
+        lphi = ndmap.apply(st, "L", phi)
+        quad = field_inner(ndmap.apply(st, "FL", phi), lphi)
         worst = max(worst, quad / field_norm(lphi) ** 2)
     sign_ok = worst <= 1e-10
 
     rng = np.random.default_rng(3)
     phi = _smooth_field(st.omega, st.grid, rng)
-    lhs = field_inner(ndmap.apply_FL(st, phi), ndmap.apply_L(st, phi))
+    lhs = field_inner(ndmap.apply(st, "FL", phi), ndmap.apply(st, "L", phi))
     rhs = _energy_identity(st, phi)
     energy_rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     passed = sign_ok and energy_rel <= 0.10

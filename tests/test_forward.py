@@ -37,6 +37,7 @@ from heatcavity.kernels import (
     window_integrals,
 )
 from heatcavity.verify import _polar_cells
+from reference import disk_green
 
 UNIT_CIRCLE = CurveSpec("circle", (0.0, 0.0, 1.0))
 
@@ -318,7 +319,7 @@ class TestGreenProbe:
         s = 0.5
         p = green_probe_trace(y, s, omega, grid)
         live = grid.times < s
-        want = oracles.disk_green(omega.nodes, s - grid.times[live], y)
+        want = disk_green(omega.nodes, s - grid.times[live], y)
         err = np.linalg.norm(p.values[:, live] - want)
         assert err <= 1e-2 * np.linalg.norm(want)
 
@@ -343,7 +344,7 @@ class TestGreenProbe:
 
         g_yz = green_at(y, z)
         g_zy = green_at(z, y)
-        oracle = float(oracles.disk_green(y[None, :], t_eval, z)[0, 0])
+        oracle = float(disk_green(y[None, :], t_eval, z)[0, 0])
         # the two solves share no right-hand side, so their agreement is a
         # genuine discrete reciprocity statement, not an identity
         assert g_yz == pytest.approx(g_zy, rel=1e-3)
@@ -688,6 +689,15 @@ class TestOneProbeTracePath:
         below = forward.trace_at_times(rho, 0, float(np.nextafter(s, 0.0)))
         assert got.shape == below.shape == (16, 1, 3)
         assert np.abs(got - below).max() <= 1e-13 * np.abs(below).max()
+
+    @pytest.mark.parametrize("s", [0.7, 1.0, 5.0, np.nan, np.inf, 0.0, -0.1])
+    def test_time_outside_the_horizon_is_refused(self, conductor, s):
+        # beyond T the shift theta would be clamped at 1/2, reading the
+        # trace at T + dt/2 for every s; nan would give an empty trace
+        rho = conductor[8]
+        with pytest.raises(ValueError, match=re.escape(f"s={s} outside (0, T]")):
+            forward.trace_at_times(rho, 0, s)
+        assert forward.trace_at_times(rho, 0, rho.region.grid.T).shape == (16, 8, 3)
 
     def test_probe_before_first_instant_is_zero(self, conductor):
         grid = conductor[8].region.grid

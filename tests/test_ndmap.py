@@ -15,18 +15,16 @@ from heatcavity.ndmap import (
     ProblemSetup,
     SpaceTimeOperator,
     add_noise,
-    apply_FL,
-    apply_L,
-    apply_Lhat,
+    apply,
     apply_Lprime,
     assemble_N,
     assemble_lambda,
     gram_weights,
-    lprime_from_duality,
     symmetrize,
     time_reversal,
 )
 from heatcavity.verify import _smooth_field
+from reference import lprime_from_duality
 
 
 def field_on(curve, grid, values):
@@ -120,18 +118,16 @@ class TestLambda:
         assert out[:, 2:].min() >= -1e-10
 
     @pytest.mark.parametrize(
-        "name, apply, source",
-        [("L", apply_L, "omega"), ("Lhat", apply_Lhat, "cavity"), ("FL", apply_FL, "omega")],
-        ids=["L", "Lhat", "FL"],
+        "name, source",
+        [("L", "omega"), ("Lhat", "cavity"), ("FL", "omega"), ("lambda_D", "omega"), ("lambda_0", "omega")],
+        ids=["L", "Lhat", "FL", "lambda_D", "lambda_0"],
     )
-    def test_operator_route_matches_field_route(
-        self, small_setup, small_ops, name, apply, source
-    ):
+    def test_operator_route_matches_field_route(self, small_setup, small_ops, name, source):
         rng = np.random.default_rng(3)
         op = small_ops[name]
         phi = _smooth_field(getattr(small_setup, source), small_setup.grid, rng)
         via_op = op.matrix @ phi.flatten()
-        via_field = apply(small_setup, phi).flatten()
+        via_field = apply(small_setup, name, phi).flatten()
         # the map's own Neumann solve driven by phi, apart from the responses
         density, target, normal = fresh_density(small_setup, name, phi.values)
         trace = forward.normal_derivative_on if normal else forward.trace_on
@@ -161,16 +157,16 @@ class TestVirtualMeasurements:
     def test_zero_inputs(self, small_setup):
         zero_om = field_on(small_setup.omega, small_setup.grid, np.zeros((16, 8)))
         zero_cav = field_on(small_setup.cavity, small_setup.grid, np.zeros((12, 8)))
-        assert np.all(apply_L(small_setup, zero_om).values == 0.0)
-        assert np.all(apply_Lhat(small_setup, zero_cav).values == 0.0)
+        assert np.all(apply(small_setup, "L", zero_om).values == 0.0)
+        assert np.all(apply(small_setup, "Lhat", zero_cav).values == 0.0)
         assert np.all(apply_Lprime(small_setup, zero_cav).values == 0.0)
-        assert np.all(apply_FL(small_setup, zero_om).values == 0.0)
+        assert np.all(apply(small_setup, "FL", zero_om).values == 0.0)
 
     def test_causality_of_L(self, small_setup):
         k0 = 3
         vals = np.zeros((16, 8))
         vals[:, k0:] = 1.0
-        out = apply_L(small_setup, field_on(small_setup.omega, small_setup.grid, vals))
+        out = apply(small_setup, "L", field_on(small_setup.omega, small_setup.grid, vals))
         assert np.abs(out.values[:, :k0]).max() <= 1e-12 * np.abs(out.values).max()
 
     def test_anti_causality_of_Lprime(self, small_setup):
@@ -185,13 +181,13 @@ class TestVirtualMeasurements:
 
     def test_uniform_flux_gives_constant_cavity_trace(self, symmetric_setup):
         st = symmetric_setup
-        out = apply_L(st, uniform_field(st.omega, st.grid))
+        out = apply(st, "L", uniform_field(st.omega, st.grid))
         spread = np.abs(out.values - out.values[:1, :]).max()
         assert spread <= 1e-10 * np.abs(out.values).max()
 
     def test_uniform_FL_constant_and_single_signed(self, symmetric_setup):
         st = symmetric_setup
-        out = apply_FL(st, uniform_field(st.omega, st.grid))
+        out = apply(st, "FL", uniform_field(st.omega, st.grid))
         spread = np.abs(out.values - out.values[:1, :]).max()
         assert spread <= 1e-10 * np.abs(out.values).max()
         # heating from outside: the transmission flux settles to one sign
@@ -201,9 +197,38 @@ class TestVirtualMeasurements:
         rng = np.random.default_rng(7)
         for _ in range(5):
             phi = _smooth_field(small_setup.omega, small_setup.grid, rng)
-            lphi = apply_L(small_setup, phi)
-            quad = field_inner(apply_FL(small_setup, phi), lphi)
+            lphi = apply(small_setup, "L", phi)
+            quad = field_inner(apply(small_setup, "FL", phi), lphi)
             assert quad <= 1e-10 * field_norm(lphi) ** 2
+
+    def test_apply_refuses_a_field_off_the_source_curve(self, symmetric_setup):
+        # M_omega == M_cavity here, so a field on the wrong curve has the
+        # shape of one on the right curve
+        st = symmetric_setup
+        on_omega, on_cavity = uniform_field(st.omega, st.grid), uniform_field(st.cavity, st.grid)
+        for name, (source, _) in ndmap.FLUX_MAPS.items():
+            wrong = on_omega if source == "cavity" else on_cavity
+            with pytest.raises(ValueError, match=f"{name} applies to fields on {source} over"):
+                apply(st, name, wrong)
+        with pytest.raises(ValueError, match="Lhat applies to fields on cavity"):
+            apply_Lprime(st, on_omega)
+
+    def test_apply_refuses_a_field_on_another_grid(self, symmetric_setup):
+        st = symmetric_setup
+        phi = uniform_field(st.omega, TimeGrid(1.0, st.grid.Nt))
+        with pytest.raises(ValueError, match=r"L applies to fields on omega over TimeGrid\(T=0.5, Nt=8\)"):
+            apply(st, "L", phi)
+
+    def test_apply_without_cavity_serves_only_lambda_0(self, no_cavity_setup):
+        st = no_cavity_setup
+        phi = uniform_field(st.omega, st.grid)
+        for name in ("lambda_D", "L", "Lhat", "FL"):
+            with pytest.raises(ValueError, match="requires a cavity"):
+                apply(st, name, phi)
+        want = (assemble_lambda(st, False).matrix @ phi.flatten()).reshape(16, 8)
+        got = apply(st, "lambda_0", phi)
+        assert got.curve is st.omega
+        assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestDuality:
@@ -213,7 +238,7 @@ class TestDuality:
         for _ in range(10):
             phi = _smooth_field(bench_setup.omega, bench_setup.grid, rng)
             theta = _smooth_field(bench_setup.cavity, bench_setup.grid, rng)
-            a = field_inner(theta, apply_L(bench_setup, phi))
+            a = field_inner(theta, apply(bench_setup, "L", phi))
             b = field_inner(phi, apply_Lprime(bench_setup, theta))
             residuals.append(abs(a - b) / max(abs(a), abs(b)))
         assert float(np.median(residuals)) <= 5e-2
@@ -242,7 +267,7 @@ class TestFactorization:
         rng = np.random.default_rng(4)
         phi = _smooth_field(small_setup.omega, small_setup.grid, rng)
         via_matrix = (small_ops["N"].matrix @ phi.flatten()).reshape(m, nt)
-        inner = apply_FL(small_setup, phi)
+        inner = apply(small_setup, "FL", phi)
         via_fields = -apply_Lprime(small_setup, inner).values
         assert np.allclose(via_matrix, via_fields, rtol=0, atol=1e-12 * np.abs(via_fields).max())
 

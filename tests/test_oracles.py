@@ -13,8 +13,9 @@ from scipy.special import jn_zeros
 
 from heatcavity import recon
 from heatcavity.kernels import gamma
-from heatcavity.oracles import disk_green, radial_disk_trace
+from heatcavity.oracles import radial_disk_trace
 from heatcavity.verify import _polar_cells
+from reference import disk_green
 
 
 def disk_uniform_flux_series(t, n_roots=200):

@@ -106,11 +106,21 @@ def test_artifacts_list_names_every_file_the_commands_write(gate_out):
     assert not missing, f"README's Artifacts list does not name {missing}"
 
 
-def test_artifacts_list_names_every_stage_timing(gate_out):
+def expanded_artifacts_names() -> set[str]:
+    """artifacts_names, with each key pattern the section sets expanded:
+    `<operator>` over the three operators and `config.<key>` over the
+    RunConfig fields."""
     documented = artifacts_names()
     for pattern in ("seconds.<operator>", "seconds.write.<operator>"):
         if pattern in documented:
             documented |= {pattern.replace("<operator>", op) for op in ("lambda_D", "lambda_0", "N")}
+    if "config.<key>" in documented:
+        documented |= {f"config.{f.name}" for f in dataclasses.fields(cli.RunConfig)}
+    return documented
+
+
+def test_artifacts_list_names_every_stage_timing(gate_out):
+    documented = expanded_artifacts_names()
     timed = {
         key
         for record in ("meta", "summary")
@@ -124,6 +134,11 @@ def test_artifacts_list_names_every_stage_timing(gate_out):
 def test_artifacts_section_names_every_summary_key(gate_out):
     # not only the seconds.* keys: a new headline number is documented too
     missing = sorted(set(hio.read_kv(gate_out / "summary")) - artifacts_names())
+    assert not missing, f"README's Artifacts section does not name {missing}"
+
+
+def test_artifacts_section_names_every_meta_key(gate_out):
+    missing = sorted(set(hio.read_kv(gate_out / "meta")) - expanded_artifacts_names())
     assert not missing, f"README's Artifacts section does not name {missing}"
 
 

@@ -375,7 +375,7 @@ class TestPicardIndicator:
         vec = rng.standard_normal(TOY_DIM)
         values = []
         for keep in range(1, TOY_DIM + 1):
-            trunc = EigenSystem(toy_eig.lambdas, toy_eig.vectors, keep, toy_eig.gram)
+            trunc = EigenSystem(toy_eig.lambdas, toy_eig.vectors[:, :keep], keep, toy_eig.gram)
             values.append(picard_indicator(trunc, toy_field(vec)))
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -386,9 +386,22 @@ class TestPicardIndicator:
         assert np.all(np.diff(sums) >= 0)
 
     def test_no_retained_pairs_rejected(self, toy_eig):
-        broken = EigenSystem(toy_eig.lambdas, toy_eig.vectors, 0, toy_eig.gram)
+        broken = EigenSystem(toy_eig.lambdas, toy_eig.vectors[:, :0], 0, toy_eig.gram)
         with pytest.raises(ValueError):
             picard_indicator(broken, toy_field(np.ones(TOY_DIM)))
+
+    @pytest.mark.parametrize("columns, retained", [(TOY_DIM, 1), (1, 2)])
+    def test_vectors_of_another_count_than_retained_rejected(self, toy_eig, columns, retained):
+        # more columns than retained pairs would broadcast into the Picard sum
+        with pytest.raises(ValueError, match=r"is not \(n, retained\)"):
+            EigenSystem(toy_eig.lambdas, toy_eig.vectors[:, :columns], retained, toy_eig.gram)
+
+    def test_values_only_system_rejected(self, toy_eig):
+        values_only = EigenSystem(toy_eig.lambdas, None, toy_eig.retained, toy_eig.gram)
+        probe = toy_field(np.ones(TOY_DIM))
+        for picard in (picard_indicator, picard_partial_sums):
+            with pytest.raises(ValueError, match="vectors=False"):
+                picard(values_only, probe)
 
 
 class TestSamplingGrid:
@@ -510,6 +523,16 @@ class TestReconstruct:
         assert got.values.tobytes() == want.values.tobytes()
         assert np.array_equal(got.truth, want.truth)
 
+    def test_values_only_system_rejected_before_any_probe(self, tiny_pipeline, monkeypatch):
+        st, eig = tiny_pipeline
+        values_only = EigenSystem(eig.lambdas, None, eig.retained, eig.gram)
+        called = []
+        for name in ("probe_lattice", "_conductor_region", "_probe_traces"):
+            monkeypatch.setattr(recon, name, lambda *a, name=name: called.append(name))
+        with pytest.raises(ValueError, match="vectors=False"):
+            reconstruct(values_only, st.omega, st.grid, SamplingSpec(7, 7, 1, 0.25), 0.2, cavity=st.cavity)
+        assert called == []
+
     def test_region_of_another_system_rejected(self, tiny_pipeline):
         st, eig = tiny_pipeline
         with pytest.raises(ValueError, match="single-curve conductor system"):
@@ -596,3 +619,10 @@ class TestJaccard:
         a = np.array([True, True, False, False])
         b = np.array([True, False, True, False])
         assert jaccard(a, b) == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize("shapes", [((3,), (2, 1)), ((5,), (1,)), ((2, 2), (4,))])
+    def test_masks_of_different_shapes_rejected(self, shapes):
+        # broadcasting would score (3,) against (2, 1) as 1/3, (5,) against (1,) as 1
+        a, b = (np.ones(shape, dtype=bool) for shape in shapes)
+        with pytest.raises(ValueError, match="differs from truth shape"):
+            jaccard(a, b)

@@ -9,6 +9,7 @@ import pytest
 from heatcavity import forward, ndmap, recon, verify
 from heatcavity.forward import TimeGrid
 from heatcavity.geometry import CurveSpec, make_curve
+from reference import disk_green, lprime_from_duality
 
 
 class TestHelpers:
@@ -73,7 +74,7 @@ class TestFactorizationRoutes:
         # cancellation down to about 7e-4 ||N||, so rounding of order
         # 1e-16 ||N|| in either route is this large relative to it
         st = factorization_setup
-        dual = ndmap.lprime_from_duality(ndmap.assemble_L(st)).matrix
+        dual = lprime_from_duality(ndmap.assemble_L(st)).matrix
         dense = ndmap.assemble_N(st).matrix + dual @ ndmap.assemble_FL(st).matrix
         got = verify._dual_route_sum(st).matrix
         assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
@@ -88,7 +89,7 @@ class TestMemory:
     def test_factorization_expands_no_operator(self, coarse_verify, monkeypatch):
         ctx, _ = coarse_verify
         called = []
-        for name in ("assemble_lambda", "assemble_L", "_toeplitz_expand", "lprime_from_duality"):
+        for name in ("assemble_lambda", "assemble_L", "_toeplitz_expand"):
             monkeypatch.setattr(ndmap, name, lambda *a, name=name, **k: called.append(name))
         assert verify.check_factorization(ctx).passed
         assert called == []
@@ -309,7 +310,6 @@ class TestMutationSensitivity:
         # density is annihilated by the zero-sum log-quadrature correction.
         # The backward source trace drives spatially varying densities and
         # is the oracle that pins the singular self-block weight.
-        from heatcavity import oracles
         from heatcavity.geometry import CurveSpec, make_curve
 
         monkeypatch.setattr(forward, "SELF_TERM_SCALE", 1.5)
@@ -320,6 +320,6 @@ class TestMutationSensitivity:
             np.array([0.3, -0.2]), 0.4, omega, grid, region=region
         )
         live = grid.times < 0.4
-        ref = oracles.disk_green(omega.nodes, 0.4 - grid.times[live], np.array([0.3, -0.2]))
+        ref = disk_green(omega.nodes, 0.4 - grid.times[live], np.array([0.3, -0.2]))
         err = np.linalg.norm(p.values[:, live] - ref) / np.linalg.norm(ref)
         assert err > 0.1  # clean build achieves ~3e-3 on this comparison
