@@ -149,8 +149,9 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def _config_keys(text: str) -> dict[str, str]:
-    """The key=value map of a config text; unknown keys are refused."""
+    """The key=value map of a config text; unknown and repeated keys are refused."""
     raw: dict[str, str] = {}
+    first: dict[str, int] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -161,6 +162,11 @@ def _config_keys(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {ln}: unknown config key {key!r}")
+        if key in first:
+            raise ConfigError(
+                f"line {ln}: duplicate config key {key!r} (first on line {first[key]})"
+            )
+        first[key] = ln
         raw[key] = val.strip()
     return raw
 
@@ -187,7 +193,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         try:
             with open(path) as fh:
                 raw = _config_keys(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if overrides.get("out") is not None:
         raw["out_dir"] = overrides["out"]
@@ -251,8 +257,6 @@ def _peak_rss_mb() -> str:
 
 def _add_N_noise(cfg: RunConfig, N: ndmap.SpaceTimeOperator) -> ndmap.SpaceTimeOperator:
     """N with the noise of the config: its level, drawn with noise_seed + 1."""
-    if cfg.noise_level == 0:
-        return N
     return ndmap.add_noise(N, NoiseSpec(cfg.noise_level, cfg.noise_seed + 1))
 
 
@@ -267,33 +271,26 @@ def cmd_simulate(cfg: RunConfig) -> int:
         resp = setup.responses  # every impulse solve: the stages below solve nothing
     print(f"[simulate] impulse responses ({timings['responses']:.1f}s)")
 
-    def measured_lambda():
-        """Λ_D's lag stack or, with noise, its dense matrix with the noise added."""
-        # without a cavity the measured map is the cavity-free one
-        if cfg.noise_level == 0:
-            return resp["lambda_D" if cfg.cavity else "lambda_0"]
-        lam = ndmap.assemble_lambda(setup, cfg.cavity is not None)
-        return ndmap.add_noise(lam, cfg.noise).matrix
-
+    # without a cavity the measured map is the cavity-free one
+    measured = resp["lambda_D" if cfg.cavity else "lambda_0"]
     ops = {}
     stages = [
         ("lambda_0", lambda: resp["lambda_0"]),
-        ("lambda_D", measured_lambda),
-        ("N", lambda: ndmap.assemble_N(setup)),
+        ("lambda_D", lambda: ndmap.add_response_noise(measured, cfg.noise)),
+        ("N", lambda: _add_N_noise(cfg, ndmap.assemble_N(setup)).matrix),
     ]
     for name, build in stages:
         with timed(timings, name):
             ops[name] = build()
         print(f"[simulate] {name}: {cfg.M_omega * cfg.Nt} columns ({timings[name]:.1f}s)")
-    ops["N"] = _add_N_noise(cfg, ops["N"]).matrix
 
     meta_path = _out_path(cfg, "meta")
     if os.path.exists(meta_path):
         # a meta left by an earlier run must not vouch for half-written operators
         os.remove(meta_path)
     with timed(timings, "write"):
-        # costliest first: N is dense and all distinct, Λ_0 and a clean Λ_D
-        # are written from their lag stacks; all three map the conductor
+        # costliest first: N is dense and all distinct, Λ_D and Λ_0 are
+        # written from their lag stacks; all three map the conductor
         # boundary to itself, so they share one gram
         gram = gram_weights(setup.omega, setup.grid)
         operators = {name: (ops[name], gram) for name in ("N", "lambda_D", "lambda_0")}

@@ -122,6 +122,13 @@ def _toeplitz_expand(resp: np.ndarray) -> np.ndarray:
     return windows[..., ::-1].reshape(m_tgt * nt, m_src * nt)
 
 
+def _toeplitz_norm(resp: np.ndarray) -> float:
+    """Frobenius norm of the block lower-Toeplitz map with impulse responses
+    resp (M_tgt, Nt, M_src), whose lag a fills Nt - a blocks."""
+    nt = resp.shape[1]
+    return float(np.sqrt(np.dot(nt - np.arange(nt), np.einsum("iaj,iaj->a", resp, resp))))
+
+
 def _operator(
     matrix: np.ndarray, domain: BoundaryCurve, codomain: BoundaryCurve, grid: TimeGrid
 ) -> SpaceTimeOperator:
@@ -307,14 +314,22 @@ def symmetrize(N_op: SpaceTimeOperator) -> tuple[np.ndarray, float]:
     return S, float(np.sqrt(skew2 / norm2)) if norm2 > 0 else 0.0
 
 
-def add_noise(op: SpaceTimeOperator, spec: NoiseSpec) -> SpaceTimeOperator:
-    """Additive Gaussian perturbation with exact relative Frobenius size."""
+def _noisy(values: np.ndarray, spec: NoiseSpec, norm) -> np.ndarray:
+    """values plus Gaussian noise (seed spec.seed) of norm spec.level * norm(values)."""
     if spec.level == 0.0:
-        return replace(op, matrix=op.matrix.copy())
-    rng = np.random.default_rng(spec.seed)
-    noise = rng.standard_normal(op.matrix.shape)
-    scale = spec.level * np.linalg.norm(op.matrix) / np.linalg.norm(noise)
-    # scale * noise + matrix in the draw's buffer: the bits of matrix + scale * noise
-    noise *= scale
-    noise += op.matrix
-    return replace(op, matrix=noise)
+        return values
+    noise = np.random.default_rng(spec.seed).standard_normal(values.shape)
+    # the scaled draw plus values, in the draw's buffer: the bits of values + scale * noise
+    noise *= spec.level * norm(values) / norm(noise)
+    noise += values
+    return noise
+
+
+def add_noise(op: SpaceTimeOperator, spec: NoiseSpec) -> SpaceTimeOperator:
+    """op plus Gaussian noise of exact relative Frobenius size spec.level."""
+    return replace(op, matrix=_noisy(op.matrix, spec, np.linalg.norm))
+
+
+def add_response_noise(resp: np.ndarray, spec: NoiseSpec) -> np.ndarray:
+    """Impulse responses plus noise of exact relative size spec.level on their expanded map."""
+    return _noisy(resp, spec, _toeplitz_norm)

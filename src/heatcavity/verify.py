@@ -182,13 +182,6 @@ def check_duality(ctx: VerifyContext | None = None) -> CheckReport:
     )
 
 
-def _toeplitz_norm(resp: np.ndarray) -> float:
-    """Frobenius norm of the block lower-Toeplitz map with impulse responses
-    resp (M_tgt, Nt, M_src), whose lag a fills Nt - a blocks."""
-    nt = resp.shape[1]
-    return float(np.sqrt(np.dot(nt - np.arange(nt), np.einsum("iaj,iaj->a", resp, resp))))
-
-
 def _data_responses(st: ndmap.ProblemSetup):
     """Responses of Lambda_D - Lambda_0 and of its residual against Lhat.FL,
     whose responses are the lag convolution of those of Lhat and FL."""
@@ -221,7 +214,7 @@ def check_factorization(ctx: VerifyContext | None = None) -> CheckReport:
     for resolution in (BASE_RESOLUTION, DOUBLED_RESOLUTION):
         st = ctx.setup(resolution)
         diff, resid = _data_responses(st)
-        res35.append(_toeplitz_norm(resid) / _toeplitz_norm(diff))
+        res35.append(ndmap._toeplitz_norm(resid) / ndmap._toeplitz_norm(diff))
         dual = np.linalg.norm(_dual_route_sum(st).matrix)
         res37.append(float(dual / np.linalg.norm(ctx.modified_operator(resolution).matrix)))
     # cavity-free path: the modified map vanishes identically

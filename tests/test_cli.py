@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -51,6 +52,14 @@ def write_cfg(tmp_path, text=SMALL_CFG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def with_keys(lines, text=SMALL_CFG):
+    """text with the key=value lines given in place of its own lines for
+    those keys: a config may name each key once."""
+    keys = {line.split("=", 1)[0] for line in lines.splitlines()}
+    kept = [line for line in text.splitlines(keepends=True) if line.split("=", 1)[0] not in keys]
+    return "".join(kept) + lines
 
 
 #: 32/24/32: each operator has 1024² entries, past ``io.PARALLEL_MIN_VALUES``,
@@ -154,7 +163,8 @@ class TestLoadConfig:
             load_config("/nonexistent/run.cfg", {})
 
     def test_overrides(self, tmp_path):
-        path = write_cfg(tmp_path)
+        # each replaces its key, which the config also gives
+        path = write_cfg(tmp_path, with_keys("out_dir=a\n"))
         cfg = load_config(path, {"out": str(tmp_path / "o"), "noise": 0.05})
         assert cfg.out_dir == str(tmp_path / "o")
         assert cfg.noise == NoiseSpec(0.05, 0)
@@ -212,7 +222,7 @@ class TestConfigHash:
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)])
     def test_operator_hash_follows_exactly_the_operator_keys(self, key):
         base = parse_config(SMALL_CFG)
-        moved = parse_config(SMALL_CFG + f"{key}={OTHER_VALUE[key]}\n")
+        moved = parse_config(with_keys(f"{key}={OTHER_VALUE[key]}\n"))
         assert getattr(moved, key) != getattr(base, key)
         changed = cli._operator_hash(moved) != cli._operator_hash(base)
         assert changed == (key in cli._OPERATOR_KEYS)
@@ -269,6 +279,15 @@ class TestPipelineArtifacts:
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == solves
 
+    def test_N_noise_is_timed_in_its_stage(self, tmp_path, monkeypatch):
+        from heatcavity import ndmap
+
+        real = ndmap.add_noise
+        monkeypatch.setattr(ndmap, "add_noise", lambda *a: time.sleep(0.3) or real(*a))
+        cfg_path = write_cfg(tmp_path, with_keys("noise_level=0.01\n"))
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        assert float(hio.read_kv(tmp_path / "out" / "meta")["seconds.N"]) >= 0.3
+
     def test_meta_write_seconds_per_operator(self, pipeline):
         meta = hio.read_kv(pipeline["out"] / "meta")
         parts = [float(meta[f"seconds.write.{name}"]) for name in ("lambda_D", "lambda_0", "N")]
@@ -305,7 +324,8 @@ class TestPipelineArtifacts:
     def test_meta_operator_hash_ignores_reconstruct_keys(self, pipeline):
         meta = hio.read_kv(pipeline["out"] / "meta")
         steer = SMALL_CFG.replace("threshold=0.2", "threshold=0.5").replace("nx=9", "nx=11")
-        assert meta["operator_hash"] == cli._operator_hash(parse_config(steer + "tau=0.01\n"))
+        steered = parse_config(with_keys("tau=0.01\n", steer))
+        assert meta["operator_hash"] == cli._operator_hash(steered)
         moved = SMALL_CFG.replace("T=0.5", "T=0.6")
         assert meta["operator_hash"] != cli._operator_hash(parse_config(moved))
 
@@ -441,41 +461,50 @@ class TestOperatorWriteWorkers:
 
 
 class TestSimulateMemory:
-    """simulate writes Λ_0 and a clean Λ_D from their lag stacks."""
+    """simulate writes Λ_0 and Λ_D from their lag stacks, clean or noisy."""
 
     @pytest.mark.parametrize(
-        "lines, expansions",
-        [("", 0), ("noise_level=0.001\n", 1), ("noise_level=0.001\ncavity_kind=none\n", 1)],
+        "lines", ["", "noise_level=0.001\n", "noise_level=0.001\ncavity_kind=none\n"],
         ids=["clean", "noisy", "noisy_no_cavity"],
     )
-    def test_only_a_noisy_lambda_D_is_expanded(self, tmp_path, monkeypatch, lines, expansions):
+    def test_no_flux_map_is_expanded(self, tmp_path, monkeypatch, lines):
         from heatcavity import ndmap
 
         calls = []
         real = ndmap._toeplitz_expand
         monkeypatch.setattr(ndmap, "_toeplitz_expand", lambda r: calls.append(r.shape) or real(r))
-        cfg_path = write_cfg(tmp_path, SMALL_CFG + lines)
+        cfg_path = write_cfg(tmp_path, with_keys(lines))
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-        assert calls == [(16, 8, 16)] * expansions
+        assert calls == []
 
-    def test_clean_simulate_traced_peak(self, tmp_path, pool_spy):
-        # 32/24/32 written in this process: N, the lag blocks, the impulse
-        # responses and a writer block, near 1.75 n^2 doubles; expanding Λ_0
-        # and Λ_D as well peaked near 3.8
+    def traced_peak(self, tmp_path, pool_spy, text):
+        """simulate's traced peak at 32/24/32, written in this process, less
+        its lag blocks and impulse responses, in n^2 doubles."""
         pool_spy(1)
-        cfg_path = write_cfg(tmp_path, POOLED_CFG)
+        cfg_path = write_cfg(tmp_path, text)
         tracemalloc.start()
         try:
             assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        setup = cli._build_problem(parse_config(POOLED_CFG))
+        setup = cli._build_problem(parse_config(text))
         regions = (setup.omega_system, setup.cavity_system)
         blocks = sum(b.single.nbytes + b.adjoint.nbytes for b in regions)
         stacks = blocks + sum(r.nbytes for r in setup.responses.values())
         n = 32 * 32
-        assert peak <= 1.5 * n * n * 8 + stacks
+        return (peak - stacks) / (n * n * 8)
+
+    def test_clean_simulate_traced_peak(self, tmp_path, pool_spy):
+        # N and a writer block, near 1.35 n^2 doubles beyond the stacks;
+        # expanding Λ_0 and Λ_D as well peaked near 3.8
+        assert self.traced_peak(tmp_path, pool_spy, POOLED_CFG) <= 1.5
+
+    def test_noisy_simulate_traced_peak(self, tmp_path, pool_spy):
+        # N and its noise draw, near 2.1 n^2 doubles beyond the stacks;
+        # adding Λ_D's noise on its expanded dense map peaked near 3.1
+        noisy = with_keys("noise_level=0.001\n", POOLED_CFG)
+        assert self.traced_peak(tmp_path, pool_spy, noisy) <= 2.5
 
 
 class TestHandOff:
@@ -506,7 +535,7 @@ class TestHandOff:
         ids=["clean", "noisy", "no_cavity"],
     )
     def test_composed_N_is_the_exported_N(self, tmp_path, lines):
-        cfg_path = write_cfg(tmp_path, SMALL_CFG + lines)
+        cfg_path = write_cfg(tmp_path, with_keys(lines))
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
         cfg = load_config(cfg_path, {"out": str(out)})
@@ -569,20 +598,38 @@ class TestDeterminism:
         assert np.allclose(got["W"][finite], want["W"][finite], rtol=1e-12, atol=0)
 
     def test_noise_reproducible_and_seed_sensitive(self, tmp_path):
-        cfg_path = write_cfg(tmp_path, SMALL_CFG + "noise_level=0.01\n")
+        cfg_path = write_cfg(tmp_path, with_keys("noise_level=0.01\n"))
         outs = {}
         for run in ("a", "b"):
             out = str(tmp_path / run)
             assert cli.main(["simulate", "--config", cfg_path, "--out", out]) == 0
             outs[run] = (tmp_path / run / "N.stop1").read_bytes()
         assert outs["a"] == outs["b"]
-        cfg2 = write_cfg(tmp_path, SMALL_CFG + "noise_level=0.01\nnoise_seed=5\n", "n2.cfg")
+        cfg2 = write_cfg(tmp_path, with_keys("noise_level=0.01\nnoise_seed=5\n"), "n2.cfg")
         out = str(tmp_path / "d")
         assert cli.main(["simulate", "--config", cfg2, "--out", out]) == 0
         assert (tmp_path / "d" / "N.stop1").read_bytes() != outs["a"]
 
+    def test_noisy_lambda_D_is_a_noisy_causal_stack(self, tmp_path):
+        from heatcavity import ndmap
+
+        cfg_path = write_cfg(tmp_path, with_keys("noise_level=0.001\nnoise_seed=7\n"))
+        files = []
+        for run in ("a", "b"):
+            assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / run)]) == 0
+            files.append((tmp_path / run / "lambda_D.stop1").read_bytes())
+        assert files[0] == files[1]
+        mat, _ = hio.read_stop1(tmp_path / "a" / "lambda_D.stop1")
+        # column (j, 0) of a causal block-Toeplitz map holds every lag from source j
+        stack = mat[:, ::8].reshape(16, 8, 16)
+        assert np.array_equal(mat, ndmap._toeplitz_expand(stack))
+        resp = cli._build_problem(parse_config(SMALL_CFG)).responses["lambda_D"]
+        clean = ndmap._toeplitz_expand(resp)
+        rel = np.linalg.norm(mat - clean) / np.linalg.norm(clean)
+        assert rel == pytest.approx(0.001, rel=1e-12)
+
     def test_noisy_operators_match_per_value_rendering(self, tmp_path):
-        cfg_path = write_cfg(tmp_path, SMALL_CFG + "noise_level=0.01\n")
+        cfg_path = write_cfg(tmp_path, with_keys("noise_level=0.01\n"))
         out = tmp_path / "noisy"
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
         for name in ("lambda_D", "lambda_0", "N"):
@@ -604,14 +651,14 @@ class TestDeterminism:
 
 class TestExitCodes:
     def test_bad_config_exits_1(self, tmp_path, capsys):
-        cfg_path = write_cfg(tmp_path, SMALL_CFG + "M_omega=4\n")
+        cfg_path = write_cfg(tmp_path, with_keys("M_omega=4\n"))
         assert cli.main(["simulate", "--config", cfg_path]) == 1
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lines", ["T=nan\n", "T=inf\n", "noise_level=0.01\nnoise_seed=-1\n"])
     def test_bad_value_exits_1_before_any_operator_is_written(self, tmp_path, capsys, lines):
         out = tmp_path / "out"
-        cfg_path = write_cfg(tmp_path, SMALL_CFG + lines)
+        cfg_path = write_cfg(tmp_path, with_keys(lines))
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not list(tmp_path.rglob("*.stop1"))
@@ -632,6 +679,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"config error: out_dir must be a path on one line, got {out or ''!r}\n"
         )
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_duplicate_key_exits_1(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, SMALL_CFG + "M_omega=64\n")
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: line 17: duplicate config key 'M_omega' (first on line 5)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_undecodable_config_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(SMALL_CFG.encode() + b"# \xff\n")
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg_path}: ")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_missing_config_exits_1(self, capsys):

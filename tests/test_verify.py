@@ -82,7 +82,7 @@ class TestFactorizationRoutes:
     def test_toeplitz_norm_is_the_expanded_norm(self):
         resp = np.random.default_rng(4).standard_normal((3, 7, 5))
         expanded = np.linalg.norm(ndmap._toeplitz_expand(resp))
-        assert verify._toeplitz_norm(resp) == pytest.approx(expanded, rel=1e-14)
+        assert ndmap._toeplitz_norm(resp) == pytest.approx(expanded, rel=1e-14)
 
 
 class TestMemory:
