@@ -20,11 +20,10 @@ from heatcavity.recon import SamplingSpec, eigendecompose, jaccard, reconstruct
 
 
 def ascii_mask(grid_out) -> str:
-    xs = sorted({p.y[0] for p in grid_out.points})
-    ys = sorted({p.y[1] for p in grid_out.points})
+    xs, ys = (np.unique(c) for c in grid_out.y.T)
     char = {}
-    for p, mk, tr in zip(grid_out.points, grid_out.mask, grid_out.truth):
-        char[(p.y[0], p.y[1])] = "#" if mk and tr else "o" if mk else "x" if tr else "."
+    for (x, y), mk, tr in zip(grid_out.y, grid_out.mask, grid_out.truth):
+        char[(x, y)] = "#" if mk and tr else "o" if mk else "x" if tr else "."
     rows = []
     for y in reversed(ys):
         rows.append(" ".join(char.get((x, y), " ") for x in xs))

@@ -88,9 +88,13 @@ class RunConfig:
         return SamplingSpec(self.nx, self.ny, self.s_slices, self.margin)
 
     def validate(self) -> None:
+        # meta's config echo holds a path on one line, without padding
         if self.out_dir.splitlines() != [self.out_dir]:
-            # empty, or broken over lines, which meta's config echo cannot hold
             raise ConfigError(f"out_dir must be a path on one line, got {self.out_dir!r}")
+        if self.out_dir != self.out_dir.strip():
+            raise ConfigError(
+                f"out_dir must not start or end with whitespace, got {self.out_dir!r}"
+            )
         for name in ("M_omega", "M_cavity", "Nt", "nx", "ny"):
             if getattr(self, name) < 8:
                 raise ConfigError(f"{name} must be >= 8, got {getattr(self, name)}")

@@ -36,11 +36,6 @@ from .kernels import (
 #: Collocation instant inside each time cell, as a fraction of dt.
 COLLOCATION_OFFSET = 0.5
 
-#: Scale on the log-singular part of the single-layer self interaction.
-#: The correct physical value is 1.0; it is exposed as a module constant so
-#: a corrupted value can be injected to confirm the convergence checks react.
-SELF_TERM_SCALE = 1.0
-
 #: Jump-relation coefficient of the second-kind boundary equation: the
 #: normal-derivative trace of the single layer from the domain side is
 #: sigma * JUMP_COEFF * rho + K'rho with sigma = +1 on the outer curve
@@ -215,9 +210,7 @@ def _self_half_block(curve: BoundaryCurve, b: float) -> np.ndarray:
     smat = (-np.euler_gamma + np.log(4.0 * b) + e1_entire_part(r2 / (4.0 * b))) / _FOUR_PI
     logw = log_quadrature_weights(m)
     circ = logw[(idx[:, None] - idx[None, :]) % m]
-    return curve.weights[None, :] * (smat - lmat / _FOUR_PI) + SELF_TERM_SCALE * (
-        -circ * speed[None, :] / _FOUR_PI
-    )
+    return curve.weights[None, :] * (smat - lmat / _FOUR_PI) - circ * speed[None, :] / _FOUR_PI
 
 
 def _lag_blocks(targets, sources, weights, grid: TimeGrid, normals=None, offset=0.0) -> np.ndarray:
@@ -475,29 +468,6 @@ def trace_at_times(density: LayerDensity, component: int, s: float) -> np.ndarra
     return _convolve(stack[:n0, rows, :], density.values[:, :n0])[:, ::-1]
 
 
-def green_probe_trace(
-    y,
-    s: float,
-    omega: BoundaryCurve,
-    grid: TimeGrid,
-    *,
-    region: RetardedBlocks | None = None,
-) -> BoundaryField:
-    """Boundary trace of the backward Neumann Green function probe.
-
-    Substituting t -> s - t turns the backward Green function with
-    space-time pole (y, s) into the forward Neumann Green function of the
-    conductor with pole at time zero, so the probe is
-
-        p(x, t) = Gamma(x - y, s - t) + correction(x, s - t),  t < s,
-
-    and 0 for t >= s, with the smooth correction solved as a single-layer
-    field whose flux cancels -dnu Gamma(. - y, .) on the outer boundary.
-    """
-    out = green_probe_traces(np.asarray(y, dtype=float)[None, :], s, omega, grid, region=region)
-    return BoundaryField(omega, grid, out[:, :, 0])
-
-
 def green_probe_traces(
     points: np.ndarray,
     s,
@@ -506,11 +476,16 @@ def green_probe_traces(
     *,
     region: RetardedBlocks | None = None,
 ) -> np.ndarray:
-    """Batched probe traces for P points and the probe times s (a scalar or
-    S values); returns (M, Nt, S * P), column j * P + p for (s[j], point p).
+    """Boundary traces of the backward Neumann Green function probes with
+    poles (y, s), for P points y and the probe times s (a scalar or S
+    values); returns (M, Nt, S * P), column j * P + p for (s[j], point p).
 
-    The correction flux does not depend on s, so one Neumann solve serves
-    every probe time.
+    Substituting t -> s - t turns a backward Green function into the forward
+    Neumann Green function of the conductor with pole at time zero, so the
+    probe is Gamma(x - y, s - t) + correction(x, s - t) for t < s and 0 for
+    t >= s, the smooth correction being the single-layer field whose flux
+    cancels -dnu Gamma(. - y, .) on the outer boundary.  That flux does not
+    depend on s, so one Neumann solve serves every probe time.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     svals = np.atleast_1d(np.asarray(s, dtype=float))

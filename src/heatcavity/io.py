@@ -356,8 +356,7 @@ _INDICATOR_HEADER = "y1,y2,s,W,normalized,mask,truth"
 
 def write_indicator_csv(path, grid) -> None:
     """Write an indicator grid, one _INDICATOR_HEADER row per probe point."""
-    points = np.array([(*p.y, p.s) for p in grid.points], dtype=float).reshape(-1, 3)
-    columns = [points, grid.values, grid.normalized, grid.mask, grid.truth]
+    columns = [grid.y, grid.s, grid.values, grid.normalized, grid.mask, grid.truth]
     _write_csv(path, _INDICATOR_HEADER, columns)
 
 
@@ -369,12 +368,18 @@ def read_indicator_csv(path) -> dict:
 
 
 def write_kv(path, record: dict) -> None:
-    """Flat key=value record; values are written as-is after str()."""
+    """Flat key=value record; values are written as-is after str().  A pair
+    read_kv would not read back as written is refused: a line break, a key
+    holding "=" or starting with "#", or whitespace around a key or value."""
+    lines = []
+    for key, val in record.items():
+        k, v = str(key), str(val)
+        broken = "\n" in k + v or "\r" in k + v
+        if broken or "=" in k or k.startswith("#") or (k, v) != (k.strip(), v.strip()):
+            raise ValueError(f"key/value not representable in flat record: {key!r}")
+        lines.append(f"{k}={v}\n")
     with open(path, "w") as fh:
-        for key, val in record.items():
-            if "=" in str(key) or "\n" in str(key) or "\n" in str(val):
-                raise ValueError(f"key/value not representable in flat record: {key!r}")
-            fh.write(f"{key}={val}\n")
+        fh.writelines(lines)
 
 
 def read_kv(path) -> dict:

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (
-    BoundaryField,
-    RetardedBlocks,
-    TimeGrid,
-    _conductor_region,
-    _probe_traces,
-)
+from .forward import RetardedBlocks, TimeGrid, _conductor_region, _probe_traces
 from .geometry import TOL_GEOM, BoundaryCurve, signed_distance
 from .ndmap import _tile_pairs
 from .timing import timed
@@ -71,12 +65,6 @@ class EigenSystem:
 
 
 @dataclass(frozen=True)
-class ProbePoint:
-    y: tuple[float, float]
-    s: float
-
-
-@dataclass(frozen=True)
 class SamplingSpec:
     """Rectangular sampling lattice over the conductor's bounding box.
 
@@ -98,14 +86,17 @@ class SamplingSpec:
 
 @dataclass
 class IndicatorGrid:
-    points: list[ProbePoint]
+    """Per probe point (y[i], s[i]), s-major: y is (P, 2) and s (P,)."""
+
+    y: np.ndarray
+    s: np.ndarray
     values: np.ndarray
     normalized: np.ndarray
     mask: np.ndarray
     truth: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.s)
 
 
 #: The LAPACK routines heatcavity calls: dsyevd, for its workspace query,
@@ -347,55 +338,46 @@ def _require_vectors(eig: EigenSystem) -> None:
         raise ValueError("eigensystem was solved with vectors=False and holds no eigenvectors")
 
 
-def _normalized_probe_matrix(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:
-    """W-normalize probe columns; all-zero probes become NaN columns."""
+def _picard_terms(eig: EigenSystem, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Retained Picard terms |<p, psi_n>_W|^2 / lambda_n, shape (n*, P), of
+    the W-normalized probe columns p of probes (n, P), and which columns
+    have no W-normalization (zero or not finite); their terms are dropped."""
     _require_vectors(eig)
     g = eig.gram
+    if np.ndim(probes) != 2 or len(probes) != len(g):
+        raise ValueError(f"probes of shape {np.shape(probes)} are not (n, P) columns, n = {len(g)}")
     norms = np.sqrt(np.sum(g[:, None] * probes**2, axis=0))
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(norms[None, :] > 0, probes / norms[None, :], np.nan)
+        unit = np.where(norms[None, :] > 0, probes / norms[None, :], np.nan)
+    orphan = np.any(np.isnan(unit), axis=0)
+    coeff = eig.vectors.T @ (g[:, None] * np.nan_to_num(unit))
+    return coeff**2 / eig.retained_lambdas[:, None], orphan
 
 
-def _picard_terms(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:
-    """Retained Picard terms |<p, psi_n>_W|^2 / lambda_n, shape (n*, P), for
-    W-normalized probe columns."""
-    coeff = eig.vectors.T @ (eig.gram[:, None] * probes)
-    return coeff**2 / eig.retained_lambdas[:, None]
+def picard_indicator(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:
+    """Reciprocal Picard series W (P,) of the probe columns (n, P).
 
-
-def _indicators(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:
-    """W for each probe column: the reciprocal retained Picard sum of the
-    W-normalized column, or np.inf for a zero column or a sum at or below
-    SUM_FLOOR."""
-    probes = _normalized_probe_matrix(eig, probes)
-    orphan = np.any(np.isnan(probes), axis=0)
-    sums = np.sum(_picard_terms(eig, np.nan_to_num(probes)), axis=0)
-    return np.where((sums <= SUM_FLOOR) | orphan, np.inf, 1.0 / np.maximum(sums, SUM_FLOOR))
-
-
-def picard_indicator(eig: EigenSystem, probe: BoundaryField) -> float:
-    """Reciprocal Picard series for one probe; np.inf when out of reach.
-
-    The probe is W-normalized first, making the value scale-free; a probe
-    orthogonal to the retained span (including the zero probe) yields the
-    infinite sentinel.
+    Each column is W-normalized first, making its value scale-free; a
+    column orthogonal to the retained span, or zero, or a sum at or below
+    SUM_FLOOR yields the infinite sentinel np.inf.
     """
     if eig.retained < 1:
         raise ValueError("eigensystem has no retained pairs")
-    return float(_indicators(eig, probe.flatten()[:, None])[0])
+    terms, orphan = _picard_terms(eig, probes)
+    sums = np.sum(terms, axis=0)
+    return np.where((sums <= SUM_FLOOR) | orphan, np.inf, 1.0 / np.maximum(sums, SUM_FLOOR))
 
 
-def picard_partial_sums(eig: EigenSystem, probe: BoundaryField) -> np.ndarray:
-    """Cumulative Picard sums over the retained pairs (diagnostic curve).
+def picard_partial_sums(eig: EigenSystem, probes: np.ndarray) -> np.ndarray:
+    """Cumulative Picard sums (n*, P) of the probe columns (n, P); zeros for
+    a zero column.
 
     Interior points show partial sums that level off within the retained
     range; exterior points keep growing by roughly constant factors per
     eigenvalue decade, which is the practical face of the range dichotomy.
     """
-    vec = _normalized_probe_matrix(eig, probe.flatten()[:, None])
-    if np.any(np.isnan(vec)):
-        return np.zeros(eig.retained)
-    return np.cumsum(_picard_terms(eig, vec)[:, 0])
+    terms, orphan = _picard_terms(eig, probes)
+    return np.where(orphan, 0.0, np.cumsum(terms, axis=0))
 
 
 def sampling_points(omega: BoundaryCurve, spec: SamplingSpec) -> tuple[np.ndarray, float]:
@@ -468,34 +450,30 @@ def reconstruct(
         with timed(timings, "lattice"):
             lattice = probe_lattice(omega, sampling, cavity)
     pts, inside, _ = lattice
-    svals = slice_times(grid, sampling.s_slices)
-    points = [ProbePoint((float(p[0]), float(p[1])), float(s)) for s in svals for p in pts]
-    if not points:
+    if len(pts) == 0:
         raise ValueError("sampling grid contains no admissible probe points")
+    svals = slice_times(grid, sampling.s_slices)
     with timed(timings, "traces"):
         region = _conductor_region(region, omega, grid)
-
-    jobs = [pts[lo : lo + PROBE_CHUNK] for lo in range(0, len(pts), PROBE_CHUNK)]
-
-    def run_chunk(chunk_pts):
+    chunks = []
+    for lo in range(0, len(pts), PROBE_CHUNK):
         # one Neumann solve per chunk serves every sampling time; the
         # lattice keeps only points inside the conductor
         with timed(timings, "traces"):
-            traces = _probe_traces(chunk_pts, svals, omega, region)
+            traces = _probe_traces(pts[lo : lo + PROBE_CHUNK], svals, omega, region)
         with timed(timings, "indicator"):
-            values = _indicators(eig, traces.reshape(omega.M * grid.Nt, -1))
-        return values.reshape(len(svals), -1)
-
-    # chunks hold every time of their points; values run s-major like points
-    values = np.concatenate(list(map(run_chunk, jobs)), axis=1).ravel()
+            w = picard_indicator(eig, traces.reshape(omega.M * grid.Nt, -1))
+        chunks.append(w.reshape(len(svals), -1))
+    # chunks hold every time of their points; values run s-major
+    values = np.concatenate(chunks, axis=1).ravel()
 
     with timed(timings, "indicator"):
         finite = np.isfinite(values)
         vmax = values[finite].max() if np.any(finite) else 1.0
         normalized = np.where(finite, values / vmax, 1.0)
         mask = normalized >= threshold
-    truth = np.tile(inside, len(svals))
-    return IndicatorGrid(points, values, normalized, mask, truth)
+    y, s = np.tile(pts, (len(svals), 1)), np.repeat(svals, len(pts))
+    return IndicatorGrid(y, s, values, normalized, mask, np.tile(inside, len(svals)))
 
 
 #: Points whose mask margin is below this are counted as near the cut.

@@ -360,21 +360,18 @@ def check_probe_dichotomy(ctx: VerifyContext | None = None) -> CheckReport:
     s = HORIZON / 2.0
     interior = [(0.0, 0.0), (0.15, 0.1), (-0.12, 0.18), (0.05, -0.22), (-0.2, -0.1)]
     exterior = [(0.55, 0.0), (-0.4, 0.45), (0.1, -0.62), (-0.68, -0.2), (0.45, 0.5)]
-
-    def w_and_growth(pt):
-        probe = forward.green_probe_trace(
-            np.asarray(pt), s, st.omega, st.grid, region=st.omega_system
-        )
-        w = recon.picard_indicator(eig, probe)
-        sums = recon.picard_partial_sums(eig, probe)
-        lam = eig.retained_lambdas
-        edge = lam[-1] * 10.0
-        k = int(np.searchsorted(-lam, -edge))
-        growth = float(sums[-1] / sums[max(k, 1) - 1])
-        return w, growth
-
-    wi, gi = zip(*(w_and_growth(p) for p in interior))
-    we, ge = zip(*(w_and_growth(p) for p in exterior))
+    points = np.array(interior + exterior)
+    probes = forward.green_probe_traces(points, s, st.omega, st.grid, region=st.omega_system)
+    # a column at a time, as matrix-vector products: with several columns the
+    # product is a threaded dgemm whose BLAS buffers, touched by nothing else
+    # in verify, add about 1 MB to the command's peak RSS
+    columns = np.split(probes.reshape(-1, len(points)), len(points), axis=1)
+    w = np.concatenate([recon.picard_indicator(eig, c) for c in columns])
+    sums = np.hstack([recon.picard_partial_sums(eig, c) for c in columns])
+    lam = eig.retained_lambdas
+    k = int(np.searchsorted(-lam, -lam[-1] * 10.0))
+    growth = sums[-1] / sums[max(k, 1) - 1]
+    (wi, we), (gi, ge) = np.split(w, 2), np.split(growth, 2)
     passed = min(wi) > max(we)
     return CheckReport(
         "probe_dichotomy",

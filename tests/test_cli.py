@@ -681,6 +681,20 @@ class TestExitCodes:
         )
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "spectrum", "verify"])
+    @pytest.mark.parametrize("out", [" spaced", "spaced ", "\tx", " "])
+    def test_padded_out_dir_exits_1_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, out
+    ):
+        # meta's config echo would read such a directory back stripped
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--config", write_cfg(tmp_path, SMALL_CFG), "--out", out]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"config error: out_dir must not start or end with whitespace, got {out!r}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_duplicate_key_exits_1(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SMALL_CFG + "M_omega=64\n")
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1

@@ -13,7 +13,6 @@ from scipy.special import exp1
 from heatcavity import forward, oracles
 from heatcavity.forward import (
     JUMP_COEFF,
-    SELF_TERM_SCALE,
     BoundaryField,
     SolverError,
     TimeGrid,
@@ -21,7 +20,6 @@ from heatcavity.forward import (
     assemble_blocks,
     field_norm,
     gradient_at,
-    green_probe_trace,
     green_probe_traces,
     normal_derivative_on,
     potential_at,
@@ -283,44 +281,44 @@ class TestGreenProbe:
     def test_zero_after_probe_time(self):
         omega = make_curve(UNIT_CIRCLE, 16)
         grid = TimeGrid(0.5, 8)
-        p = green_probe_trace((0.2, 0.1), 0.25, omega, grid)
+        p = green_probe_traces((0.2, 0.1), 0.25, omega, grid)[:, :, 0]
         live = grid.times < 0.25
-        assert np.all(p.values[:, ~live] == 0.0)
-        assert np.any(p.values[:, live] != 0.0)
+        assert np.all(p[:, ~live] == 0.0)
+        assert np.any(p[:, live] != 0.0)
 
     def test_center_probe_spatially_constant(self):
         omega = make_curve(UNIT_CIRCLE, 16)
         grid = TimeGrid(0.5, 8)
-        p = green_probe_trace((0.0, 0.0), 0.5, omega, grid)
-        spread = np.abs(p.values - p.values[:1, :]).max()
-        assert spread <= 1e-10 * np.abs(p.values).max()
+        p = green_probe_traces((0.0, 0.0), 0.5, omega, grid)[:, :, 0]
+        spread = np.abs(p - p[:1, :]).max()
+        assert spread <= 1e-10 * np.abs(p).max()
 
     def test_free_space_part_is_heat_kernel(self):
         omega = make_curve(UNIT_CIRCLE, 16)
         grid = TimeGrid(0.5, 8)
         y = np.array([0.3, -0.1])
         s = 0.4
-        p = green_probe_trace(y, s, omega, grid)
+        p = green_probe_traces(y, s, omega, grid)[:, :, 0]
         # the correction: the field whose flux cancels -dnu Gamma(. - y, tau_k)
         flux = -dnu_gamma(omega.nodes[:, None, :] - y, omega.normals[:, None, :], grid.times)
         rho = solve_neumann(assemble_blocks(omega, grid), flux)
         correction = forward.trace_at_times(rho, 0, s)
         live = grid.times < s
-        free = p.values[:, live] - correction
+        free = p[:, live] - correction
         eps = np.finfo(float).eps
         for k, t in enumerate(grid.times[live]):
             want = gamma(omega.nodes - y, s - t)
-            assert np.allclose(free[:, k], want, rtol=0, atol=4 * eps * np.abs(p.values).max())
+            assert np.allclose(free[:, k], want, rtol=0, atol=4 * eps * np.abs(p).max())
 
     def test_full_probe_vs_series_oracle(self):
         omega = make_curve(UNIT_CIRCLE, 32)
         grid = TimeGrid(0.5, 16)
         y = np.array([0.3, -0.2])
         s = 0.5
-        p = green_probe_trace(y, s, omega, grid)
+        p = green_probe_traces(y, s, omega, grid)[:, :, 0]
         live = grid.times < s
         want = disk_green(omega.nodes, s - grid.times[live], y)
-        err = np.linalg.norm(p.values[:, live] - want)
+        err = np.linalg.norm(p[:, live] - want)
         assert err <= 1e-2 * np.linalg.norm(want)
 
     def test_reciprocity_through_series_oracle(self):
@@ -359,8 +357,8 @@ class TestGreenProbe:
         # batched and one-at-a-time solves may differ in summation order,
         # but only at roundoff level
         for j, pt in enumerate(pts):
-            single = green_probe_trace(pt, 0.3, omega, grid)
-            assert np.allclose(batch[:, :, j], single.values, rtol=0, atol=1e-13)
+            single = green_probe_traces(pt, 0.3, omega, grid)[:, :, 0]
+            assert np.allclose(batch[:, :, j], single, rtol=0, atol=1e-13)
 
     def test_repeated_batch_is_bitwise_identical(self):
         omega = make_curve(UNIT_CIRCLE, 16)
@@ -402,9 +400,9 @@ class TestGreenProbe:
         assert len(calls) == 1
         assert np.array_equal(first, again)
         for pt in pts:
-            cached = green_probe_trace(pt, s, omega, grid, region=warm)
-            fresh = green_probe_trace(pt, s, omega, grid, region=assemble_blocks(omega, grid))
-            assert np.array_equal(cached.values, fresh.values)
+            cached = green_probe_traces(pt, s, omega, grid, region=warm)
+            fresh = green_probe_traces(pt, s, omega, grid, region=assemble_blocks(omega, grid))
+            assert np.array_equal(cached, fresh)
 
     def test_concurrent_off_grid_probes_match_serial(self):
         # threads racing to build the same per-s stack store identical bits
@@ -452,19 +450,18 @@ class TestGreenProbe:
     def test_invalid_probe_inputs(self):
         omega = make_curve(UNIT_CIRCLE, 16)
         grid = TimeGrid(0.5, 8)
-        with pytest.raises(ValueError):
-            green_probe_trace((1.5, 0.0), 0.3, omega, grid)
-        with pytest.raises(ValueError):
-            green_probe_trace((0.1, 0.0), 0.6, omega, grid)
-        with pytest.raises(ValueError):
-            green_probe_trace((0.1, 0.0), 0.0, omega, grid)
+        with pytest.raises(ValueError, match="outside the conductor"):
+            green_probe_traces((1.5, 0.0), 0.3, omega, grid)
+        with pytest.raises(ValueError, match="outside"):
+            green_probe_traces((0.1, 0.0), 0.6, omega, grid)
+        with pytest.raises(ValueError, match="outside"):
+            green_probe_traces((0.1, 0.0), 0.0, omega, grid)
 
 
 class TestConventions:
     def test_pinned_discretization_constants(self):
-        # the disk benchmark convergence fixes both signs; a change here
+        # the disk benchmark convergence fixes the sign; a change here
         # must ring the convergence checks
-        assert SELF_TERM_SCALE == 1.0
         assert JUMP_COEFF == 0.5
 
     def test_field_norm_positive(self, disk_region):

@@ -1,5 +1,6 @@
 """Artifact formats: bit-exact round trips and malformed-input rejection."""
 
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from heatcavity import floatfmt, io as hio
 from heatcavity.ndmap import _toeplitz_expand
-from heatcavity.recon import IndicatorGrid, ProbePoint
+from heatcavity.recon import IndicatorGrid
 
 TRICKY = np.array([0.1, 1.0 / 3.0, -1e308, 1e-300, 0.35, 0.0, -2.5e-17, 7.0])
 
@@ -438,9 +439,9 @@ class TestSpectrumCsv:
 
 class TestIndicatorCsv:
     def fake_grid(self):
-        pts = [ProbePoint((0.1, -0.2), 0.25), ProbePoint((1.0 / 3.0, 0.7), 0.25)]
         return IndicatorGrid(
-            points=pts,
+            y=np.array([[0.1, -0.2], [1.0 / 3.0, 0.7]]),
+            s=np.array([0.25, 0.25]),
             values=np.array([2.5, np.inf]),
             normalized=np.array([1.0, 0.125]),
             mask=np.array([True, False]),
@@ -465,11 +466,11 @@ class TestIndicatorCsv:
         grid.normalized[1] = -0.0
         path = tmp_path / "indicator.csv"
         hio.write_indicator_csv(path, grid)
-        fields = zip(grid.points, grid.values, grid.normalized, grid.mask, grid.truth)
+        fields = zip(grid.y, grid.s, grid.values, grid.normalized, grid.mask, grid.truth)
         rows = "".join(
-            ",".join([*map(hio.format_float, (*p.y, p.s, w, nv)), str(int(mk)), str(int(tr))])
+            ",".join([*map(hio.format_float, (*y, s, w, nv)), str(int(mk)), str(int(tr))])
             + "\n"
-            for p, w, nv, mk, tr in fields
+            for y, s, w, nv, mk, tr in fields
         )
         assert path.read_bytes() == ("y1,y2,s,W,normalized,mask,truth\n" + rows).encode()
 
@@ -526,3 +527,30 @@ class TestKeyValue:
             hio.write_kv(tmp_path / "m.txt", {"a=b": 1})
         with pytest.raises(ValueError):
             hio.write_kv(tmp_path / "m.txt", {"a": "x\ny"})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("a", "x\ry"), ("a\rb", "x"), ("#b", "1"), (" c ", "2"), ("c", " 2 "), ("d\t", "1"),
+         ("d", "1\t"), (" ", "1")],
+        ids=["cr_value", "cr_key", "comment_key", "padded_key", "padded_value", "tab_key",
+             "tab_value", "blank_key"],
+    )  # fmt: skip
+    def test_pair_that_would_not_read_back_is_refused(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            hio.write_kv(tmp_path / "m.txt", {"ok": "1", key: value})
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_write_read_round_trip(self, tmp_path):
+        record = {
+            "empty": "",
+            "expr": "a=b=c",
+            "": "empty key",
+            "inner space": "x y",
+            "hash": "#not a comment",
+            "k#": "v",
+            "n": 3,
+            "tabbed": "a\tb",
+        }
+        path = tmp_path / "m.txt"
+        hio.write_kv(path, record)
+        assert hio.read_kv(path) == {k: str(v) for k, v in record.items()}

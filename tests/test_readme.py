@@ -142,16 +142,35 @@ def test_artifacts_section_names_every_meta_key(gate_out):
     assert not missing, f"README's Artifacts section does not name {missing}"
 
 
-def test_library_tour_private_names_resolve():
-    # a private name in a row is looked up in that row's module(s), or in
-    # the module it is qualified with
+def tour_rows() -> list[tuple[str, list[ModuleType], str]]:
+    """(module cell, its modules, the rest of the row) per library tour row."""
     tour = re.search(r"## Library tour\n\n(.*?)\n\n", README.read_text(), re.S)
     assert tour is not None, "README lost its library tour"
     rows = [row for row in tour.group(1).splitlines() if row.startswith("| `heatcavity.")]
     assert len(rows) >= 10
+    out = []
     for row in rows:
         first, rest = row[1:].split(" | ", 1)
         modules = [importlib.import_module(m) for m in re.findall(r"`(heatcavity\.\w+)`", first)]
-        for qualifier, name in re.findall(r"`(?:(\w+)\.)?(_\w+)`", rest):
+        out.append((first.strip(), modules, rest))
+    return out
+
+
+def assert_resolves(pattern: str) -> None:
+    """Each (qualifier, name) the pattern finds in a tour row is an attribute
+    of the module it is qualified with, or else of one of the row's modules."""
+    for first, modules, rest in tour_rows():
+        for qualifier, name in re.findall(pattern, rest):
             owners = [importlib.import_module(f"heatcavity.{qualifier}")] if qualifier else modules
-            assert any(hasattr(m, name) for m in owners), f"{first.strip()} names {name}"
+            assert any(hasattr(m, name) for m in owners), f"{first} names {name}"
+
+
+def test_library_tour_private_names_resolve():
+    # a private name in a row is looked up in that row's module(s), or in
+    # the module it is qualified with
+    assert_resolves(r"`(?:(\w+)\.)?(_\w+)`")
+
+
+def test_library_tour_call_forms_resolve():
+    # so is every name written as a call, `name(...)` or `module.name(...)`
+    assert_resolves(r"`(?:(\w+)\.)?(\w+)\(")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heatcavity import geometry, recon
-from heatcavity.forward import BoundaryField, TimeGrid
+from heatcavity.forward import TimeGrid, green_probe_traces
 from heatcavity.geometry import CurveSpec, OnBoundaryError, make_curve, point_in_region
 from heatcavity.ndmap import symmetrize
 from heatcavity.recon import (
@@ -29,17 +29,12 @@ UNIT_CIRCLE = CurveSpec("circle", (0.0, 0.0, 1.0))
 EIGH_ROUTINES = ("syevd", "sytrd", "stedc", "ormtr")
 
 
-def make_field(curve, grid, vec):
-    return BoundaryField(curve, grid, np.asarray(vec, dtype=float).reshape(curve.M, grid.Nt))
-
-
 TOY_DIM = 12  # M=3 nodes, Nt=4 cells
 
 
-def toy_field(vec):
-    curve = make_curve(UNIT_CIRCLE, 3)
-    grid = TimeGrid(1.0, 4)
-    return make_field(curve, grid, vec)
+def column(vec):
+    """One probe column (TOY_DIM, 1)."""
+    return np.asarray(vec, dtype=float)[:, None]
 
 
 @pytest.fixture(scope="module")
@@ -326,7 +321,7 @@ class TestPicardIndicator:
         gram = np.ones(TOY_DIM)
         psi = np.ones((TOY_DIM, 1)) / np.sqrt(TOY_DIM)  # W-normalized
         eig = EigenSystem(np.array([1.0]), psi, 1, gram)
-        assert picard_indicator(eig, toy_field(psi[:, 0])) == pytest.approx(1.0, rel=1e-14)
+        assert picard_indicator(eig, column(psi[:, 0]))[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_orthogonal_probe_returns_inf(self):
         gram = np.ones(TOY_DIM)
@@ -335,17 +330,17 @@ class TestPicardIndicator:
         eig = EigenSystem(np.array([1.0]), vecs, 1, gram)
         probe = np.zeros(TOY_DIM)
         probe[1] = 1.0
-        assert picard_indicator(eig, toy_field(probe)) == np.inf
+        assert picard_indicator(eig, column(probe))[0] == np.inf
 
     def test_zero_probe_returns_inf(self, toy_eig):
-        assert picard_indicator(toy_eig, toy_field(np.zeros(TOY_DIM))) == np.inf
+        assert picard_indicator(toy_eig, column(np.zeros(TOY_DIM)))[0] == np.inf
 
     def test_scale_invariance(self, toy_eig):
         rng = np.random.default_rng(22)
         vec = rng.standard_normal(TOY_DIM)
-        w1 = picard_indicator(toy_eig, toy_field(vec))
-        w2 = picard_indicator(toy_eig, toy_field(137.0 * vec))
-        w3 = picard_indicator(toy_eig, toy_field(-vec))
+        w1 = picard_indicator(toy_eig, column(vec))[0]
+        w2 = picard_indicator(toy_eig, column(137.0 * vec))[0]
+        w3 = picard_indicator(toy_eig, column(-vec))[0]
         assert w1 == pytest.approx(w2, rel=1e-12)
         assert w1 == pytest.approx(w3, rel=1e-12)
 
@@ -359,14 +354,14 @@ class TestPicardIndicator:
             toy_eig.retained,
             toy_eig.gram,
         )
-        w1 = picard_indicator(toy_eig, toy_field(vec))
-        w2 = picard_indicator(flipped, toy_field(vec))
+        w1 = picard_indicator(toy_eig, column(vec))[0]
+        w2 = picard_indicator(flipped, column(vec))[0]
         assert w1 == pytest.approx(w2, rel=1e-12)
 
     def test_nonnegative(self, toy_eig):
         rng = np.random.default_rng(30)
         for _ in range(20):
-            w = picard_indicator(toy_eig, toy_field(rng.standard_normal(TOY_DIM)))
+            w = picard_indicator(toy_eig, column(rng.standard_normal(TOY_DIM)))[0]
             assert w >= 0.0
 
     def test_truncation_monotonicity(self, toy_eig):
@@ -376,19 +371,19 @@ class TestPicardIndicator:
         values = []
         for keep in range(1, TOY_DIM + 1):
             trunc = EigenSystem(toy_eig.lambdas, toy_eig.vectors[:, :keep], keep, toy_eig.gram)
-            values.append(picard_indicator(trunc, toy_field(vec)))
+            values.append(picard_indicator(trunc, column(vec))[0])
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_partial_sums_nondecreasing(self, toy_eig):
         rng = np.random.default_rng(25)
-        sums = picard_partial_sums(toy_eig, toy_field(rng.standard_normal(TOY_DIM)))
-        assert sums.shape == (toy_eig.retained,)
-        assert np.all(np.diff(sums) >= 0)
+        sums = picard_partial_sums(toy_eig, column(rng.standard_normal(TOY_DIM)))
+        assert sums.shape == (toy_eig.retained, 1)
+        assert np.all(np.diff(sums, axis=0) >= 0)
 
     def test_no_retained_pairs_rejected(self, toy_eig):
         broken = EigenSystem(toy_eig.lambdas, toy_eig.vectors[:, :0], 0, toy_eig.gram)
-        with pytest.raises(ValueError):
-            picard_indicator(broken, toy_field(np.ones(TOY_DIM)))
+        with pytest.raises(ValueError, match="no retained pairs"):
+            picard_indicator(broken, column(np.ones(TOY_DIM)))
 
     @pytest.mark.parametrize("columns, retained", [(TOY_DIM, 1), (1, 2)])
     def test_vectors_of_another_count_than_retained_rejected(self, toy_eig, columns, retained):
@@ -396,9 +391,30 @@ class TestPicardIndicator:
         with pytest.raises(ValueError, match=r"is not \(n, retained\)"):
             EigenSystem(toy_eig.lambdas, toy_eig.vectors[:, :columns], retained, toy_eig.gram)
 
+    def test_columns_are_scored_apart(self, toy_eig):
+        # a zero column is the sentinel in W and zeros in the partial sums;
+        # every other column gets the value it gets alone
+        probes = np.random.default_rng(26).standard_normal((TOY_DIM, 5))
+        probes[:, 2] = 0.0
+        w = picard_indicator(toy_eig, probes)
+        sums = picard_partial_sums(toy_eig, probes)
+        assert w.shape == (5,) and sums.shape == (toy_eig.retained, 5)
+        assert w[2] == np.inf and not sums[:, 2].any()
+        for j in (0, 1, 3, 4):
+            alone = picard_indicator(toy_eig, probes[:, j : j + 1])[0]
+            assert w[j] == pytest.approx(alone, rel=1e-14)
+            assert w[j] == pytest.approx(1.0 / sums[-1, j], rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [(TOY_DIM,), (TOY_DIM - 1, 2), (TOY_DIM, 2, 1)])
+    def test_probes_not_columns_rejected(self, toy_eig, shape):
+        # a 1-D probe would broadcast against the (n, 1) weights into n columns
+        for picard in (picard_indicator, picard_partial_sums):
+            with pytest.raises(ValueError, match=r"not \(n, P\) columns"):
+                picard(toy_eig, np.ones(shape))
+
     def test_values_only_system_rejected(self, toy_eig):
         values_only = EigenSystem(toy_eig.lambdas, None, toy_eig.retained, toy_eig.gram)
-        probe = toy_field(np.ones(TOY_DIM))
+        probe = column(np.ones(TOY_DIM))
         for picard in (picard_indicator, picard_partial_sums):
             with pytest.raises(ValueError, match="vectors=False"):
                 picard(values_only, probe)
@@ -563,35 +579,34 @@ class TestReconstruct:
             cavity=st.cavity,
             region=st.omega_system,
         )
-        for pt, truth in zip(grid_out.points, grid_out.truth):
-            assert truth == (np.hypot(*pt.y) < 0.35)
+        assert np.array_equal(grid_out.truth, np.hypot(*grid_out.y.T) < 0.35)
 
     def test_values_follow_points_across_time_slices(self, tiny_pipeline):
         # each chunk computes all slices of its points; values stay s-major
         st, eig = tiny_pipeline
-        from heatcavity.forward import green_probe_trace
-
         grid_out = reconstruct(
             eig, st.omega, st.grid, SamplingSpec(13, 13, 2, 0.2), 0.2, region=st.omega_system
         )
         n = len(grid_out) // 2
         assert n > recon.PROBE_CHUNK
+        assert grid_out.y.shape == (2 * n, 2) and grid_out.s.shape == (2 * n,)
+        assert np.array_equal(grid_out.y[:n], grid_out.y[n:])
+        assert np.array_equal(grid_out.s, np.repeat(slice_times(st.grid, 2), n))
         for i in (0, n - 1, n, 2 * n - 1, n + recon.PROBE_CHUNK + 3):
-            pt = grid_out.points[i]
-            probe = green_probe_trace(pt.y, pt.s, st.omega, st.grid, region=st.omega_system)
-            want = picard_indicator(eig, probe)
+            probe = green_probe_traces(
+                grid_out.y[i], grid_out.s[i], st.omega, st.grid, region=st.omega_system
+            )
+            want = picard_indicator(eig, probe.reshape(-1, 1))[0]
             assert grid_out.values[i] == pytest.approx(want, rel=1e-10)
 
     def test_degenerate_probe_time_yields_inf_sentinel(self, tiny_pipeline):
         # s below the first collocation instant leaves no live cells: the
         # probe is identically zero and the indicator flags it as infinite
         st, eig = tiny_pipeline
-        from heatcavity.forward import green_probe_trace
-
         s_tiny = 0.25 * st.grid.dt
-        p = green_probe_trace((0.1, 0.0), s_tiny, st.omega, st.grid, region=st.omega_system)
-        assert np.all(p.values == 0.0)
-        assert picard_indicator(eig, p) == np.inf
+        p = green_probe_traces((0.1, 0.0), s_tiny, st.omega, st.grid, region=st.omega_system)
+        assert np.all(p == 0.0)
+        assert picard_indicator(eig, p.reshape(-1, 1))[0] == np.inf
 
 
 class TestMaskMargins:

@@ -267,6 +267,30 @@ class TestChecksPass:
         assert min(rep.values["interior_W"]) > max(rep.values["exterior_W"])
         assert rep.values["separation"] > 1.0
 
+    def test_probe_dichotomy_traces_once_and_scores_with_picard_indicator(
+        self, coarse_verify, monkeypatch
+    ):
+        # one Neumann solve serves all ten points; W comes from the one W routine
+        ctx, _ = coarse_verify
+        eig, st = ctx.benchmark_eigensystem, ctx.setup(verify.DOUBLED_RESOLUTION)
+        spied = {"green_probe_traces": forward, "solve_neumann": forward, "picard_indicator": recon}
+        real = {name: getattr(module, name) for name, module in spied.items()}
+        calls = {name: [] for name in spied}
+        for name, module in spied.items():
+            spy = lambda *a, name=name, **k: calls[name].append(a) or real[name](*a, **k)
+            monkeypatch.setattr(module, name, spy)
+        rep = verify.check_probe_dichotomy(ctx)
+        assert len(calls["green_probe_traces"]) == len(calls["solve_neumann"]) == 1
+        assert len(calls["green_probe_traces"][0][0]) == 10
+        assert len(calls["picard_indicator"]) == 10
+        # against each point traced alone
+        for key, i, y in (("interior_W", 0, (0.0, 0.0)), ("exterior_W", -1, (0.45, 0.5))):
+            probe = real["green_probe_traces"](
+                y, verify.HORIZON / 2, st.omega, st.grid, region=st.omega_system
+            )
+            want = real["picard_indicator"](eig, probe.reshape(-1, 1))[0]
+            assert rep.values[key][i] == pytest.approx(want, rel=1e-12)
+
 
 class TestReporting:
     def test_record_is_json_clean(self, check_reports):
@@ -312,14 +336,14 @@ class TestMutationSensitivity:
         # is the oracle that pins the singular self-block weight.
         from heatcavity.geometry import CurveSpec, make_curve
 
-        monkeypatch.setattr(forward, "SELF_TERM_SCALE", 1.5)
+        # the log quadrature weights feed only the self block's log term
+        weights = forward.log_quadrature_weights
+        monkeypatch.setattr(forward, "log_quadrature_weights", lambda m: 1.5 * weights(m))
         omega = make_curve(CurveSpec("circle", (0.0, 0.0, 1.0)), 32)
         grid = forward.TimeGrid(0.5, 32)
         region = forward.assemble_blocks(omega, grid)
-        p = forward.green_probe_trace(
-            np.array([0.3, -0.2]), 0.4, omega, grid, region=region
-        )
+        p = forward.green_probe_traces(np.array([0.3, -0.2]), 0.4, omega, grid, region=region)
         live = grid.times < 0.4
         ref = disk_green(omega.nodes, 0.4 - grid.times[live], np.array([0.3, -0.2]))
-        err = np.linalg.norm(p.values[:, live] - ref) / np.linalg.norm(ref)
+        err = np.linalg.norm(p[:, live, 0] - ref) / np.linalg.norm(ref)
         assert err > 0.1  # clean build achieves ~3e-3 on this comparison
