@@ -318,6 +318,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     for name, dt in timings.items():
         meta[f"seconds.{name}"] = io.format_float(dt)
     meta["seconds.total"] = io.format_float(time.perf_counter() - t0)
+    meta["blas_threads"] = recon.blas_threads() or "none"
     meta["peak_rss_mb"] = _peak_rss_mb()
     meta["write_workers"] = writers
     io.write_kv(meta_path, meta)
@@ -470,6 +471,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     # lapack-inplace solves in S's buffer plus 1.5n^2 doubles; numpy holds
     # about 2.5n^2 more
     summary["eigh_route"] = recon.eigh_route()
+    summary["blas_threads"] = recon.blas_threads() or "none"
     summary["peak_rss_mb"] = _peak_rss_mb()
     io.write_kv(_out_path(cfg, "summary"), summary)
     print(

@@ -251,6 +251,29 @@ def compose_N(
     return _operator(mat, omega, omega, grid)
 
 
+def compose_N_norm(f: np.ndarray, h: np.ndarray) -> float:
+    """Frobenius norm of compose_N's matrix for the stacks f and h, without
+    that matrix: 0.0 for empty stacks.
+
+    compose_N's recursion stays on a block diagonal l - k = d, so each
+    diagonal is formed on its own: one batched product of its terms
+    P(k, k+d) = h(Nt-1-k) f(Nt-1-k-d), the same in-place sum from the last
+    cell back, and one vdot.  No array is larger than Nt M^2 doubles.
+    """
+    nt = h.shape[1]
+    h_rev = np.ascontiguousarray(h[:, ::-1, :].transpose(1, 0, 2))  # (Nt, M, M_c)
+    f_rev = np.ascontiguousarray(f[:, ::-1, :].transpose(1, 0, 2))  # (Nt, M_c, M)
+    total = 0.0
+    for d in range(1 - nt, nt):
+        lo, hi = max(0, -d), min(nt, nt - d)
+        cells = h_rev[lo:hi] @ f_rev[lo + d : hi + d]
+        # a loop over cells: np.cumsum along the leading axis is 2.5x slower
+        for k in range(len(cells) - 2, -1, -1):
+            cells[k] += cells[k + 1]
+        total += np.vdot(cells, cells)
+    return float(np.sqrt(total))
+
+
 def time_reversal(field: BoundaryField) -> BoundaryField:
     """Reverse the time cells of a field."""
     return BoundaryField(field.curve, field.grid, field.values[:, ::-1].copy())

@@ -115,12 +115,28 @@ _LAPACK_ARGS = {
 
 
 @functools.cache
+def _numpy_lib() -> ctypes.CDLL | None:
+    """numpy's linear-algebra extension, with the BLAS and LAPACK it links,
+    or None where it cannot be opened."""
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+
+
+def blas_threads() -> int | None:
+    """Threads of the OpenBLAS numpy links, or None where it does not export
+    scipy-openblas's thread count."""
+    get = getattr(_numpy_lib(), "scipy_openblas_get_num_threads64_", None)
+    return None if get is None else int(get())
+
+
+@functools.cache
 def _lapack() -> dict | None:
     """numpy's own LAPACK routines of _LAPACK_ARGS with 64-bit integers, by
     short name, or None where the library numpy links does not export them."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
+    lib = _numpy_lib()
+    if lib is None:
         return None
     # numpy >= 2 wheels prefix scipy-openblas's symbols; 1.x ILP64 wheels do not
     for prefix in ("scipy_d", "d"):

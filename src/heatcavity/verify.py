@@ -83,12 +83,12 @@ def _polar_cells(r0: float, r1: float, n: int = 64):
 
 
 class VerifyContext:
-    """Problem setups, with their impulse responses, and N per resolution,
-    built once and shared by the checks; N is the one dense operator kept."""
+    """Problem setups, with their impulse responses, per resolution, built
+    once and shared by the checks, and the benchmark eigensystem; no dense
+    operator is kept."""
 
     def __init__(self):
         self._setups: dict = {}
-        self._N: dict = {}
 
     def setup(self, resolution) -> ndmap.ProblemSetup:
         key = tuple(resolution)
@@ -100,22 +100,16 @@ class VerifyContext:
             cache[key] = ndmap.ProblemSetup.build(omega, cavity, TimeGrid(HORIZON, nt))
         return cache[key]
 
-    def modified_operator(self, resolution) -> ndmap.SpaceTimeOperator:
-        """The modified operator N, composed from the setup's responses."""
-        key = tuple(resolution)
-        if key not in self._N:
-            self._N[key] = ndmap.assemble_N(self.setup(key))
-        return self._N[key]
-
     @cached_property
     def benchmark_eigensystem(self) -> recon.EigenSystem:
         """The eigensystem of S at DOUBLED_RESOLUTION; its symmetry_rel is
-        ||S - S.T|| / ||S||, measured by eigendecompose's own check."""
-        N = self.modified_operator(DOUBLED_RESOLUTION)
+        ||S - S.T|| / ||S||, measured by eigendecompose's own check.  N is
+        composed here, the one place verify needs it dense, and dropped
+        before the solve."""
+        N = ndmap.assemble_N(self.setup(DOUBLED_RESOLUTION))
         S, gram = ndmap.symmetrize(N)[0], N.gram_domain
-        # eigh runs on S and 1.5n^2 doubles alone: N leaves the cache (a
-        # later call composes it again) and S's buffer becomes the vectors
-        del self._N[tuple(DOUBLED_RESOLUTION)], N
+        # eigh runs on S and 1.5n^2 doubles alone; S's buffer becomes the vectors
+        del N
         return recon.eigendecompose(S, gram, 1e-8)
 
 
@@ -191,12 +185,13 @@ def _data_responses(st: ndmap.ProblemSetup):
 
 
 def _dual_route_sum(st: ndmap.ProblemSetup):
-    """N + L'.FL, L' the weighted-transpose dual of L: L' = R E_L R with E_L
-    causal of responses e_L[i, a, c] = r_L[c, a, i] w_c / w_i (r_L those of
-    L, w the node weights), so the sum is R (Lhat + E_L) R FL."""
+    """The stacks (f, h) whose compose_N is N + L'.FL, L' the weighted-transpose
+    dual of L: L' = R E_L R with E_L causal of responses
+    e_L[i, a, c] = r_L[c, a, i] w_c / w_i (r_L those of L, w the node
+    weights), so the sum is R (Lhat + E_L) R FL, and h = Lhat's + e_L."""
     r = st.responses
     e_L = r["L"].transpose(2, 1, 0) * (st.cavity.weights / st.omega.weights[:, None, None])
-    return ndmap.compose_N(st.omega, st.grid, r["FL"], r["Lhat"] + e_L)
+    return r["FL"], r["Lhat"] + e_L
 
 
 def check_factorization(ctx: VerifyContext | None = None) -> CheckReport:
@@ -206,8 +201,9 @@ def check_factorization(ctx: VerifyContext | None = None) -> CheckReport:
     the composition Lhat . FL, compared as impulse responses (all three maps
     are block lower-Toeplitz).  Route pair two: N (time-reversal route) vs
     -L'.FL with L' realized through the weighted-transpose duality of L — a
-    different discrete object.  The only dense maps are N and N + L'.FL,
-    never alive together.
+    different discrete object.  Both norms of pair two come from the
+    stacks by ndmap.compose_N_norm, a block diagonal at a time: no dense
+    map is formed but the cavity-free setup's zero N.
     """
     ctx = ctx or VerifyContext()
     res35, res37 = [], []
@@ -215,8 +211,8 @@ def check_factorization(ctx: VerifyContext | None = None) -> CheckReport:
         st = ctx.setup(resolution)
         diff, resid = _data_responses(st)
         res35.append(ndmap._toeplitz_norm(resid) / ndmap._toeplitz_norm(diff))
-        dual = np.linalg.norm(_dual_route_sum(st).matrix)
-        res37.append(float(dual / np.linalg.norm(ctx.modified_operator(resolution).matrix)))
+        dual = ndmap.compose_N_norm(*_dual_route_sum(st))
+        res37.append(dual / ndmap.compose_N_norm(*ndmap.n_responses(st)))
     # cavity-free path: the modified map vanishes identically
     omega16 = make_curve(OMEGA_SPEC, 16)
     st_empty = ndmap.ProblemSetup.build(omega16, None, TimeGrid(HORIZON, 16))

@@ -135,9 +135,7 @@ def test_criterion_7_noise_robustness(verify_ctx, benchmark_reconstruction):
     j_clean = recon.jaccard(clean_grid.mask, clean_grid.truth)
 
     st = verify_ctx.setup(verify.DOUBLED_RESOLUTION)
-    noisy = ndmap.add_noise(
-        verify_ctx.modified_operator(verify.DOUBLED_RESOLUTION), NoiseSpec(1e-3, 1)
-    )
+    noisy = ndmap.add_noise(ndmap.assemble_N(st), NoiseSpec(1e-3, 1))
     S, _ = ndmap.symmetrize(noisy)
     eig = recon.eigendecompose(S, noisy.gram_domain, 1e-3)
     noisy_grid = recon.reconstruct(

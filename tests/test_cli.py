@@ -992,6 +992,20 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "N.stop1").exists()
 
+    def test_blas_threads_recorded(self, tmp_path):
+        cfg_path, out = write_cfg(tmp_path), tmp_path / "out"
+        for command in ("simulate", "reconstruct"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "heatcavity.cli", command, "--config", cfg_path, "--out", out],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+            )
+            assert proc.returncode == 0, proc.stderr
+        want = "none" if recon.blas_threads() is None else "1"
+        assert hio.read_kv(out / "meta")["blas_threads"] == want
+        assert hio.read_kv(out / "summary")["blas_threads"] == want
+
     def test_entry_point_config_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "heatcavity.cli", "simulate", "--config", "/no/file"],

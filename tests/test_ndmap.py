@@ -284,6 +284,9 @@ class TestFactorization:
         assert not np.any(op.matrix)
         assert not np.signbit(op.matrix).any()  # written as "0", not "-0"
 
+    def test_no_cavity_N_norm_is_zero(self, no_cavity_setup):
+        assert ndmap.compose_N_norm(*ndmap.n_responses(no_cavity_setup)) == 0.0
+
     def test_dual_consistency_of_N(self, small_ops, small_setup):
         N = small_ops["N"]
         g = N.gram_domain

@@ -48,10 +48,14 @@ def coarse_verify(monkeypatch):
 
 
 @pytest.fixture(
-    params=["kite", (16, 12, 16), (32, 24, 32)], ids=["kite", "16-12-16", "32-24-32"]
+    params=["small", "kite", (16, 12, 16), (32, 24, 32)],
+    ids=["small", "kite", "16-12-16", "32-24-32"],
 )
-def factorization_setup(request, kite_setup):
-    """The small kite and the concentric coarse refinement pair."""
+def factorization_setup(request, small_setup, kite_setup):
+    """The small concentric pair, the small kite and the concentric coarse
+    refinement pair."""
+    if request.param == "small":
+        return small_setup
     if request.param == "kite":
         return kite_setup
     return verify.VerifyContext().setup(request.param)
@@ -76,8 +80,15 @@ class TestFactorizationRoutes:
         st = factorization_setup
         dual = lprime_from_duality(ndmap.assemble_L(st)).matrix
         dense = ndmap.assemble_N(st).matrix + dual @ ndmap.assemble_FL(st).matrix
-        got = verify._dual_route_sum(st).matrix
+        got = ndmap.compose_N(st.omega, st.grid, *verify._dual_route_sum(st)).matrix
         assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("pair", ["N", "dual"])
+    def test_compose_N_norm_is_the_dense_norm(self, factorization_setup, pair):
+        st = factorization_setup
+        f, h = ndmap.n_responses(st) if pair == "N" else verify._dual_route_sum(st)
+        dense = np.linalg.norm(ndmap.compose_N(st.omega, st.grid, f, h).matrix)
+        assert ndmap.compose_N_norm(f, h) == pytest.approx(dense, rel=1e-14)
 
     def test_toeplitz_norm_is_the_expanded_norm(self):
         resp = np.random.default_rng(4).standard_normal((3, 7, 5))
@@ -91,9 +102,15 @@ class TestMemory:
         called = []
         for name in ("assemble_lambda", "assemble_L", "_toeplitz_expand"):
             monkeypatch.setattr(ndmap, name, lambda *a, name=name, **k: called.append(name))
+        composed = []
+        real = ndmap.compose_N
+        monkeypatch.setattr(
+            ndmap, "compose_N", lambda omega, *a: composed.append(omega.M) or real(omega, *a)
+        )
         assert verify.check_factorization(ctx).passed
         assert called == []
-        assert set(vars(ctx)) == {"_setups", "_N"}
+        assert composed == [16]  # the cavity-free setup's zero N alone
+        assert set(vars(ctx)) == {"_setups"}
         for res in (verify.BASE_RESOLUTION, verify.DOUBLED_RESOLUTION):
             table = ctx.setup(res).responses
             assert sorted(table) == ["FL", "L", "Lhat", "lambda_0", "lambda_D"]
@@ -129,8 +146,9 @@ class TestMemory:
         assert len(calls) == 2
 
     def test_factorization_traced_peak(self, coarse_verify):
-        # N and the sum N + L'.FL, one at a time, and the setups: near
-        # 1.6 n^2 doubles; the dense route peaked near 4.0
+        # the setups and one block diagonal's Nt M^2 doubles at a time: near
+        # 0.65 n^2 doubles; 1.7 while N and the sum N + L'.FL were formed
+        # one at a time, 4.0 on the dense route
         ctx, n = coarse_verify
         tracemalloc.start()
         try:
@@ -138,7 +156,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * n * n * 8
+        assert peak <= n * n * 8
 
     def test_factorization_and_spectrum_traced_peak(self, coarse_verify):
         # Holding all six dense operators per resolution, as the context once
